@@ -9,10 +9,10 @@ stays positive, mass and momentum are conserved to round-off, and the scheme
 remains accurate uniformly as ``eps`` tends to zero (asymptotic preserving).
 """
 
-from .mesh import (StructuredMesh, build_mesh, project, face_average,
-                   face_jump, face_average_normal, sum_over_cell_faces,
-                   cell_gradient, cell_divergence, face_gradient,
-                   face_gradient_normal)
+from .mesh import (StructuredMesh, build_mesh, project, gather_to_faces,
+                   scatter_to_cells, flux_divergence, face_average,
+                   face_jump, face_average_normal, cell_gradient,
+                   cell_divergence, face_gradient, face_gradient_normal)
 from .eos import GasLaw, PositivityError
 from .flux import (FaceFluxes, assemble_fluxes, stabilisation_velocity,
                    split_normal_velocity, mass_flux, momentum_flux)
@@ -34,9 +34,10 @@ from .driver import (ConfigError, InequalityViolation, RunConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "StructuredMesh", "build_mesh", "project", "face_average", "face_jump",
-    "face_average_normal", "sum_over_cell_faces", "cell_gradient",
-    "cell_divergence", "face_gradient", "face_gradient_normal",
+    "StructuredMesh", "build_mesh", "project", "gather_to_faces",
+    "scatter_to_cells", "flux_divergence", "face_average", "face_jump",
+    "face_average_normal", "cell_gradient", "cell_divergence",
+    "face_gradient", "face_gradient_normal",
     "GasLaw", "PositivityError",
     "FaceFluxes", "assemble_fluxes", "stabilisation_velocity",
     "split_normal_velocity", "mass_flux", "momentum_flux",

@@ -38,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="advance one case and write diagnostics")
     run_p.add_argument("--config", required=True, help="INI file with a [run] section")
     run_p.add_argument("--output", default=None, help="output directory (overrides config)")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface symmetry; a single run is serial")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the config seed (recorded in the output echo)")
     run_p.add_argument("--assert-inequalities", action="store_true",
@@ -52,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv_p.add_argument("--output", default=None, help="output directory (overrides config)")
     conv_p.add_argument("--threads", type=int, default=1,
                         help="run grids in parallel worker processes")
-    conv_p.add_argument("--seed", type=int, default=None,
-                        help="accepted for interface symmetry; studies are deterministic")
     return parser
 
 

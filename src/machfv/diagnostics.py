@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import GasLaw
-from .mesh import StructuredMesh, cell_gradient, sum_over_cell_faces
+from .flux import momentum_flux
+from .mesh import (StructuredMesh, cell_gradient, face_gradient_normal,
+                   flux_divergence, gather_to_faces, scatter_to_cells)
 
 
 @dataclass(frozen=True)
@@ -191,10 +193,6 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
     eps2 = ld(eps) ** 2
     s = ld(fluxes.viscous_scale)
     vol = ld(mesh.cell_volume)
-    k = mesh.face_cell_k
-    l = mesh.face_cell_l
-    coef = (mesh.face_measure / mesh.cell_volume).astype(ld)
-    measure = mesh.face_measure.astype(ld)
 
     rho_n = before.rho.astype(ld)
     u_n = before.u.astype(ld)
@@ -204,14 +202,15 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
     mass_plus = fluxes.mass_plus.astype(ld)
     mass_minus = fluxes.mass_minus.astype(ld)
     mass = mass_plus + mass_minus
-    mom = fluxes.momentum.astype(ld)
+    u_k, u_l = gather_to_faces(mesh, u_n)
+    mom = momentum_flux(mass_plus, mass_minus, u_k, u_l, s)
 
     # Re-derive the end-of-step fields from the fluxes so that the discrete
     # balances hold at extended precision, not just at solver tolerance.
-    rho_hat = rho_n - dtl * sum_over_cell_faces(mesh, coef * mass)
+    rho_hat = rho_n - dtl * flux_divergence(mesh, mass)
     p_hat = rho_hat ** g
     grad_p = cell_gradient(mesh, p_hat)
-    div_mom = sum_over_cell_faces(mesh, coef[:, None] * mom)
+    div_mom = flux_divergence(mesh, mom)
     u_hat = (rho_n[:, None] * u_n - dtl * (div_mom + grad_p / eps2)) / rho_hat[:, None]
 
     def potential(z):
@@ -225,37 +224,36 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
     # evaluated at rho_hat differs by a defect that the identities below must
     # account for (in double precision the solve cannot push it under the
     # representation granularity of rho divided by dt).
-    flux_hat = rho_hat[k] * (w_plus + s) + rho_hat[l] * (w_minus - s)
-    defect = sum_over_cell_faces(mesh, coef * (flux_hat - mass))
+    rho_hat_k, rho_hat_l = gather_to_faces(mesh, rho_hat)
+    flux_hat = rho_hat_k * (w_plus + s) + rho_hat_l * (w_minus - s)
+    defect = flux_divergence(mesh, flux_hat - mass)
     p_prime_hat = g * rho_hat ** (g - 1.0)
 
     # Internal-energy balance: remainder R >= 0 cell by cell.
     pot_n = potential(rho_n)
     pot_hat = potential(rho_hat)
-    pot_k = pot_hat[k]
-    pot_l = pot_hat[l]
+    pot_k, pot_l = gather_to_faces(mesh, pot_hat)
     h_face = pot_k * w_plus + pot_l * w_minus - s * (pot_l - pot_k)
-    w_face = w_plus + w_minus
-    div_h = sum_over_cell_faces(mesh, coef * h_face)
-    sum_w = sum_over_cell_faces(mesh, coef * w_face)
+    div_h = flux_divergence(mesh, h_face)
+    sum_w = flux_divergence(mesh, w_plus + w_minus)
     remainder = p_prime_hat * defect - ((pot_hat - pot_n) / dtl + div_h + p_hat * sum_w)
 
     # Independent closed form of the same remainder: a positively weighted
     # sum of Bregman distances (time relaxation plus face upwinding), which
     # is the structural reason the internal balance dissipates.
-    remainder_closed = bregman(rho_n, rho_hat) / dtl
-    np.add.at(remainder_closed, k, coef * (s - w_minus) * bregman(rho_hat[l], rho_hat[k]))
-    np.add.at(remainder_closed, l, coef * (s + w_plus) * bregman(rho_hat[k], rho_hat[l]))
+    remainder_closed = bregman(rho_n, rho_hat) / dtl + scatter_to_cells(
+        mesh, (s - w_minus) * bregman(rho_hat_l, rho_hat_k),
+        (s + w_plus) * bregman(rho_hat_k, rho_hat_l))
 
     # Kinetic-energy balance with its exact transport remainder S.
     speed2_n = (u_n ** 2).sum(axis=1)
-    q_face = (mass_plus * 0.5 * speed2_n[k] + mass_minus * 0.5 * speed2_n[l]
-              - s * 0.5 * (speed2_n[l] - speed2_n[k]))
-    div_q = sum_over_cell_faces(mesh, coef * q_face)
-    jump_u_sq = ((u_n[l] - u_n[k]) ** 2).sum(axis=1)
-    s_faces = np.zeros(mesh.n_cells, dtype=ld)
-    np.add.at(s_faces, k, coef * (mass_minus - s) * 0.5 * jump_u_sq)
-    np.add.at(s_faces, l, coef * (-mass_plus - s) * 0.5 * jump_u_sq)
+    speed2_k, speed2_l = gather_to_faces(mesh, speed2_n)
+    q_face = (mass_plus * 0.5 * speed2_k + mass_minus * 0.5 * speed2_l
+              - s * 0.5 * (speed2_l - speed2_k))
+    div_q = flux_divergence(mesh, q_face)
+    jump_u_sq = ((u_l - u_k) ** 2).sum(axis=1)
+    s_faces = scatter_to_cells(mesh, (mass_minus - s) * 0.5 * jump_u_sq,
+                               (-mass_plus - s) * 0.5 * jump_u_sq)
     diff_u_sq = ((u_hat - u_n) ** 2).sum(axis=1)
     transport = rho_hat * diff_u_sq / (2.0 * dtl) + s_faces
     ke_n = 0.5 * rho_n * speed2_n
@@ -268,8 +266,8 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
     # the internal part telescoping exactly; the closed form is checked
     # against it per cell above, where no 1/eps^2 amplifies the comparison.
     lhs_rate = vol * ((ke_hat - ke_n) + (pot_hat - pot_n) / eps2).sum() / dtl
-    jump_p = p_hat[l] - p_hat[k]
-    stab_rate = (measure * jump_p * delta_u).sum() / eps2
+    # |face| [[p]] = |K| (|face| / |D|) [[p]]
+    stab_rate = vol * (face_gradient_normal(mesh, p_hat) * delta_u).sum() / eps2
     remainder_rate = vol * remainder.sum() / eps2
     transport_rate = vol * transport.sum()
     defect_rate = vol * (p_prime_hat * defect).sum() / eps2

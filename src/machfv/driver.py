@@ -20,7 +20,7 @@ import numpy as np
 from .cases import (vortex_compressible_init, vortex_incompressible_exact,
                     well_prepared_perturbation)
 from .diagnostics import energy_report, eoc, error_norms
-from .mesh import StructuredMesh, build_mesh
+from .mesh import StructuredMesh, build_mesh, cell_grid
 from .stepper import SchemeParams, advance
 
 CASES = ("vortex", "well_prepared")
@@ -303,8 +303,7 @@ def _fmt(x) -> str:
 def write_field_snapshot(path, mesh: StructuredMesh, values, time: float):
     """Plain-text snapshot: header with mesh and time, row-major values."""
     lines = [f"# nx={mesh.nx} ny={mesh.ny} lx={mesh.lx!r} ly={mesh.ly!r} time={time!r}"]
-    grid = np.asarray(values).reshape(mesh.ny, mesh.nx)
-    for row in grid:
+    for row in cell_grid(mesh, values):
         lines.append(" ".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -468,7 +467,7 @@ def restrict_to_coarse(fine_values: np.ndarray, fine_mesh: StructuredMesh,
             f"{coarse_mesh.nx}x{coarse_mesh.ny}")
     rx = fine_mesh.nx // coarse_mesh.nx
     ry = fine_mesh.ny // coarse_mesh.ny
-    grid = np.asarray(fine_values).reshape(fine_mesh.ny, fine_mesh.nx)
+    grid = cell_grid(fine_mesh, fine_values)
     return grid.reshape(coarse_mesh.ny, ry, coarse_mesh.nx, rx).mean(axis=(1, 3)).ravel()
 
 

@@ -16,30 +16,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import StructuredMesh, face_average_normal, face_gradient_normal, face_jump
+from .mesh import (StructuredMesh, face_average_normal, face_gradient_normal,
+                   gather_to_faces)
 
 
 @dataclass
 class FaceFluxes:
-    """Per-face flux data for one time step (K-side orientation).
+    """Per-face mass-flux data for one time step (K-side orientation).
 
-    mass = mass_plus + mass_minus is the stabilised upwind mass flux,
-    momentum the matching velocity-upwinded momentum flux (one column per
-    velocity component).  w_plus >= 0 and w_minus <= 0 are the split parts
-    of the advecting normal velocity u_normal - delta_u.
+    mass = mass_plus + mass_minus is the stabilised upwind mass flux.
+    w_plus >= 0 and w_minus <= 0 are the split parts of the advecting normal
+    velocity u_normal - delta_u.  The matching momentum flux is built from
+    mass_plus and mass_minus by momentum_flux once the step is accepted.
     """
 
     mass: np.ndarray
     mass_plus: np.ndarray
     mass_minus: np.ndarray
-    momentum: np.ndarray
     w_plus: np.ndarray
     w_minus: np.ndarray
     delta_u: np.ndarray
     u_normal: np.ndarray
-    eta: float
-    dt: float
-    eps: float
     viscous_scale: float
 
 
@@ -75,18 +72,18 @@ def mass_flux(rho_k, rho_l, w_plus, w_minus, viscous_scale: float = 1.0):
 
 
 def momentum_flux(mass_plus, mass_minus, u_k, u_l, viscous_scale: float = 1.0):
-    """Momentum flux F+ u_K + F- u_L - s [[u]], per velocity component."""
-    mass_plus = np.asarray(mass_plus, dtype=float)[..., None]
-    mass_minus = np.asarray(mass_minus, dtype=float)[..., None]
-    u_k = np.asarray(u_k, dtype=float)
-    u_l = np.asarray(u_l, dtype=float)
+    """Momentum flux F+ u_K + F- u_L - s [[u]] per component, in the inputs' dtype."""
+    mass_plus = np.asarray(mass_plus)[..., None]
+    mass_minus = np.asarray(mass_minus)[..., None]
+    u_k = np.asarray(u_k)
+    u_l = np.asarray(u_l)
     return mass_plus * u_k + mass_minus * u_l - viscous_scale * (u_l - u_k)
 
 
 def assemble_fluxes(mesh: StructuredMesh, rho_next: np.ndarray, u_now: np.ndarray,
                     p_next: np.ndarray, eta: float, dt: float, eps: float,
                     viscous_scale: float = 1.0) -> FaceFluxes:
-    """Assemble all face fluxes for one step.
+    """Assemble the mass fluxes for one step.
 
     rho_next and p_next = pressure(rho_next) are the end-of-step fields the
     mass balance is implicit in; u_now is the start-of-step velocity.
@@ -94,14 +91,10 @@ def assemble_fluxes(mesh: StructuredMesh, rho_next: np.ndarray, u_now: np.ndarra
     delta_u = stabilisation_velocity(mesh, p_next, eta, dt, eps)
     u_normal = face_average_normal(mesh, u_now)
     w_plus, w_minus = split_normal_velocity(u_normal, delta_u)
-    mass, mass_plus, mass_minus = mass_flux(
-        rho_next[mesh.face_cell_k], rho_next[mesh.face_cell_l],
-        w_plus, w_minus, viscous_scale)
-    momentum = momentum_flux(
-        mass_plus, mass_minus,
-        u_now[mesh.face_cell_k], u_now[mesh.face_cell_l], viscous_scale)
+    rho_k, rho_l = gather_to_faces(mesh, rho_next)
+    mass, mass_plus, mass_minus = mass_flux(rho_k, rho_l, w_plus, w_minus,
+                                            viscous_scale)
     return FaceFluxes(
         mass=mass, mass_plus=mass_plus, mass_minus=mass_minus,
-        momentum=momentum, w_plus=w_plus, w_minus=w_minus,
-        delta_u=delta_u, u_normal=u_normal,
-        eta=eta, dt=dt, eps=eps, viscous_scale=viscous_scale)
+        w_plus=w_plus, w_minus=w_minus, delta_u=delta_u, u_normal=u_normal,
+        viscous_scale=viscous_scale)

@@ -19,9 +19,10 @@ import scipy.sparse.linalg as spla
 
 from . import diagnostics
 from .eos import GasLaw, PositivityError
-from .flux import FaceFluxes, assemble_fluxes
+from .flux import FaceFluxes, assemble_fluxes, momentum_flux
 from .mesh import (StructuredMesh, cell_gradient, face_average,
-                   face_average_normal, sum_over_cell_faces)
+                   face_average_normal, face_weight, flux_divergence,
+                   flux_divergence_matrix, gather_to_faces, scatter_to_cells)
 
 MAX_ETA_RETRIES = 3
 MAX_DT_HALVINGS = 8
@@ -151,8 +152,7 @@ def auto_eta(mesh: StructuredMesh, rho: np.ndarray, safety: float = 1.1) -> floa
 def _residual_and_fluxes(mesh, gas, rho_next, rho_old, u_old, dt, eta, eps, s):
     p_next = gas.pressure(rho_next)
     fluxes = assemble_fluxes(mesh, rho_next, u_old, p_next, eta, dt, eps, s)
-    coef = mesh.face_measure / mesh.cell_volume
-    res = (rho_next - rho_old) / dt + sum_over_cell_faces(mesh, coef * fluxes.mass)
+    res = (rho_next - rho_old) / dt + flux_divergence(mesh, fluxes.mass)
     return res, fluxes
 
 
@@ -165,41 +165,35 @@ def density_residual(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
     return res
 
 
-def _flux_divergence_matrix(mesh, gas, rho, u_old, dt, eta, eps, s,
-                            with_stabilisation_derivative):
-    """Sparse matrix of d(div mass flux)/d(rho), 5-point stencil.
+def _mass_balance_matrix(mesh, gas, rho, u_old, dt, eta, eps, s,
+                         with_stabilisation_derivative):
+    """Sparse matrix I/dt + d(div mass flux)/d(rho), 5-point stencil.
 
     With the stabilisation derivative switched off this is the frozen-
-    coefficient linear flux operator used by the Picard fallback.  The
-    upwind indicator signs are frozen at the current iterate (semi-smooth
+    coefficient linear operator used by the Picard fallback.  The upwind
+    indicator signs are frozen at the current iterate (semi-smooth
     linearisation).
     """
     p = gas.pressure(rho)
     fl = assemble_fluxes(mesh, rho, u_old, p, eta, dt, eps, s)
-    k = mesh.face_cell_k
-    l = mesh.face_cell_l
     d_dk = fl.w_plus + s
     d_dl = fl.w_minus - s
     if with_stabilisation_derivative:
-        c_face = (eta * dt / eps ** 2) * mesh.face_measure / mesh.dual_volume
-        upwind_rho = rho[k] * (fl.delta_u < 0.0) + rho[l] * (fl.delta_u > 0.0)
-        pprime = gas.pressure_derivative(rho)
-        d_dk = d_dk + c_face * pprime[k] * upwind_rho
-        d_dl = d_dl - c_face * pprime[l] * upwind_rho
-    coef = mesh.face_measure / mesh.cell_volume
-    rows = np.concatenate([k, k, l, l])
-    cols = np.concatenate([k, l, k, l])
-    vals = np.concatenate([coef * d_dk, coef * d_dl, -coef * d_dk, -coef * d_dl])
-    n = mesh.n_cells
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        c_face = (eta * dt / eps ** 2) * face_weight(mesh)
+        rho_k, rho_l = gather_to_faces(mesh, rho)
+        upwind_rho = rho_k * (fl.delta_u < 0.0) + rho_l * (fl.delta_u > 0.0)
+        pprime_k, pprime_l = gather_to_faces(mesh, gas.pressure_derivative(rho))
+        d_dk = d_dk + c_face * pprime_k * upwind_rho
+        d_dl = d_dl - c_face * pprime_l * upwind_rho
+    return (flux_divergence_matrix(mesh, d_dk, d_dl)
+            + sp.identity(mesh.n_cells, format="csr") / dt)
 
 
 def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
                      dt: float, params: SchemeParams, eta: float):
     """Analytic semi-smooth Jacobian of density_residual (sparse CSR)."""
-    a = _flux_divergence_matrix(mesh, params.gas(), rho_next, state.u, dt, eta,
+    return _mass_balance_matrix(mesh, params.gas(), rho_next, state.u, dt, eta,
                                 params.eps, params.viscous_scale, True)
-    return a + sp.identity(mesh.n_cells, format="csr") / dt
 
 
 def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
@@ -222,8 +216,8 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     # remaining terms cover advection, the jump penalty and the 1/dt scaling.
     rho_scale = float(rho_old.max())
     p_scale = float(gas.pressure(np.array([rho_scale]))[0])
-    kappa = (eta * dt / eps ** 2) * (mesh.face_measure / mesh.dual_volume).max()
-    cmax = (mesh.face_measure / mesh.cell_volume).max()
+    cmax = face_weight(mesh).max()
+    kappa = (eta * dt / eps ** 2) * cmax
     u_scale = float(np.abs(u_old).max())
     fp_eps = np.finfo(float).eps
     noise = fp_eps * (rho_scale / dt + 4.0 * cmax * rho_scale
@@ -243,8 +237,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
             use_picard = True
 
         if not use_picard:
-            jac = _flux_divergence_matrix(mesh, gas, rho, u_old, dt, eta, eps, s, True)
-            jac = jac + sp.identity(mesh.n_cells, format="csr") / dt
+            jac = density_jacobian(mesh, rho, state, dt, params, eta)
             delta = spla.spsolve(jac, -res)
             accepted = False
             alpha = 1.0
@@ -266,8 +259,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
             # The frozen-coefficient sweep ignores the stabilisation
             # derivative, so it must never be allowed to grow the residual
             # (at low Mach the unrelaxed map is violently expansive).
-            frozen = _flux_divergence_matrix(mesh, gas, rho, u_old, dt, eta, eps, s, False)
-            lin = frozen + sp.identity(mesh.n_cells, format="csr") / dt
+            lin = _mass_balance_matrix(mesh, gas, rho, u_old, dt, eta, eps, s, False)
             target = spla.spsolve(lin, rho_old / dt)
             omega = params.picard_relax
             accepted = False
@@ -300,8 +292,9 @@ def update_velocity(mesh: StructuredMesh, gas: GasLaw, state: State,
     """Explicit momentum update once the new density is known."""
     p_next = gas.pressure(rho_next)
     grad_p = cell_gradient(mesh, p_next)
-    coef = (mesh.face_measure / mesh.cell_volume)[:, None]
-    div_mom = sum_over_cell_faces(mesh, coef * fluxes.momentum)
+    u_k, u_l = gather_to_faces(mesh, state.u)
+    div_mom = flux_divergence(mesh, momentum_flux(
+        fluxes.mass_plus, fluxes.mass_minus, u_k, u_l, fluxes.viscous_scale))
     numer = state.rho[:, None] * state.u - dt * (div_mom + grad_p / eps ** 2)
     return numer / rho_next[:, None]
 
@@ -320,15 +313,14 @@ def compute_dt(mesh: StructuredMesh, gas: GasLaw, state: State,
     dt_max.
     """
     rho = state.rho if rho_next_prev is None else rho_next_prev
-    p = gas.pressure(rho)
-    k = mesh.face_cell_k
-    l = mesh.face_cell_l
-    face_min = np.minimum(rho[k], rho[l])
-    face_max = np.maximum(rho[k], rho[l])
+    rho_k, rho_l = gather_to_faces(mesh, rho)
+    p_k, p_l = gather_to_faces(mesh, gas.pressure(rho))
+    face_min = np.minimum(rho_k, rho_l)
+    face_max = np.maximum(rho_k, rho_l)
     u_n = face_average_normal(mesh, state.u)
     d_face = (np.abs(u_n)
-              + np.abs(rho[l] - rho[k]) / face_max
-              + np.sqrt((eta / params.eps ** 2) * np.abs(p[l] - p[k])))
+              + np.abs(rho_l - rho_k) / face_max
+              + np.sqrt((eta / params.eps ** 2) * np.abs(p_l - p_k)))
     # |dK|/|K| is uniform, so beta_face is a single number.
     beta_face = mesh.cell_volume / mesh.boundary_measure
     active = d_face > 0.0
@@ -360,10 +352,8 @@ def enforce_conditions(mesh: StructuredMesh, gas: GasLaw, rho_old: np.ndarray,
     inv_avg = face_average(mesh, 1.0 / rho_next)
     eta_margin = eta - (3.0 * SPACE_DIM / 2.0) * inv_avg.max()
 
-    coef = mesh.face_measure / mesh.cell_volume
-    abs_flux = np.zeros(mesh.n_cells)
-    np.add.at(abs_flux, mesh.face_cell_k, coef * np.abs(fluxes.mass))
-    np.add.at(abs_flux, mesh.face_cell_l, coef * np.abs(fluxes.mass))
+    abs_mass = np.abs(fluxes.mass)
+    abs_flux = scatter_to_cells(mesh, abs_mass, abs_mass)
     flux_margin = (0.25 - (dt / rho_old) * abs_flux).min()
 
     geom = mesh.boundary_measure / mesh.cell_volume
@@ -382,8 +372,7 @@ def enforce_conditions(mesh: StructuredMesh, gas: GasLaw, rho_old: np.ndarray,
 def _attempt_step(mesh, gas, state, params, dt, eta):
     rho_star, iters, resnorm, fluxes = solve_density(mesh, gas, state, dt, params, eta)
     # Final update in conservative form: total mass then telescopes exactly.
-    coef = mesh.face_measure / mesh.cell_volume
-    rho_next = state.rho - dt * sum_over_cell_faces(mesh, coef * fluxes.mass)
+    rho_next = state.rho - dt * flux_divergence(mesh, fluxes.mass)
     if rho_next.min() <= 0.0:
         raise SolverError("conservative density update lost positivity", resnorm)
     report = enforce_conditions(mesh, gas, state.rho, rho_next, fluxes, dt, params, eta)
@@ -396,6 +385,10 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
 
     The controller dt is additionally capped by the explicit surrogate of
     the third-CFL condition and by dt_limit (used to land on a final time).
+    When dt_limit lies strictly between one and two controller steps, the
+    step takes dt_limit / 2, so the last two steps share the remainder: a
+    sliver step is too short for the dt-scaled stabilisation to hold the
+    density at 1 + O(eps^2).
     Condition violations double eta (auto mode) and then halve dt; a step
     that still violates after MAX_DT_HALVINGS halvings raises SolverError.
     """
@@ -408,6 +401,8 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     dt = compute_dt(mesh, gas, state, params, eta)
     dt = min(dt, _dt_third_cfl_cap(mesh, state.rho, params))
     if dt_limit is not None:
+        if dt < dt_limit < 2.0 * dt:
+            dt = 0.5 * dt_limit
         dt = min(dt, dt_limit)
     if not dt > 0.0:
         raise SolverError(f"non-positive time step {dt}")

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from machfv import (build_mesh, cell_divergence, cell_gradient, face_average,
-                    face_gradient, face_gradient_normal, face_jump, project,
-                    sum_over_cell_faces)
+                    face_gradient, face_gradient_normal, face_jump,
+                    flux_divergence, gather_to_faces, project,
+                    scatter_to_cells)
+from machfv.mesh import face_weight
 
 from conftest import random_positive_state
 from oracles import loop_cell_divergence, loop_cell_gradient
@@ -32,23 +34,45 @@ def test_build_mesh_rejects_small_and_degenerate():
         build_mesh(4, 4, 0.0, 1.0)
 
 
-def test_every_cell_has_four_faces_and_faces_are_proper(mesh44):
-    counts = np.zeros(mesh44.n_cells, dtype=int)
-    np.add.at(counts, mesh44.face_cell_k, 1)
-    np.add.at(counts, mesh44.face_cell_l, 1)
+def face_cells(mesh):
+    """(K, L) cell indices of every face, from the documented convention."""
+    n = mesh.n_cells
+    i, j = np.arange(n) % mesh.nx, np.arange(n) // mesh.nx
+    right = (i + 1) % mesh.nx + mesh.nx * j
+    up = i + mesh.nx * ((j + 1) % mesh.ny)
+    return np.concatenate([np.arange(n), np.arange(n)]), np.concatenate([right, up])
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (5, 3)])
+def test_gather_puts_every_cell_on_four_faces_and_each_pair_once(nx, ny):
+    mesh = build_mesh(nx, ny, 1.0, 1.0)
+    k, l = gather_to_faces(mesh, np.arange(mesh.n_cells))
+    assert k.shape == l.shape == (mesh.n_faces,)
+    counts = np.bincount(k, minlength=mesh.n_cells) + np.bincount(l, minlength=mesh.n_cells)
     assert (counts == 4).all()
-    assert (mesh44.face_cell_k != mesh44.face_cell_l).all()
+    assert (k != l).all()
     # each (K, L) unordered pair appears exactly once
-    pairs = {tuple(sorted(p)) for p in
-             zip(mesh44.face_cell_k.tolist(), mesh44.face_cell_l.tolist())}
-    assert len(pairs) == mesh44.n_faces
+    pairs = {tuple(sorted(p)) for p in zip(k.tolist(), l.tolist())}
+    assert len(pairs) == mesh.n_faces
+    expected_k, expected_l = face_cells(mesh)
+    np.testing.assert_array_equal(k, expected_k)
+    np.testing.assert_array_equal(l, expected_l)
 
 
-def test_face_measure_times_center_distance_is_dual_volume():
+def test_gather_vector_field_and_dtype(mesh44):
+    u = np.random.default_rng(7).normal(size=(mesh44.n_cells, 2)).astype(np.longdouble)
+    u_k, u_l = gather_to_faces(mesh44, u)
+    k, l = face_cells(mesh44)
+    assert u_k.dtype == u_l.dtype == np.longdouble
+    np.testing.assert_array_equal(u_k, u[k])
+    np.testing.assert_array_equal(u_l, u[l])
+
+
+def test_face_weight_is_inverse_center_distance():
+    # |face| / |D| with |D| = |face| times the distance between the centres
     mesh = build_mesh(4, 3, 1.0, 0.9)
-    dist = np.where(mesh.face_axis == 0, mesh.hx, mesh.hy)
-    np.testing.assert_allclose(mesh.face_measure * dist, mesh.dual_volume,
-                               rtol=1e-15)
+    dist = np.repeat([mesh.hx, mesh.hy], mesh.n_cells)
+    np.testing.assert_allclose(face_weight(mesh) * dist, 1.0, rtol=1e-15)
 
 
 def test_total_volume_matches_domain():
@@ -82,9 +106,9 @@ def test_project_rejects_unknown_rule(mesh44):
 
 def test_face_average_and_jump_values(mesh44):
     q = np.zeros(mesh44.n_cells)
-    f = 0
-    q[mesh44.face_cell_k[f]] = 1.0
-    q[mesh44.face_cell_l[f]] = 3.0
+    f = 0  # first x-face: joins cell 0 to its right neighbour, cell 1
+    q[0] = 1.0
+    q[1] = 3.0
     assert face_average(mesh44, q)[f] == pytest.approx(2.0)
     assert face_jump(mesh44, q)[f] == pytest.approx(2.0)
 
@@ -96,8 +120,8 @@ def test_face_average_and_jump_values(mesh44):
 def test_face_jump_follows_stored_orientation(mesh44):
     rng = np.random.default_rng(3)
     q = rng.normal(size=mesh44.n_cells)
-    np.testing.assert_array_equal(
-        face_jump(mesh44, q), q[mesh44.face_cell_l] - q[mesh44.face_cell_k])
+    k, l = face_cells(mesh44)
+    np.testing.assert_array_equal(face_jump(mesh44, q), q[l] - q[k])
 
 
 def test_cell_gradient_constant_is_exactly_zero(mesh44):
@@ -129,10 +153,9 @@ def test_cell_gradient_matches_face_loop_oracle():
 def test_face_gradient_single_jump():
     mesh = build_mesh(4, 4, 2.0, 2.0)  # hx = 0.5
     q = np.ones(mesh.n_cells)
-    f = 0
-    assert mesh.face_axis[f] == 0
-    q[mesh.face_cell_l[f]] = 2.0
-    q[mesh.face_cell_k[f]] = 1.0
+    f = 0  # first x-face: K = cell 0, L = cell 1
+    q[1] = 2.0
+    q[0] = 1.0
     grad = face_gradient(mesh, q)
     assert grad[f, 0] == pytest.approx(2.0)  # [[q]] / hx
     assert grad[f, 1] == 0.0
@@ -182,20 +205,29 @@ def test_summation_by_parts_duality(mesh88):
 def test_face_sum_telescoping(mesh88):
     rng = np.random.default_rng(29)
     value = rng.normal(size=mesh88.n_faces)
-    coef = mesh88.face_measure / mesh88.cell_volume
-    total = mesh88.cell_volume * sum_over_cell_faces(mesh88, coef * value).sum()
-    scale = (mesh88.face_measure * np.abs(value)).sum()
+    total = mesh88.cell_volume * flux_divergence(mesh88, value).sum()
+    scale = mesh88.hx * np.abs(value).sum()  # sum of |face| |value|
     assert abs(total) <= 1e-12 * scale
 
 
-def test_sum_over_cell_faces_vector_and_dtype(mesh44):
+def test_scatter_to_cells_matches_face_loop_vector_and_dtype():
+    mesh = build_mesh(5, 3, 1.0, 0.9)
     rng = np.random.default_rng(31)
-    vec = rng.normal(size=(mesh44.n_faces, 2))
-    out = sum_over_cell_faces(mesh44, vec)
-    assert out.shape == (mesh44.n_cells, 2)
+    to_k = rng.normal(size=(mesh.n_faces, 2))
+    to_l = rng.normal(size=(mesh.n_faces, 2))
+    out = scatter_to_cells(mesh, to_k, to_l)
+    assert out.shape == (mesh.n_cells, 2)
+    expected = np.zeros((mesh.n_cells, 2))
+    weight = np.repeat([1.0 / mesh.hx, 1.0 / mesh.hy], mesh.n_cells)
+    for f, (k, l, w) in enumerate(zip(*face_cells(mesh), weight)):
+        expected[k] += w * to_k[f]
+        expected[l] += w * to_l[f]
+    np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-14)
     ld = np.longdouble
-    out_ld = sum_over_cell_faces(mesh44, vec.astype(ld))
+    out_ld = scatter_to_cells(mesh, to_k.astype(ld), to_l.astype(ld))
     assert out_ld.dtype == ld
+    np.testing.assert_allclose(flux_divergence(mesh, to_k),
+                               scatter_to_cells(mesh, to_k, -to_k), rtol=0, atol=0)
 
 
 def random_state_smoke(mesh44):

@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from machfv import (GasLaw, SchemeParams, SolverError, State, advance,
                     auto_eta, build_mesh, cell_gradient, compute_dt,
-                    density_residual, energy_report, enforce_conditions,
-                    solve_density, step, update_velocity,
+                    density_jacobian, density_residual, energy_report,
+                    enforce_conditions, solve_density, step, update_velocity,
                     vortex_compressible_init)
-from machfv.stepper import _flux_divergence_matrix
+from machfv.stepper import _dt_third_cfl_cap
 from machfv import assemble_fluxes
 
 from oracles import dense_newton, loop_residual
@@ -78,10 +77,8 @@ def test_analytic_jacobian_matches_directional_differences():
     state = State(time=0.0, rho=rho, u=u)
     params = SchemeParams(gamma=2.0, eps=1.0)
     dt, eta = 0.01, 3.3
-    gas = params.gas()
-    jac = _flux_divergence_matrix(mesh, gas, rho, u, dt, eta, params.eps,
-                                  params.viscous_scale, True)
-    jac = jac + sp.identity(n, format="csr") / dt
+    jac = density_jacobian(mesh, rho, state, dt, params, eta)
+    assert jac.nnz == 5 * n
     rng = np.random.default_rng(41)
     for _ in range(5):
         direction = rng.normal(size=n)
@@ -262,6 +259,36 @@ def test_step_first_vortex_step_regression():
     assert diag.total_mass == pytest.approx(1.0137766100380579, rel=1e-13)
     assert diag.energy_decrement >= 0.0
     assert diag.conditions.all_ok
+
+
+def test_step_recovers_from_failed_solve_by_halving_dt():
+    # at eps = 1e-4 the first controller step defeats Newton and the Picard
+    # fallback; the controller rejects it and accepts half of it
+    mesh = build_mesh(32, 32, 1.0, 1.0)
+    params = SchemeParams(gamma=2.0, eps=1e-4)
+    state = vortex_compressible_init(mesh, params.gamma, params.eps)
+    eta = auto_eta(mesh, state.rho, params.eta_safety)
+    dt_controller = min(compute_dt(mesh, params.gas(), state, params, eta),
+                        _dt_third_cfl_cap(mesh, state.rho, params))
+    with pytest.raises(SolverError):
+        solve_density(mesh, params.gas(), state, dt_controller, params, eta)
+    _, diag = step(mesh, state, params)
+    assert diag.conditions.all_ok
+    assert diag.dt_used == dt_controller / 2.0
+
+
+def test_short_final_step_keeps_density_deviation():
+    # landing 5e-7 past one controller step must not take a sliver step,
+    # whose stabilisation cannot hold rho at 1 + O(eps^2)
+    mesh = build_mesh(16, 16, 1.0, 1.0)
+    params = SchemeParams(gamma=2.0, eps=1e-4)
+    state = vortex_compressible_init(mesh, params.gamma, params.eps)
+    state, _, _ = advance(mesh, state, params, 0.01)
+    deviation = np.abs(state.rho - 1.0).max() / params.eps ** 2
+    _, probe = step(mesh, state, params)
+    final, _, _ = advance(mesh, state, params,
+                          state.time + probe.dt_used + 5e-7)
+    assert np.abs(final.rho - 1.0).max() / params.eps ** 2 <= 2.0 * deviation
 
 
 def test_short_runs_energy_monotone_and_positive():
