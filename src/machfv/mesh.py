@@ -156,6 +156,34 @@ def flux_divergence_matrix(mesh: StructuredMesh, coef_k, coef_l):
     return sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_cells,) * 2).tocsr()
 
 
+def mean_flux_divergence_inverse(mesh: StructuredMesh, coef_k, coef_l, shift: float):
+    """Inverse of q -> shift q + flux_divergence(a_k q_K + a_l q_L) by FFT.
+
+    a_k and a_l are the means of coef_k and coef_l over the x-block and over
+    the y-block.  With one coefficient pair per direction the operator is
+    circulant on the periodic grid, so rfft2 diagonalises it: a face flux
+    enters its K cell with q_K = q and q_L = the next cell, and leaves its L
+    cell with q_K = the previous cell and q_L = q.  Returns a function of a
+    flat cell array; it is the exact inverse when coef_k and coef_l are
+    constant on each block, and a preconditioner otherwise.  The symbol must
+    not vanish, e.g. shift > 0 with coef_k >= 0 >= coef_l.
+    """
+    n = mesh.n_cells
+    next_x = np.exp(2j * np.pi * np.fft.rfftfreq(mesh.nx))
+    next_y = np.exp(2j * np.pi * np.fft.fftfreq(mesh.ny))[:, None]
+    symbol = shift
+    for weight, nxt, a_k, a_l in (
+            (mesh.hy / mesh.cell_volume, next_x, coef_k[:n].mean(), coef_l[:n].mean()),
+            (mesh.hx / mesh.cell_volume, next_y, coef_k[n:].mean(), coef_l[n:].mean())):
+        symbol = symbol + weight * (a_k + a_l * nxt - a_k * nxt.conj() - a_l)
+
+    def solve(r):
+        spectrum = np.fft.rfft2(cell_grid(mesh, r)) / symbol
+        return np.fft.irfft2(spectrum, s=(mesh.ny, mesh.nx)).ravel()
+
+    return solve
+
+
 def face_average(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
     """Arithmetic face average {{q}} = (q_K + q_L) / 2; works per component."""
     q_k, q_l = gather_to_faces(mesh, q)

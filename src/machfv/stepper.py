@@ -2,13 +2,18 @@
 momentum update.
 
 Each step solves the nonlinear mass balance for the end-of-step density with
-a damped semi-smooth Newton method (sparse 5-point Jacobian, Picard
-fallback), then updates the velocity explicitly from the momentum balance
-using the retained fluxes.  A time-step controller and three per-step
-stability conditions (stabilisation strength, a quarter-CFL on the mass
-fluxes, a third-CFL on the cell boundary measure) keep the discrete energy
-and entropy functionals non-increasing; violated conditions trigger eta
-doubling (auto mode, at most 3 retries) and dt halving (at most 8).
+a damped semi-smooth Newton method (Picard fallback), then updates the
+velocity explicitly from the momentum balance using the retained fluxes.
+Every linear system, Newton or Picard, is I/dt plus the divergence of a face
+flux linear in the two adjacent densities: a 5-point sparse matrix, solved
+by GMRES preconditioned with the FFT inverse of its face-mean
+constant-coefficient part (exact on uniform regions, where the
+stabilisation term makes the matrix a stiff pressure Laplacian at low
+Mach).  A time-step controller and three per-step stability conditions
+(stabilisation strength, a quarter-CFL on the mass fluxes, a third-CFL on
+the cell boundary measure) keep the discrete energy and entropy functionals
+non-increasing; violated conditions trigger eta doubling (auto mode, at most
+3 retries) and dt halving (at most 8).
 """
 
 from dataclasses import dataclass, field
@@ -22,11 +27,15 @@ from .eos import GasLaw, PositivityError
 from .flux import FaceFluxes, assemble_fluxes, momentum_flux
 from .mesh import (StructuredMesh, cell_gradient, face_average,
                    face_average_normal, face_weight, flux_divergence,
-                   flux_divergence_matrix, gather_to_faces, scatter_to_cells)
+                   flux_divergence_matrix, gather_to_faces,
+                   mean_flux_divergence_inverse, scatter_to_cells)
 
 MAX_ETA_RETRIES = 3
 MAX_DT_HALVINGS = 8
 MAX_LINESEARCH_HALVINGS = 20
+# GMRES inner iterations per restart, and restarts per linear solve.
+GMRES_RESTART = 20
+GMRES_MAX_RESTARTS = 5
 SPACE_DIM = 2
 
 
@@ -124,7 +133,11 @@ class ConditionReport:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step record; energies are totals of the stated functionals."""
+    """Per-step record; energies are totals of the stated functionals.
+
+    ``energy`` is the end-of-step report, which the next step reuses as its
+    start-of-step report.
+    """
 
     step_index: int
     time: float
@@ -141,6 +154,7 @@ class StepDiagnostics:
     newton_iters: int
     final_residual: float
     conditions: ConditionReport
+    energy: diagnostics.EnergyReport
     fluxes: FaceFluxes | None = None
 
 
@@ -165,14 +179,16 @@ def density_residual(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
     return res
 
 
-def _mass_balance_matrix(mesh, gas, rho, u_old, dt, eta, eps, s,
-                         with_stabilisation_derivative):
-    """Sparse matrix I/dt + d(div mass flux)/d(rho), 5-point stencil.
+def _mass_flux_coefficients(mesh, gas, rho, u_old, dt, eta, eps, s,
+                            with_stabilisation_derivative):
+    """Face coefficients (d_dk, d_dl) of the mass flux's dependence on rho_K, rho_L.
 
-    With the stabilisation derivative switched off this is the frozen-
-    coefficient linear operator used by the Picard fallback.  The upwind
-    indicator signs are frozen at the current iterate (semi-smooth
-    linearisation).
+    With the stabilisation derivative switched off they are the frozen
+    coefficients of the Picard fallback, whose flux is exactly
+    d_dk rho_K + d_dl rho_L.  The upwind indicator signs are frozen at the
+    current iterate (semi-smooth linearisation); where delta_u = 0 the flux
+    is smooth only because rho_K = rho_L there, and either side is the
+    derivative.
     """
     p = gas.pressure(rho)
     fl = assemble_fluxes(mesh, rho, u_old, p, eta, dt, eps, s)
@@ -181,19 +197,48 @@ def _mass_balance_matrix(mesh, gas, rho, u_old, dt, eta, eps, s,
     if with_stabilisation_derivative:
         c_face = (eta * dt / eps ** 2) * face_weight(mesh)
         rho_k, rho_l = gather_to_faces(mesh, rho)
-        upwind_rho = rho_k * (fl.delta_u < 0.0) + rho_l * (fl.delta_u > 0.0)
+        upwind_rho = np.where(fl.delta_u > 0.0, rho_l, rho_k)
         pprime_k, pprime_l = gather_to_faces(mesh, gas.pressure_derivative(rho))
         d_dk = d_dk + c_face * pprime_k * upwind_rho
         d_dl = d_dl - c_face * pprime_l * upwind_rho
+    return d_dk, d_dl
+
+
+def _mass_balance_matrix(mesh, dt, d_dk, d_dl):
+    """Sparse matrix I/dt + flux_divergence of d_dk q_K + d_dl q_L, 5-point stencil."""
     return (flux_divergence_matrix(mesh, d_dk, d_dl)
             + sp.identity(mesh.n_cells, format="csr") / dt)
+
+
+def _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs, atol):
+    """GMRES on the mass-balance matrix to an absolute 2-norm residual atol.
+
+    Preconditioned by the FFT inverse of the operator with face-mean
+    coefficients.  Returns (solution, inner iterations); a solve that stops
+    at GMRES_MAX_RESTARTS short of atol returns its last iterate.
+    """
+    matrix = _mass_balance_matrix(mesh, dt, d_dk, d_dl)
+    precond = spla.LinearOperator(
+        matrix.shape, matvec=mean_flux_divergence_inverse(mesh, d_dk, d_dl, 1.0 / dt))
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    x, _ = spla.gmres(matrix, rhs, rtol=0.0, atol=atol, restart=GMRES_RESTART,
+                      maxiter=GMRES_MAX_RESTARTS, M=precond, callback=count,
+                      callback_type="pr_norm")
+    return x, iters
 
 
 def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
                      dt: float, params: SchemeParams, eta: float):
     """Analytic semi-smooth Jacobian of density_residual (sparse CSR)."""
-    return _mass_balance_matrix(mesh, params.gas(), rho_next, state.u, dt, eta,
-                                params.eps, params.viscous_scale, True)
+    d_dk, d_dl = _mass_flux_coefficients(mesh, params.gas(), rho_next, state.u,
+                                         dt, eta, params.eps,
+                                         params.viscous_scale, True)
+    return _mass_balance_matrix(mesh, dt, d_dk, d_dl)
 
 
 def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
@@ -223,6 +268,8 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     noise = fp_eps * (rho_scale / dt + 4.0 * cmax * rho_scale
                       * (u_scale + s + 2.0 * kappa * p_scale))
     tol = params.newton_tol * max(1.0, rho_scale) + 10.0 * noise
+    # An inexact direction is caught by the residual check and line search.
+    lin_tol = 0.1 * tol
 
     rho = rho_old.copy()
     res, fluxes = _residual_and_fluxes(mesh, gas, rho, rho_old, u_old, dt, eta, eps, s)
@@ -237,8 +284,9 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
             use_picard = True
 
         if not use_picard:
-            jac = density_jacobian(mesh, rho, state, dt, params, eta)
-            delta = spla.spsolve(jac, -res)
+            d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho, u_old, dt, eta,
+                                                 eps, s, True)
+            delta, _ = _solve_mass_balance(mesh, dt, d_dk, d_dl, -res, lin_tol)
             accepted = False
             alpha = 1.0
             for _ in range(MAX_LINESEARCH_HALVINGS):
@@ -259,8 +307,10 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
             # The frozen-coefficient sweep ignores the stabilisation
             # derivative, so it must never be allowed to grow the residual
             # (at low Mach the unrelaxed map is violently expansive).
-            lin = _mass_balance_matrix(mesh, gas, rho, u_old, dt, eta, eps, s, False)
-            target = spla.spsolve(lin, rho_old / dt)
+            d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho, u_old, dt, eta,
+                                                 eps, s, False)
+            target, _ = _solve_mass_balance(mesh, dt, d_dk, d_dl, rho_old / dt,
+                                            lin_tol)
             omega = params.picard_relax
             accepted = False
             for _ in range(MAX_LINESEARCH_HALVINGS):
@@ -380,8 +430,12 @@ def _attempt_step(mesh, gas, state, params, dt, eta):
 
 
 def step(mesh: StructuredMesh, state: State, params: SchemeParams,
-         dt_limit: float | None = None, keep_fluxes: bool = False):
+         dt_limit: float | None = None, keep_fluxes: bool = False,
+         before: diagnostics.EnergyReport | None = None):
     """Advance one accepted time step; returns (new_state, StepDiagnostics).
+
+    ``before`` is the energy report of ``state`` when the caller already has
+    it (the previous step's ``diag.energy``); otherwise it is computed here.
 
     The controller dt is additionally capped by the explicit surrogate of
     the third-CFL condition and by dt_limit (used to land on a final time).
@@ -440,7 +494,8 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     new_state = State(time=state.time + dt, rho=rho_next, u=u_next,
                       step_index=state.step_index + 1)
 
-    before = diagnostics.energy_report(mesh, gas, state.rho, state.u, params.eps)
+    if before is None:
+        before = diagnostics.energy_report(mesh, gas, state.rho, state.u, params.eps)
     after = diagnostics.energy_report(mesh, gas, rho_next, u_next, params.eps)
     vol = mesh.cell_volume
     diag = StepDiagnostics(
@@ -459,6 +514,7 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
         newton_iters=iters,
         final_residual=float(resnorm),
         conditions=report,
+        energy=after,
         fluxes=fluxes if keep_fluxes else None,
     )
     return new_state, diag
@@ -478,10 +534,12 @@ def advance(mesh: StructuredMesh, state: State, params: SchemeParams,
     diags = []
     states = [state] if collect_states else None
     margin = 1e-12 * max(1.0, abs(final_time))
+    report = None
     while state.time < final_time - margin:
         new_state, diag = step(mesh, state, params,
                                dt_limit=final_time - state.time,
-                               keep_fluxes=keep_fluxes)
+                               keep_fluxes=keep_fluxes, before=report)
+        report = diag.energy
         if on_step is not None:
             on_step(state, new_state, diag)
         diags.append(diag)

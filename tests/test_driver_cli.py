@@ -266,7 +266,7 @@ def test_cli_inequality_violation_exit_4(tmp_path, monkeypatch, capsys):
 def test_solver_failure_organic_exit_3(tmp_path):
     # a one-iteration Newton budget cannot reach a 1e-14 tolerance even
     # after all controller dt halvings, so the run fails cleanly
-    ini = good_run_ini(eps=0.001, final_time=0.05, emit_fields="false",
+    ini = good_run_ini(eps=0.01, final_time=0.05, emit_fields="false",
                        emit_svg="false")
     ini += "\n[scheme]\nnewton_max_iter = 1\nnewton_tol = 1e-14\n"
     cfg_path = write_config(tmp_path, ini)

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from machfv import (build_mesh, cell_divergence, cell_gradient, face_average,
                     face_gradient, face_gradient_normal, face_jump,
                     flux_divergence, gather_to_faces, project,
                     scatter_to_cells)
-from machfv.mesh import face_weight
+from machfv.mesh import (face_weight, flux_divergence_matrix,
+                         mean_flux_divergence_inverse)
 
 from conftest import random_positive_state
 from oracles import loop_cell_divergence, loop_cell_gradient
@@ -233,3 +235,17 @@ def test_scatter_to_cells_matches_face_loop_vector_and_dtype():
 def random_state_smoke(mesh44):
     rho, u = random_positive_state(mesh44, np.random.default_rng(0))
     assert rho.min() > 0.0 and u.shape == (16, 2)
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (5, 3), (6, 7)])
+def test_mean_flux_divergence_inverse_is_exact_for_constant_coefficients(nx, ny):
+    # one coefficient pair per direction makes I/dt + div a circulant operator
+    mesh = build_mesh(nx, ny, 1.0, 0.8)
+    n = mesh.n_cells
+    dt = 0.01
+    coef_k = np.repeat([2.0, 3.5], n)
+    coef_l = np.repeat([-1.5, -0.25], n)
+    matrix = flux_divergence_matrix(mesh, coef_k, coef_l) + sp.identity(n) / dt
+    inverse = mean_flux_divergence_inverse(mesh, coef_k, coef_l, 1.0 / dt)
+    q = np.random.default_rng(59).normal(size=n)
+    np.testing.assert_allclose(inverse(matrix @ q), q, rtol=0.0, atol=1e-12)
