@@ -15,7 +15,6 @@ inequality failed.
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .driver import (ConfigError, InequalityViolation, convergence_study,
                      load_convergence_config, load_run_config, run_case)
@@ -38,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="advance one case and write diagnostics")
     run_p.add_argument("--config", required=True, help="INI file with a [run] section")
     run_p.add_argument("--output", default=None, help="output directory (overrides config)")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed (recorded in the output echo)")
     run_p.add_argument("--assert-inequalities", action="store_true",
                        help="fail (exit 4) if any step violates conservation, "
                             "energy/entropy decay, positivity, or the stability conditions")
@@ -58,8 +55,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = load_run_config(args.config)
-            if args.seed is not None:
-                cfg = replace(cfg, seed=args.seed)
             result = run_case(cfg, output_dir=args.output,
                               assert_inequalities=args.assert_inequalities)
             last = result.diags[-1] if result.diags else None

@@ -49,7 +49,6 @@ class RunConfig:
     output_every: int = 10
     emit_fields: bool = False
     emit_svg: bool = False
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class ConvergenceConfig:
     lx: float = 1.0
     ly: float = 1.0
     final_time: float = 0.1
-    eps: float = 1.0
     reference: int = 64
     params: SchemeParams = field(default_factory=SchemeParams)
     output: str = "machfv_convergence"
@@ -139,7 +137,6 @@ def _scheme_params(parser, gamma, eps) -> SchemeParams:
         eta_safety=sec.get_float("eta_safety", 1.1),
         newton_tol=sec.get_float("newton_tol", 1e-10),
         newton_max_iter=sec.get_int("newton_max_iter", 50),
-        picard_relax=sec.get_float("picard_relax", 0.5),
         dt_max=sec.get_float("dt_max", 0.1),
         cfl_safety=sec.get_float("cfl_safety", 0.9),
         beta=sec.get_float("beta", 0.05),
@@ -174,7 +171,6 @@ def load_run_config(path) -> RunConfig:
         output_every=sec.get_int("output_every", 10),
         emit_fields=sec.get_bool("emit_fields", False),
         emit_svg=sec.get_bool("emit_svg", False),
-        seed=sec.get_int("seed", 0),
     )
     sec.reject_unknown()
     if cfg.final_time <= 0.0:
@@ -204,7 +200,6 @@ def load_convergence_config(path) -> ConvergenceConfig:
         lx=sec.get_float("lx", 1.0),
         ly=sec.get_float("ly", 1.0),
         final_time=sec.get_float("final_time", 0.1),
-        eps=eps,
         reference=sec.get_int("reference", 64),
         params=_scheme_params(parser, gamma, eps),
         output=sec.get_str("output", "machfv_convergence"),
@@ -238,7 +233,7 @@ def _effective_run_text(cfg: RunConfig) -> str:
         f"gamma = {p.gamma!r}\neps = {p.eps!r}\n"
         f"final_time = {cfg.final_time!r}\noutput = {cfg.output}\n"
         f"output_every = {cfg.output_every}\nemit_fields = {cfg.emit_fields}\n"
-        f"emit_svg = {cfg.emit_svg}\nseed = {cfg.seed}\n\n"
+        f"emit_svg = {cfg.emit_svg}\n\n"
         + _scheme_text(p)
     )
 
@@ -249,7 +244,7 @@ def _scheme_text(p: SchemeParams) -> str:
         f"eta_mode = {p.eta_mode}\n"
         + (f"eta_value = {p.eta_value!r}\n" if p.eta_value is not None else "")
         + f"eta_safety = {p.eta_safety!r}\nnewton_tol = {p.newton_tol!r}\n"
-        f"newton_max_iter = {p.newton_max_iter}\npicard_relax = {p.picard_relax!r}\n"
+        f"newton_max_iter = {p.newton_max_iter}\n"
         f"dt_max = {p.dt_max!r}\ncfl_safety = {p.cfl_safety!r}\n"
         f"beta = {p.beta!r}\nviscous_scale = {p.viscous_scale!r}\n"
     )
@@ -262,7 +257,7 @@ def _effective_convergence_text(cfg: ConvergenceConfig) -> str:
         f"mode = {cfg.mode}\ncase = {cfg.case}\n"
         f"grids = {', '.join(str(n) for n in cfg.grids)}\n"
         f"lx = {cfg.lx!r}\nly = {cfg.ly!r}\n"
-        f"gamma = {p.gamma!r}\neps = {cfg.eps!r}\n"
+        f"gamma = {p.gamma!r}\neps = {p.eps!r}\n"
         f"final_time = {cfg.final_time!r}\nreference = {cfg.reference}\n"
         f"output = {cfg.output}\n\n"
         + _scheme_text(p)
@@ -536,7 +531,7 @@ def convergence_study(cfg: ConvergenceConfig, output_dir=None, threads: int = 1)
         rows = []
         for n in cfg.grids:
             mesh_n = build_mesh(n, n, cfg.lx, cfg.ly)
-            row = {"n": n, "h": cfg.lx / n, "eps": cfg.eps}
+            row = {"n": n, "h": cfg.lx / n, "eps": cfg.params.eps}
             for c in columns:
                 restricted = restrict_to_coarse(ref_fields[c], ref_mesh, mesh_n)
                 row[c] = _l2_diff(mesh_n, fields[n][c], restricted)

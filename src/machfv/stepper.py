@@ -2,13 +2,13 @@
 momentum update.
 
 Each step solves the nonlinear mass balance for the end-of-step density with
-a damped semi-smooth Newton method (Picard fallback), then updates the
-velocity explicitly from the momentum balance using the retained fluxes.
-Every linear system, Newton or Picard, is I/dt plus the divergence of a face
-flux linear in the two adjacent densities: a 5-point sparse matrix, solved
-by GMRES preconditioned with the FFT inverse of its face-mean
-constant-coefficient part (exact on uniform regions, where the
-stabilisation term makes the matrix a stiff pressure Laplacian at low
+a damped semi-smooth Newton method, then updates the velocity explicitly
+from the momentum balance using the retained fluxes.  Each Newton system is
+I/dt plus the divergence of a face flux linear in the two adjacent
+densities.  GMRES applies it matrix-free, by the same gather and flux
+divergence as the residual, preconditioned with the FFT inverse of its
+face-mean constant-coefficient part (exact on uniform regions, where the
+stabilisation term makes the operator a stiff pressure Laplacian at low
 Mach).  A time-step controller and three per-step stability conditions
 (stabilisation strength, a quarter-CFL on the mass fluxes, a third-CFL on
 the cell boundary measure) keep the discrete energy and entropy functionals
@@ -16,7 +16,7 @@ non-increasing; violated conditions trigger eta doubling (auto mode, at most
 3 retries) and dt halving (at most 8).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,7 +79,6 @@ class SchemeParams:
     eta_safety: float = 1.1
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    picard_relax: float = 0.5
     dt_max: float = 0.1
     cfl_safety: float = 0.9
     beta: float = 0.05
@@ -103,8 +102,6 @@ class SchemeParams:
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if not self.dt_max > 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
-        if not 0.0 < self.picard_relax <= 1.0:
-            raise ValueError(f"picard_relax must lie in (0, 1], got {self.picard_relax}")
         if not self.newton_tol > 0.0 or self.newton_max_iter < 1:
             raise ValueError("newton_tol must be positive and newton_max_iter >= 1")
 
@@ -179,54 +176,48 @@ def density_residual(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
     return res
 
 
-def _mass_flux_coefficients(mesh, gas, rho, u_old, dt, eta, eps, s,
-                            with_stabilisation_derivative):
+def _mass_flux_coefficients(mesh, gas, rho, u_old, dt, eta, eps, s):
     """Face coefficients (d_dk, d_dl) of the mass flux's dependence on rho_K, rho_L.
 
-    With the stabilisation derivative switched off they are the frozen
-    coefficients of the Picard fallback, whose flux is exactly
-    d_dk rho_K + d_dl rho_L.  The upwind indicator signs are frozen at the
-    current iterate (semi-smooth linearisation); where delta_u = 0 the flux
-    is smooth only because rho_K = rho_L there, and either side is the
-    derivative.
+    The upwind indicator signs are frozen at the current iterate
+    (semi-smooth linearisation); where delta_u = 0 the flux is smooth only
+    because rho_K = rho_L there, and either side is the derivative.
     """
     p = gas.pressure(rho)
     fl = assemble_fluxes(mesh, rho, u_old, p, eta, dt, eps, s)
-    d_dk = fl.w_plus + s
-    d_dl = fl.w_minus - s
-    if with_stabilisation_derivative:
-        c_face = (eta * dt / eps ** 2) * face_weight(mesh)
-        rho_k, rho_l = gather_to_faces(mesh, rho)
-        upwind_rho = np.where(fl.delta_u > 0.0, rho_l, rho_k)
-        pprime_k, pprime_l = gather_to_faces(mesh, gas.pressure_derivative(rho))
-        d_dk = d_dk + c_face * pprime_k * upwind_rho
-        d_dl = d_dl - c_face * pprime_l * upwind_rho
+    c_face = (eta * dt / eps ** 2) * face_weight(mesh)
+    rho_k, rho_l = gather_to_faces(mesh, rho)
+    upwind_rho = np.where(fl.delta_u > 0.0, rho_l, rho_k)
+    pprime_k, pprime_l = gather_to_faces(mesh, gas.pressure_derivative(rho))
+    d_dk = fl.w_plus + s + c_face * pprime_k * upwind_rho
+    d_dl = fl.w_minus - s - c_face * pprime_l * upwind_rho
     return d_dk, d_dl
 
 
-def _mass_balance_matrix(mesh, dt, d_dk, d_dl):
-    """Sparse matrix I/dt + flux_divergence of d_dk q_K + d_dl q_L, 5-point stencil."""
-    return (flux_divergence_matrix(mesh, d_dk, d_dl)
-            + sp.identity(mesh.n_cells, format="csr") / dt)
-
-
 def _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs, atol):
-    """GMRES on the mass-balance matrix to an absolute 2-norm residual atol.
+    """GMRES on q -> q/dt + flux_divergence(d_dk q_K + d_dl q_L) to a 2-norm atol.
 
-    Preconditioned by the FFT inverse of the operator with face-mean
-    coefficients.  Returns (solution, inner iterations); a solve that stops
-    at GMRES_MAX_RESTARTS short of atol returns its last iterate.
+    The operator is applied matrix-free.  Preconditioned by the FFT inverse
+    of the operator with face-mean coefficients.  Returns (solution, inner
+    iterations); a solve that stops at GMRES_MAX_RESTARTS short of atol
+    returns its last iterate.
     """
-    matrix = _mass_balance_matrix(mesh, dt, d_dk, d_dl)
+    def apply(q):
+        q_k, q_l = gather_to_faces(mesh, q)
+        return q / dt + flux_divergence(mesh, d_dk * q_k + d_dl * q_l)
+
+    shape = (mesh.n_cells, mesh.n_cells)
+    operator = spla.LinearOperator(shape, matvec=apply, dtype=float)
     precond = spla.LinearOperator(
-        matrix.shape, matvec=mean_flux_divergence_inverse(mesh, d_dk, d_dl, 1.0 / dt))
+        shape, matvec=mean_flux_divergence_inverse(mesh, d_dk, d_dl, 1.0 / dt),
+        dtype=float)
     iters = 0
 
     def count(_):
         nonlocal iters
         iters += 1
 
-    x, _ = spla.gmres(matrix, rhs, rtol=0.0, atol=atol, restart=GMRES_RESTART,
+    x, _ = spla.gmres(operator, rhs, rtol=0.0, atol=atol, restart=GMRES_RESTART,
                       maxiter=GMRES_MAX_RESTARTS, M=precond, callback=count,
                       callback_type="pr_norm")
     return x, iters
@@ -234,11 +225,15 @@ def _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs, atol):
 
 def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
                      dt: float, params: SchemeParams, eta: float):
-    """Analytic semi-smooth Jacobian of density_residual (sparse CSR)."""
+    """Analytic semi-smooth Jacobian of density_residual (sparse CSR).
+
+    The solver applies the same operator matrix-free; this assembled form
+    serves as its independent check.
+    """
     d_dk, d_dl = _mass_flux_coefficients(mesh, params.gas(), rho_next, state.u,
-                                         dt, eta, params.eps,
-                                         params.viscous_scale, True)
-    return _mass_balance_matrix(mesh, dt, d_dk, d_dl)
+                                         dt, eta, params.eps, params.viscous_scale)
+    return (flux_divergence_matrix(mesh, d_dk, d_dl)
+            + sp.identity(mesh.n_cells, format="csr") / dt)
 
 
 def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
@@ -246,9 +241,11 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     """Solve the implicit mass balance for the end-of-step density.
 
     Damped Newton with a positivity-preserving backtracking line search;
-    falls back to relaxed Picard sweeps when Newton stalls (less than 10%
-    residual reduction over 5 iterations).  Returns
-    (rho_next, iterations, residual_inf_norm, fluxes_at_solution).
+    each Newton direction comes from matrix-free preconditioned GMRES.
+    Raises SolverError, carrying the residual, when the line search cannot
+    reduce the residual or newton_max_iter iterations do not reach the
+    tolerance.  Returns (rho_next, iterations, residual_inf_norm,
+    fluxes_at_solution).
     """
     rho_old = state.rho
     u_old = state.u
@@ -274,60 +271,27 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     rho = rho_old.copy()
     res, fluxes = _residual_and_fluxes(mesh, gas, rho, rho_old, u_old, dt, eta, eps, s)
     norm = np.abs(res).max()
-    history = [norm]
-    use_picard = False
 
     iters = 0
     while norm > tol and iters < params.newton_max_iter:
         iters += 1
-        if not use_picard and len(history) > 5 and history[-1] > 0.9 * history[-6]:
-            use_picard = True
-
-        if not use_picard:
-            d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho, u_old, dt, eta,
-                                                 eps, s, True)
-            delta, _ = _solve_mass_balance(mesh, dt, d_dk, d_dl, -res, lin_tol)
-            accepted = False
-            alpha = 1.0
-            for _ in range(MAX_LINESEARCH_HALVINGS):
-                cand = rho + alpha * delta
-                if cand.min() > 0.0:
-                    cres, cflux = _residual_and_fluxes(mesh, gas, cand, rho_old,
-                                                       u_old, dt, eta, eps, s)
-                    cnorm = np.abs(cres).max()
-                    if cnorm <= (1.0 - 1e-4 * alpha) * norm or cnorm <= tol:
-                        rho, res, fluxes, norm = cand, cres, cflux, cnorm
-                        accepted = True
-                        break
-                alpha *= 0.5
-            if not accepted:
-                use_picard = True
-                continue
+        d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho, u_old, dt, eta, eps, s)
+        delta, _ = _solve_mass_balance(mesh, dt, d_dk, d_dl, -res, lin_tol)
+        alpha = 1.0
+        for _ in range(MAX_LINESEARCH_HALVINGS):
+            cand = rho + alpha * delta
+            if cand.min() > 0.0:
+                cres, cflux = _residual_and_fluxes(mesh, gas, cand, rho_old,
+                                                   u_old, dt, eta, eps, s)
+                cnorm = np.abs(cres).max()
+                if cnorm <= (1.0 - 1e-4 * alpha) * norm or cnorm <= tol:
+                    rho, res, fluxes, norm = cand, cres, cflux, cnorm
+                    break
+            alpha *= 0.5
         else:
-            # The frozen-coefficient sweep ignores the stabilisation
-            # derivative, so it must never be allowed to grow the residual
-            # (at low Mach the unrelaxed map is violently expansive).
-            d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho, u_old, dt, eta,
-                                                 eps, s, False)
-            target, _ = _solve_mass_balance(mesh, dt, d_dk, d_dl, rho_old / dt,
-                                            lin_tol)
-            omega = params.picard_relax
-            accepted = False
-            for _ in range(MAX_LINESEARCH_HALVINGS):
-                cand = (1.0 - omega) * rho + omega * target
-                if cand.min() > 0.0:
-                    cres, cflux = _residual_and_fluxes(mesh, gas, cand, rho_old,
-                                                       u_old, dt, eta, eps, s)
-                    cnorm = np.abs(cres).max()
-                    if cnorm <= norm or cnorm <= tol:
-                        rho, res, fluxes, norm = cand, cres, cflux, cnorm
-                        accepted = True
-                        break
-                omega *= 0.5
-            if not accepted:
-                raise SolverError(
-                    "fixed-point fallback could not reduce the residual", norm)
-        history.append(norm)
+            raise SolverError(
+                f"line search could not reduce the residual {norm:.3e} "
+                f"at Newton iteration {iters}", norm)
 
     if norm > tol:
         raise SolverError(

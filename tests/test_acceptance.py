@@ -93,7 +93,7 @@ def coupled_studies(tmp_path_factory):
 def fixed_study(tmp_path_factory):
     """Fixed eps=1 study on 8/16/32 grids against a 64x64 reference run."""
     cfg = ConvergenceConfig(mode="fixed", grids=(8, 16, 32), reference=64,
-                            final_time=0.1, eps=1.0,
+                            final_time=0.1,
                             params=SchemeParams(gamma=2.0, eps=1.0))
     return convergence_study(cfg, output_dir=tmp_path_factory.mktemp("fixed"))
 

@@ -43,6 +43,12 @@ def test_load_run_config_errors(tmp_path):
         load_run_config(write_config(tmp_path, good_run_ini(nx="eight")))
     with pytest.raises(ConfigError, match="unknown keys"):
         load_run_config(write_config(tmp_path, good_run_ini(typo=1)))
+    # removed options are unknown keys, named in the error
+    with pytest.raises(ConfigError, match=r"unknown keys in \[run\]: seed"):
+        load_run_config(write_config(tmp_path, good_run_ini(seed=7)))
+    with pytest.raises(ConfigError, match=r"unknown keys in \[scheme\]: picard_relax"):
+        load_run_config(write_config(
+            tmp_path, good_run_ini() + "\n[scheme]\npicard_relax = 0.5\n"))
     with pytest.raises(ConfigError, match="missing \\[run\\]"):
         load_run_config(write_config(tmp_path, "[other]\nx = 1\n"))
     with pytest.raises(ConfigError, match="case"):
@@ -177,11 +183,22 @@ def test_convergence_study_coupled_layout(tmp_path):
 
 def test_convergence_study_single_grid_has_errors_no_eoc(tmp_path):
     cfg = ConvergenceConfig(mode="fixed", grids=(4,), reference=8,
-                            final_time=0.01, eps=1.0)
+                            final_time=0.01)
     rows = convergence_study(cfg, output_dir=tmp_path / "single")
     assert len(rows) == 1
     assert rows[0]["rho"] > 0.0
     assert rows[0]["eoc_rho"] is None
+
+
+def test_convergence_study_fixed_reports_the_scheme_eps(tmp_path):
+    cfg = ConvergenceConfig(mode="fixed", grids=(4,), reference=8,
+                            final_time=0.01, params=SchemeParams(eps=0.5))
+    rows = convergence_study(cfg, output_dir=tmp_path / "fixed")
+    assert rows[0]["eps"] == 0.5
+    row = (tmp_path / "fixed" / "convergence.csv").read_text().splitlines()[3]
+    assert row.split(",")[2] == "0.5"
+    echo = load_convergence_config(tmp_path / "fixed" / "config.ini")
+    assert echo.params.eps == 0.5
 
 
 def test_convergence_study_parallel_matches_serial(tmp_path):
@@ -206,12 +223,11 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
                                                    emit_svg="false"))
     out = tmp_path / "cli_out"
     code = main(["run", "--config", str(cfg_path), "--output", str(out),
-                 "--assert-inequalities", "--seed", "7"])
+                 "--assert-inequalities"])
     assert code == 0
     captured = capsys.readouterr()
     assert "run complete" in captured.out
     assert (out / "diagnostics.csv").exists()
-    assert "seed = 7" in (out / "config.ini").read_text()
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):

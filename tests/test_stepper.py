@@ -9,7 +9,7 @@ from machfv import (GasLaw, SchemeParams, SolverError, State, advance,
                     density_jacobian, density_residual, energy_report,
                     enforce_conditions, solve_density, step, update_velocity,
                     vortex_compressible_init)
-from machfv import diagnostics
+from machfv import diagnostics, stepper
 from machfv.stepper import (_dt_third_cfl_cap, _mass_flux_coefficients,
                             _solve_mass_balance)
 from machfv import assemble_fluxes
@@ -92,9 +92,9 @@ def test_analytic_jacobian_matches_directional_differences():
         np.testing.assert_allclose(jac @ direction, fd, rtol=1e-5, atol=1e-7)
 
 
-def vortex_first_step(n, eps, **overrides):
+def vortex_first_step(n, eps, ny=None, lx=1.0, **overrides):
     """Mesh, params, initial vortex state, eta and controller dt at eps."""
-    mesh = build_mesh(n, n, 1.0, 1.0)
+    mesh = build_mesh(n, n if ny is None else ny, lx, 1.0)
     params = SchemeParams(gamma=2.0, eps=eps, **overrides)
     state = vortex_compressible_init(mesh, params.gamma, eps)
     eta = auto_eta(mesh, state.rho, params.eta_safety)
@@ -121,14 +121,19 @@ def test_jacobian_matches_central_differences_on_vortex(eps):
         assert np.abs(jac @ direction - fd).max() <= 1e-4 * np.abs(fd).max()
 
 
-@pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4])
-def test_preconditioned_gmres_matches_direct_solve_on_vortex(eps):
-    mesh, params, state, eta, dt = vortex_first_step(32, eps)
+@pytest.mark.parametrize("nx, ny, lx, eps", [
+    pytest.param(32, 32, 1.0, 1.0, id="1.0"),
+    pytest.param(32, 32, 1.0, 1e-2, id="0.01"),
+    pytest.param(32, 32, 1.0, 1e-4, id="0.0001"),
+    pytest.param(24, 16, 1.02, 1e-2, id="24x16-lx1.02-0.01")])
+def test_preconditioned_gmres_matches_direct_solve_on_vortex(nx, ny, lx, eps):
+    # the matrix-free GMRES operator against the assembled CSR Jacobian
+    mesh, params, state, eta, dt = vortex_first_step(nx, eps, ny=ny, lx=lx)
     jac = density_jacobian(mesh, state.rho, state, dt, params, eta)
     res = density_residual(mesh, state.rho, state, dt, params, eta)
     d_dk, d_dl = _mass_flux_coefficients(mesh, params.gas(), state.rho,
                                          state.u, dt, eta, eps,
-                                         params.viscous_scale, True)
+                                         params.viscous_scale)
     delta, iters = _solve_mass_balance(mesh, dt, d_dk, d_dl, -res,
                                        1e-12 * np.linalg.norm(res))
     ref = spla.spsolve(jac, -res)
@@ -179,6 +184,23 @@ def test_solve_density_reports_nonconvergence():
     with pytest.raises(SolverError):
         # one iteration cannot absorb an O(1) residual at this dt
         solve_density(mesh, params.gas(), state, 0.05, params, eta=3.3)
+
+
+def test_solve_density_raises_when_line_search_fails(monkeypatch):
+    # a zero Newton direction cannot reduce the residual: the solve must
+    # stop after that one linear solve and report the residual
+    mesh, params, state, eta, dt = vortex_first_step(16, 1e-2)
+    solves = []
+
+    def zero_direction(mesh, dt, d_dk, d_dl, rhs, atol):
+        solves.append(atol)
+        return np.zeros_like(rhs), 0
+
+    monkeypatch.setattr(stepper, "_solve_mass_balance", zero_direction)
+    with pytest.raises(SolverError, match="line search") as err:
+        solve_density(mesh, params.gas(), state, dt, params, eta)
+    assert err.value.final_residual > 0.0
+    assert len(solves) == 1
 
 
 def test_update_velocity_uniform_is_identity(mesh44):
