@@ -11,7 +11,6 @@ representations, which makes repeated runs byte-identical.
 
 import configparser
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -62,6 +61,15 @@ class ConvergenceConfig:
     reference: int = 64
     params: SchemeParams = field(default_factory=SchemeParams)
     output: str = "machfv_convergence"
+
+
+def _check_case_eps(case: str, eps: float):
+    """Reject an eps at which the case's initial density is not positive."""
+    if case == "well_prepared" and not eps < 1.0:
+        # rho = 1 + eps^2 g with max|g| = 1 reaches 0 at eps = 1.
+        raise ConfigError(
+            f"case 'well_prepared' needs eps < 1, got eps = {eps!r}: its "
+            f"density 1 + eps^2 g, with max|g| = 1, is not positive at eps >= 1")
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
@@ -177,6 +185,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"[run] final_time must be positive, got {cfg.final_time}")
     if cfg.output_every < 1:
         raise ConfigError(f"[run] output_every must be >= 1, got {cfg.output_every}")
+    _check_case_eps(cfg.case, cfg.params.eps)
     return cfg
 
 
@@ -221,6 +230,9 @@ def load_convergence_config(path) -> ConvergenceConfig:
             raise ConfigError(f"[convergence] reference must be a power of two, got {cfg.reference}")
     if cfg.final_time <= 0.0:
         raise ConfigError(f"[convergence] final_time must be positive, got {cfg.final_time}")
+    # Coupled studies run at eps = h, the largest on the first grid.
+    _check_case_eps(cfg.case, cfg.params.eps if cfg.mode == "fixed"
+                    else cfg.lx / cfg.grids[0])
     return cfg
 
 
@@ -272,6 +284,7 @@ def initial_state(cfg: RunConfig, mesh: StructuredMesh):
     if cfg.case == "vortex":
         return vortex_compressible_init(mesh, cfg.params.gamma, cfg.params.eps)
     if cfg.case == "well_prepared":
+        _check_case_eps(cfg.case, cfg.params.eps)
         v0, _ = vortex_incompressible_exact(mesh)
         return well_prepared_perturbation(mesh, v0, cfg.params.eps)
     raise ConfigError(f"unknown case {cfg.case!r}")
@@ -298,8 +311,8 @@ def _fmt(x) -> str:
 def write_field_snapshot(path, mesh: StructuredMesh, values, time: float):
     """Plain-text snapshot: header with mesh and time, row-major values."""
     lines = [f"# nx={mesh.nx} ny={mesh.ny} lx={mesh.lx!r} ly={mesh.ly!r} time={time!r}"]
-    for row in cell_grid(mesh, values):
-        lines.append(" ".join(repr(float(v)) for v in row))
+    for row in cell_grid(mesh, np.asarray(values, dtype=float)).tolist():
+        lines.append(" ".join(map(repr, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -561,6 +574,8 @@ def convergence_study(cfg: ConvergenceConfig, output_dir=None, threads: int = 1)
 
 def _run_jobs(fn, jobs, threads):
     if threads > 1:
+        # Imported here: serial runs need no process pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]

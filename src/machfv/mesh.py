@@ -23,7 +23,6 @@ weighted face values into their K and L cells, and the operators use them.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 # Tensorised 3-point Gauss rule on [-1/2, 1/2], weights normalised to sum 1.
 _GAUSS3_NODES = np.array([-0.5 * np.sqrt(3.0 / 5.0), 0.0, 0.5 * np.sqrt(3.0 / 5.0)])
@@ -146,8 +145,12 @@ def flux_divergence(mesh: StructuredMesh, flux) -> np.ndarray:
 def flux_divergence_matrix(mesh: StructuredMesh, coef_k, coef_l):
     """Sparse CSR matrix of q -> flux_divergence(coef_k q_K + coef_l q_L).
 
-    Five entries per row: the diagonal and the four neighbours.
+    Five entries per row: the diagonal and the four neighbours.  Serves as
+    the assembled oracle of the matrix-free operators, so scipy is imported
+    here rather than with the module.
     """
+    import scipy.sparse as sp
+
     k, l = gather_to_faces(mesh, np.arange(mesh.n_cells))
     w = face_weight(mesh)
     rows = np.concatenate([k, k, l, l])

@@ -5,22 +5,26 @@ Each step solves the nonlinear mass balance for the end-of-step density with
 a damped semi-smooth Newton method, then updates the velocity explicitly
 from the momentum balance using the retained fluxes.  Each Newton system is
 I/dt plus the divergence of a face flux linear in the two adjacent
-densities.  GMRES applies it matrix-free, by the same gather and flux
-divergence as the residual, preconditioned with the FFT inverse of its
-face-mean constant-coefficient part (exact on uniform regions, where the
-stabilisation term makes the operator a stiff pressure Laplacian at low
-Mach).  A time-step controller and three per-step stability conditions
-(stabilisation strength, a quarter-CFL on the mass fluxes, a third-CFL on
-the cell boundary measure) keep the discrete energy and entropy functionals
-non-increasing; violated conditions trigger eta doubling (auto mode, at most
-3 retries) and dt halving (at most 8).
+densities.  A restarted GMRES written in numpy applies it matrix-free, by
+the same gather and flux divergence as the residual, preconditioned with
+the FFT inverse of its face-mean constant-coefficient part (exact on uniform
+regions, where the stabilisation term makes the operator a stiff pressure
+Laplacian at low Mach).  A time-step controller and three per-step
+stability conditions (stabilisation strength, a quarter-CFL on the mass
+fluxes, a third-CFL on the cell boundary measure) keep the discrete energy
+and entropy functionals non-increasing; violated conditions trigger eta
+doubling (auto mode, at most 3 retries) and dt halving (at most 8).
+
+A step needs numpy only.  scipy serves the assembled CSR form of the
+Jacobian, ``density_jacobian``, which the tests check the solver against; it
+is imported on first use, as are the module attributes ``sp`` and ``spla``
+(``scipy.sparse`` and ``scipy.sparse.linalg``).
 """
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import diagnostics
 from .eos import GasLaw, PositivityError
@@ -37,6 +41,15 @@ MAX_LINESEARCH_HALVINGS = 20
 GMRES_RESTART = 20
 GMRES_MAX_RESTARTS = 5
 SPACE_DIM = 2
+
+_SCIPY_ATTRS = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
+
+
+def __getattr__(name):
+    # scipy loads on first access only, so importing machfv stays numpy-only.
+    if name in _SCIPY_ATTRS:
+        return importlib.import_module(_SCIPY_ATTRS[name])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverError(RuntimeError):
@@ -194,6 +207,80 @@ def _mass_flux_coefficients(mesh, gas, rho, u_old, dt, eta, eps, s):
     return d_dk, d_dl
 
 
+def _gmres(apply, precond, b, atol):
+    """Left-preconditioned restarted GMRES for apply(x) = b, from x = 0.
+
+    Saad & Schultz (1986): Arnoldi with modified Gram-Schmidt on the
+    preconditioned operator x -> precond(apply(x)), Givens rotations on the
+    Hessenberg matrix, GMRES_RESTART inner iterations per cycle and at most
+    GMRES_MAX_RESTARTS cycles.  A cycle ends early once the rotated estimate
+    of the preconditioned residual falls below its inner tolerance, which is
+    rescaled after every cycle from the true residual (the rule of scipy's
+    gmres).  The solve stops when the unpreconditioned residual has 2-norm
+    <= atol, checked at the end of each cycle.  Returns (x, inner
+    iterations); when the cycles run out, x is the last iterate.
+    """
+    x = np.zeros_like(b)
+    b_norm = np.linalg.norm(b)
+    if b_norm <= atol:
+        return x, 0
+    fp_eps = np.finfo(float).eps
+    m = min(GMRES_RESTART, b.size)
+    basis = np.empty((m + 1, b.size))
+    hess = np.zeros((m + 1, m))
+    cos = np.zeros(m)
+    sin = np.zeros(m)
+    factor = 1.0
+    inner_tol = np.linalg.norm(precond(b)) * min(1.0, atol / b_norm)
+    r = b
+    iters = 0
+    for _ in range(GMRES_MAX_RESTARTS):
+        z = precond(r)
+        g = np.zeros(m + 1)
+        g[0] = np.linalg.norm(z)
+        basis[0] = z / g[0]
+        for j in range(m):
+            w = precond(apply(basis[j]))
+            w_norm = np.linalg.norm(w)
+            for k in range(j + 1):
+                hess[k, j] = basis[k] @ w
+                w -= hess[k, j] * basis[k]
+            hess[j + 1, j] = np.linalg.norm(w)
+            # The Krylov space holds the solution: the Arnoldi step breaks down.
+            breakdown = hess[j + 1, j] <= fp_eps * w_norm
+            if breakdown:
+                hess[j + 1, j] = 0.0
+            else:
+                basis[j + 1] = w / hess[j + 1, j]
+            for k in range(j):
+                hess[k, j], hess[k + 1, j] = (
+                    cos[k] * hess[k, j] + sin[k] * hess[k + 1, j],
+                    -sin[k] * hess[k, j] + cos[k] * hess[k + 1, j])
+            radius = np.hypot(hess[j, j], hess[j + 1, j])
+            cos[j], sin[j] = hess[j, j] / radius, hess[j + 1, j] / radius
+            hess[j, j], hess[j + 1, j] = radius, 0.0
+            g[j + 1] = -sin[j] * g[j]
+            g[j] *= cos[j]
+            iters += 1
+            presid = abs(g[j + 1])
+            if presid <= inner_tol or breakdown:
+                break
+        y = g[:j + 1]
+        for k in range(j, -1, -1):
+            y[k] = (y[k] - hess[k, k + 1:j + 1] @ y[k + 1:]) / hess[k, k]
+        x += y @ basis[:j + 1]
+        r = b - apply(x)
+        r_norm = np.linalg.norm(r)
+        if r_norm <= atol or breakdown:
+            break
+        if presid <= inner_tol:
+            factor = max(fp_eps, 0.25 * factor)
+        else:
+            factor = min(1.0, 1.5 * factor)
+        inner_tol = presid * min(factor, atol / r_norm)
+    return x, iters
+
+
 def _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs, atol):
     """GMRES on q -> q/dt + flux_divergence(d_dk q_K + d_dl q_L) to a 2-norm atol.
 
@@ -206,21 +293,8 @@ def _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs, atol):
         q_k, q_l = gather_to_faces(mesh, q)
         return q / dt + flux_divergence(mesh, d_dk * q_k + d_dl * q_l)
 
-    shape = (mesh.n_cells, mesh.n_cells)
-    operator = spla.LinearOperator(shape, matvec=apply, dtype=float)
-    precond = spla.LinearOperator(
-        shape, matvec=mean_flux_divergence_inverse(mesh, d_dk, d_dl, 1.0 / dt),
-        dtype=float)
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    x, _ = spla.gmres(operator, rhs, rtol=0.0, atol=atol, restart=GMRES_RESTART,
-                      maxiter=GMRES_MAX_RESTARTS, M=precond, callback=count,
-                      callback_type="pr_norm")
-    return x, iters
+    precond = mean_flux_divergence_inverse(mesh, d_dk, d_dl, 1.0 / dt)
+    return _gmres(apply, precond, rhs, atol)
 
 
 def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
@@ -230,6 +304,8 @@ def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
     The solver applies the same operator matrix-free; this assembled form
     serves as its independent check.
     """
+    import scipy.sparse as sp
+
     d_dk, d_dl = _mass_flux_coefficients(mesh, params.gas(), rho_next, state.u,
                                          dt, eta, params.eps, params.viscous_scale)
     return (flux_divergence_matrix(mesh, d_dk, d_dl)

@@ -8,9 +8,10 @@ import pytest
 from machfv import build_mesh
 from machfv.cli import main
 from machfv.driver import (ConfigError, ConvergenceConfig, InequalityViolation,
-                           RunConfig, convergence_study, load_convergence_config,
-                           load_run_config, restrict_to_coarse, run_case,
-                           write_field_snapshot, write_line_chart)
+                           RunConfig, convergence_study, initial_state,
+                           load_convergence_config, load_run_config,
+                           restrict_to_coarse, run_case, write_field_snapshot,
+                           write_line_chart)
 from machfv.stepper import SchemeParams, SolverError
 
 def write_config(tmp_path, text, name="config.ini"):
@@ -128,6 +129,20 @@ def test_field_snapshot_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded, values)
 
 
+def test_field_snapshot_bytes_match_per_value_repr(tmp_path):
+    mesh = build_mesh(4, 3, 1.0, 0.75)
+    values = np.array([-0.5, 3.0, 1e-05, 1.2e+16,
+                       -2.5e-300, 0.1, 1.0 / 3.0, -7.0,
+                       0.0, 123456.789, 1e22, -1e-07])
+    path = tmp_path / "field.dat"
+    write_field_snapshot(path, mesh, values, time=0.125)
+    rows = [" ".join(repr(float(v)) for v in values[j * 4:(j + 1) * 4])
+            for j in range(3)]
+    expected = "# nx=4 ny=3 lx=1.0 ly=0.75 time=0.125\n" + "\n".join(rows) + "\n"
+    assert path.read_bytes() == expected.encode()
+    assert "1e-05" in rows[0] and "1.2e+16" in rows[0] and "3.0" in rows[0]
+
+
 def test_well_prepared_case_runs(tmp_path):
     cfg = RunConfig(case="well_prepared", nx=8, ny=8, final_time=0.005,
                     params=SchemeParams(gamma=1.4, eps=0.1))
@@ -241,6 +256,38 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
 
     not_ini = write_config(tmp_path, "case = vortex\n", name="broken.ini")
     assert main(["run", "--config", str(not_ini)]) == 2
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_cli_well_prepared_eps_one_is_config_error(tmp_path, capsys, n):
+    # rho = 1 + eps^2 g reaches 0 at eps = 1: refused before any step
+    cfg_path = write_config(tmp_path, good_run_ini(
+        case="well_prepared", nx=n, ny=n, eps=1.0, emit_fields="false",
+        emit_svg="false"))
+    code = main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "wp")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "eps" in err
+
+
+def test_well_prepared_eps_at_least_one_rejected_everywhere(tmp_path):
+    mesh = build_mesh(8, 8, 1.0, 1.0)
+    for eps in (1.0, 1.5):
+        cfg = RunConfig(case="well_prepared", nx=8, ny=8,
+                        params=SchemeParams(gamma=1.4, eps=eps))
+        with pytest.raises(ConfigError, match="eps"):
+            initial_state(cfg, mesh)
+    assert initial_state(RunConfig(case="well_prepared",
+                                   params=SchemeParams(eps=0.5)), mesh).rho.min() > 0.0
+    fixed = ("[convergence]\nmode = fixed\ncase = well_prepared\ngrids = 8\n"
+             "reference = 16\neps = 1.0\n")
+    with pytest.raises(ConfigError, match="eps"):
+        load_convergence_config(write_config(tmp_path, fixed, name="fixed.ini"))
+    # a coupled study runs at eps = lx / n: 4 / 4 = 1 on its first grid
+    coupled = ("[convergence]\nmode = coupled\ncase = well_prepared\n"
+               "grids = 4, 8\nlx = 4.0\nly = 4.0\n")
+    with pytest.raises(ConfigError, match="eps"):
+        load_convergence_config(write_config(tmp_path, coupled, name="coupled.ini"))
 
 
 def test_cli_convergence_subcommand(tmp_path, capsys):

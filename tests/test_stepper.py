@@ -10,7 +10,7 @@ from machfv import (GasLaw, SchemeParams, SolverError, State, advance,
                     enforce_conditions, solve_density, step, update_velocity,
                     vortex_compressible_init)
 from machfv import diagnostics, stepper
-from machfv.stepper import (_dt_third_cfl_cap, _mass_flux_coefficients,
+from machfv.stepper import (_dt_third_cfl_cap, _gmres, _mass_flux_coefficients,
                             _solve_mass_balance)
 from machfv import assemble_fluxes
 
@@ -139,6 +139,57 @@ def test_preconditioned_gmres_matches_direct_solve_on_vortex(nx, ny, lx, eps):
     ref = spla.spsolve(jac, -res)
     assert iters <= 6
     assert np.abs(delta - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def nonsymmetric_system(n, seed, spread):
+    """x -> A x with A = I + spread * (random nonsymmetric), and a rhs."""
+    rng = np.random.default_rng(seed)
+    a = np.eye(n) + spread * rng.normal(size=(n, n)) / np.sqrt(n)
+    return a, rng.normal(size=n)
+
+
+def identity(v):
+    return v
+
+
+def test_gmres_matches_dense_solve_with_identity_preconditioner():
+    a, b = nonsymmetric_system(12, 71, 1.0)
+    x, iters = _gmres(lambda v: a @ v, identity, b, 1e-13 * np.linalg.norm(b))
+    ref = np.linalg.solve(a, b)
+    assert 1 <= iters <= 12
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_gmres_converges_through_restarts(monkeypatch):
+    monkeypatch.setattr(stepper, "GMRES_RESTART", 2)
+    a, b = nonsymmetric_system(40, 72, 0.05)
+    atol = 1e-10 * np.linalg.norm(b)
+    x, iters = _gmres(lambda v: a @ v, identity, b, atol)
+    assert iters > 2
+    assert np.linalg.norm(b - a @ x) <= atol
+
+
+def test_gmres_returns_last_iterate_when_cycles_run_out(monkeypatch):
+    # one cycle of two iterations: x minimises |b - A x| over span{b, A b}
+    monkeypatch.setattr(stepper, "GMRES_RESTART", 2)
+    monkeypatch.setattr(stepper, "GMRES_MAX_RESTARTS", 1)
+    a, b = nonsymmetric_system(40, 73, 1.0)
+    atol = 1e-10 * np.linalg.norm(b)
+    x, iters = _gmres(lambda v: a @ v, identity, b, atol)
+    krylov = np.column_stack([b, a @ b])
+    coef = np.linalg.lstsq(a @ krylov, b, rcond=None)[0]
+    assert iters == 2
+    np.testing.assert_allclose(x, krylov @ coef, rtol=1e-10, atol=1e-12)
+    assert np.linalg.norm(b - a @ x) > atol
+
+
+def test_gmres_zero_rhs_returns_zeros_without_iterating():
+    def never(v):
+        raise AssertionError("no operator application expected")
+
+    x, iters = _gmres(never, never, np.zeros(7), 0.0)
+    assert iters == 0
+    np.testing.assert_array_equal(x, np.zeros(7))
 
 
 def test_solve_density_uniform_converges_immediately(mesh44):
