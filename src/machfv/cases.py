@@ -73,6 +73,13 @@ def incompressible_pressure(r, spec: VortexSpec = VortexSpec()) -> np.ndarray:
                     np.where(r <= r2, ring_part(safe), ring_part(np.asarray(r2))))
 
 
+def _project_velocity(mesh, spec, rule):
+    """Projected (n_cells, 2) velocity of the vortex."""
+    return np.column_stack([
+        project(mesh, lambda x, y: _velocity_components(x, y, spec)[c], rule)
+        for c in (0, 1)])
+
+
 def _velocity_components(xg, yg, spec):
     dx = xg - spec.center[0]
     dy = yg - spec.center[1]
@@ -96,15 +103,8 @@ def vortex_compressible_init(mesh: StructuredMesh, gamma: float, eps: float,
         pi = incompressible_pressure(r, spec)
         return (1.0 + gamma * eps ** 2 / (gamma - 1.0) * pi) ** (1.0 / (gamma - 1.0))
 
-    def u1_f(x, y):
-        return _velocity_components(x, y, spec)[0]
-
-    def u2_f(x, y):
-        return _velocity_components(x, y, spec)[1]
-
     rho = project(mesh, rho_f, rule)
-    u = np.column_stack([project(mesh, u1_f, rule), project(mesh, u2_f, rule)])
-    return State(time=0.0, rho=rho, u=u, step_index=0)
+    return State(time=0.0, rho=rho, u=_project_velocity(mesh, spec, rule), step_index=0)
 
 
 def vortex_incompressible_exact(mesh: StructuredMesh,
@@ -115,17 +115,11 @@ def vortex_incompressible_exact(mesh: StructuredMesh,
     The rotating column is an exact steady solution of the incompressible
     limit system, so these fields are time-independent.
     """
-    def u1_f(x, y):
-        return _velocity_components(x, y, spec)[0]
-
-    def u2_f(x, y):
-        return _velocity_components(x, y, spec)[1]
-
     def pi_f(x, y):
         r = np.sqrt((x - spec.center[0]) ** 2 + (y - spec.center[1]) ** 2)
         return incompressible_pressure(r, spec)
 
-    v = np.column_stack([project(mesh, u1_f, rule), project(mesh, u2_f, rule)])
+    v = _project_velocity(mesh, spec, rule)
     pi = project(mesh, pi_f, rule)
     pi = pi - mesh.cell_volume * pi.sum() / (mesh.lx * mesh.ly)
     return v, pi

@@ -15,7 +15,7 @@ of the balance residuals, amplified by 1/dt and 1/eps^2, would swamp the
 tolerances the audit is meant to certify.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,13 +89,7 @@ class ErrorReport:
     u_supl2: float
 
     def as_dict(self):
-        return {
-            "rel_energy_sup": self.rel_energy_sup,
-            "rho_l2l2": self.rho_l2l2,
-            "rho_supl2": self.rho_supl2,
-            "u_l2l2": self.u_l2l2,
-            "u_supl2": self.u_supl2,
-        }
+        return asdict(self)
 
 
 def error_norms(mesh: StructuredMesh, gas: GasLaw, states, exact_velocity,

@@ -13,14 +13,14 @@ def _require_positive(z, what: str):
     z = np.asarray(z, dtype=np.result_type(z, float))
     if z.size == 0:
         raise ValueError(f"{what} array is empty")
+    # Two reductions on the passing path: a NaN fails min > 0, +inf max < inf.
+    if z.min() > 0.0 and z.max() < np.inf:
+        return z
     if not np.all(np.isfinite(z)):
         bad = int(np.flatnonzero(~np.isfinite(z))[0])
         raise PositivityError(f"{what} is not finite at cell {bad}")
-    zmin = z.min()
-    if zmin <= 0.0:
-        bad = int(np.argmin(z))
-        raise PositivityError(f"{what} must be positive, found {zmin!r} at cell {bad}")
-    return z
+    raise PositivityError(
+        f"{what} must be positive, found {z.min()!r} at cell {int(np.argmin(z))}")
 
 
 @dataclass(frozen=True)

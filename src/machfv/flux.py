@@ -52,8 +52,6 @@ def split_normal_velocity(u_avg_n, delta_u_n):
     w_plus = (u)+ - (delta_u)-, w_minus = (u)- - (delta_u)+, so that
     w_plus + w_minus = u_avg_n - delta_u_n exactly.
     """
-    u_avg_n = np.asarray(u_avg_n, dtype=float)
-    delta_u_n = np.asarray(delta_u_n, dtype=float)
     w_plus = np.maximum(u_avg_n, 0.0) - np.minimum(delta_u_n, 0.0)
     w_minus = np.minimum(u_avg_n, 0.0) - np.maximum(delta_u_n, 0.0)
     return w_plus, w_minus

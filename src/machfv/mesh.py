@@ -1,23 +1,21 @@
 """Periodic uniform Cartesian meshes and the discrete operators living on them.
 
-Cells are indexed row-major, ``cell = i + nx * j``.  Interior faces come in
-two contiguous blocks: the ``nx * ny`` x-normal faces first, then the
-``nx * ny`` y-normal faces.  Face ``i + nx * j`` of the x-block joins cell
-(i, j) to its right neighbour ((i + 1) % nx, j); the y-block face joins
-(i, j) to (i, (j + 1) % ny).  The unit normal always points from the first
-cell (K) to the second (L), i.e. along +x or +y, and every per-face
-quantity below is reported with that K-side orientation.  The jump
-convention is ``jump(q) = q_L - q_K``.
+Cells are indexed row-major, ``cell = i + nx * j``, so a flat cell array of
+shape (n_cells, ...) is a free (ny, nx, ...) view.  Faces come in two
+contiguous blocks, x-normal then y-normal, each in cell order, so a flat
+face array of shape (n_faces, ...) is a free (2, ny, nx, ...) view.  Face
+(i, j) of the x-block joins cell (i, j), its K side, to the right neighbour
+((i + 1) % nx, j), its L side; the y-block face joins (i, j) to
+(i, (j + 1) % ny).  The unit normal points from K to L, along +x or +y, and
+every per-face quantity is reported with that K-side orientation; the jump
+is ``q_L - q_K``.  Every face is interior and its dual volume equals the
+cell volume, so the face weight |face| / |K| = |face| / |D| is 1/hx on the
+x-block and 1/hy on the y-block; the cell boundary measure is 2 (hx + hy).
 
-On a periodic uniform mesh every face is interior, every cell touches
-exactly four faces, the dual volume attached to a face equals the cell
-volume (|face| times the distance between the two adjacent centres), so
-the face weight |face| / |K| = |face| / |D| is 1/hx on x-faces and 1/hy on
-y-faces, and the cell boundary measure is 2 * (hx + hy).
-
-Only this module knows the layout and the weight: ``gather_to_faces``
-returns each face's K-side and L-side cell values, ``scatter_to_cells`` adds
-weighted face values into their K and L cells, and the operators use them.
+Only this module knows the layout and the weight.  Its operators are slice
+arithmetic on these views: an L side is the grid shifted by one cell (two
+slices split at the wrap-around), and cells collect their neighbours' faces
+by in-place adds of shifted slices, in a fixed summation order.
 """
 
 from dataclasses import dataclass
@@ -100,22 +98,58 @@ def cell_grid(mesh: StructuredMesh, q) -> np.ndarray:
     return q.reshape((mesh.ny, mesh.nx) + q.shape[1:])
 
 
-def face_weight(mesh: StructuredMesh) -> np.ndarray:
-    """|face| / |K| on every face: 1/hx on the x-block, 1/hy on the y-block."""
-    return np.repeat([mesh.hy / mesh.cell_volume, mesh.hx / mesh.cell_volume],
-                     mesh.n_cells)
+def face_weight(mesh: StructuredMesh):
+    """|face| / |K| as the pair (x-block, y-block), i.e. (1/hx, 1/hy)."""
+    return mesh.hy / mesh.cell_volume, mesh.hx / mesh.cell_volume
+
+
+def _face_values(mesh: StructuredMesh, q, op=None, normal: bool = False):
+    """Flat face array of op(q_L, q_K), or of q_L when op is None, from slices.
+
+    normal=True takes a vector field's x component on the x-block and its y
+    component on the y-block.
+    """
+    grid = cell_grid(mesh, q)
+    x_grid, y_grid = (grid[..., 0], grid[..., 1]) if normal else (grid, grid)
+    out = np.empty((2,) + x_grid.shape, dtype=grid.dtype)
+    for dst, q_l, q_k in ((out[0, :, :-1], x_grid[:, 1:], x_grid[:, :-1]),
+                          (out[0, :, -1:], x_grid[:, :1], x_grid[:, -1:]),
+                          (out[1, :-1], y_grid[1:], y_grid[:-1]),
+                          (out[1, -1:], y_grid[:1], y_grid[-1:])):
+        if op is None:
+            dst[...] = q_l
+        else:
+            op(q_l, q_k, out=dst)
+    return out.reshape((-1,) + x_grid.shape[2:])
+
+
+def _weighted_blocks(mesh: StructuredMesh, f):
+    """(f_x / hx, f_y / hy): a face array's blocks times their weight, as grids."""
+    blocks = np.reshape(f, (2, mesh.ny, mesh.nx) + np.shape(f)[1:])
+    return tuple(weight * block for weight, block in zip(face_weight(mesh), blocks))
+
+
+def _cell_sums(k_x, k_y, l_x, l_y, op) -> np.ndarray:
+    """Flat cell array of (k_x + k_y) op l_x(left neighbour) op l_y(lower one).
+
+    All four are (ny, nx, ...) grids of weighted face values: k_* from the
+    faces where the cell is K, l_* from those where its neighbour is K.
+    """
+    out = k_x + k_y
+    op(out[:, 1:], l_x[:, :-1], out=out[:, 1:])
+    op(out[:, :1], l_x[:, -1:], out=out[:, :1])
+    op(out[1:], l_y[:-1], out=out[1:])
+    op(out[:1], l_y[-1:], out=out[:1])
+    return out.reshape((-1,) + out.shape[2:])
 
 
 def gather_to_faces(mesh: StructuredMesh, q):
     """K-side and L-side values (q_K, q_L) of a cell array on every face.
 
-    Accepts shape (n_cells,) or (n_cells, m) and preserves the dtype.
+    Accepts shape (n_cells,) or (n_cells, m) and preserves the dtype.  The
+    K side is the cell array twice over; the L side is filled from slices.
     """
-    q = np.asarray(q)
-    grid = cell_grid(mesh, q)
-    right = np.roll(grid, -1, axis=1).reshape(q.shape)
-    up = np.roll(grid, -1, axis=0).reshape(q.shape)
-    return np.concatenate([q, q]), np.concatenate([right, up])
+    return np.concatenate([q, q]), _face_values(mesh, q)
 
 
 def scatter_to_cells(mesh: StructuredMesh, value_k, value_l) -> np.ndarray:
@@ -125,21 +159,18 @@ def scatter_to_cells(mesh: StructuredMesh, value_k, value_l) -> np.ndarray:
     Accepts shape (n_faces,) or (n_faces, m), preserves the dtype and sums
     in a fixed order, so results are deterministic.
     """
-    n = mesh.n_cells
-    wx = mesh.hy / mesh.cell_volume
-    wy = mesh.hx / mesh.cell_volume
-    shape = np.shape(value_l[:n])
-    from_left = np.roll(cell_grid(mesh, wx * value_l[:n]), 1, axis=1).reshape(shape)
-    from_below = np.roll(cell_grid(mesh, wy * value_l[n:]), 1, axis=0).reshape(shape)
-    return wx * value_k[:n] + wy * value_k[n:] + from_left + from_below
+    return _cell_sums(*_weighted_blocks(mesh, value_k),
+                      *_weighted_blocks(mesh, value_l), np.add)
 
 
 def flux_divergence(mesh: StructuredMesh, flux) -> np.ndarray:
     """(1/|K|) sum over the faces of K of |face| F, for a K-side face flux F.
 
-    The L cell sees -F, so the cell sums telescope to zero.
+    The L cell sees -F, so the cell sums telescope to zero.  Equal, bit for
+    bit, to scatter_to_cells(mesh, F, -F), without negating F.
     """
-    return scatter_to_cells(mesh, flux, -flux)
+    tx, ty = _weighted_blocks(mesh, flux)
+    return _cell_sums(tx, ty, tx, ty, np.subtract)
 
 
 def flux_divergence_matrix(mesh: StructuredMesh, coef_k, coef_l):
@@ -152,7 +183,7 @@ def flux_divergence_matrix(mesh: StructuredMesh, coef_k, coef_l):
     import scipy.sparse as sp
 
     k, l = gather_to_faces(mesh, np.arange(mesh.n_cells))
-    w = face_weight(mesh)
+    w = np.repeat(face_weight(mesh), mesh.n_cells)
     rows = np.concatenate([k, k, l, l])
     cols = np.concatenate([k, l, k, l])
     vals = np.concatenate([w * coef_k, w * coef_l, -w * coef_k, -w * coef_l])
@@ -171,13 +202,13 @@ def mean_flux_divergence_inverse(mesh: StructuredMesh, coef_k, coef_l, shift: fl
     constant on each block, and a preconditioner otherwise.  The symbol must
     not vanish, e.g. shift > 0 with coef_k >= 0 >= coef_l.
     """
-    n = mesh.n_cells
     next_x = np.exp(2j * np.pi * np.fft.rfftfreq(mesh.nx))
     next_y = np.exp(2j * np.pi * np.fft.fftfreq(mesh.ny))[:, None]
     symbol = shift
-    for weight, nxt, a_k, a_l in (
-            (mesh.hy / mesh.cell_volume, next_x, coef_k[:n].mean(), coef_l[:n].mean()),
-            (mesh.hx / mesh.cell_volume, next_y, coef_k[n:].mean(), coef_l[n:].mean())):
+    for weight, nxt, block_k, block_l in zip(face_weight(mesh), (next_x, next_y),
+                                             np.reshape(coef_k, (2, -1)),
+                                             np.reshape(coef_l, (2, -1))):
+        a_k, a_l = block_k.mean(), block_l.mean()
         symbol = symbol + weight * (a_k + a_l * nxt - a_k * nxt.conj() - a_l)
 
     def solve(r):
@@ -189,25 +220,20 @@ def mean_flux_divergence_inverse(mesh: StructuredMesh, coef_k, coef_l, shift: fl
 
 def face_average(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
     """Arithmetic face average {{q}} = (q_K + q_L) / 2; works per component."""
-    q_k, q_l = gather_to_faces(mesh, q)
-    return 0.5 * (q_k + q_l)
+    return 0.5 * _face_values(mesh, q, np.add)
 
 
 def face_jump(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
     """Face jump [[q]] = q_L - q_K in the stored (K, L) orientation."""
-    q_k, q_l = gather_to_faces(mesh, q)
-    return q_l - q_k
+    return _face_values(mesh, q, np.subtract)
 
 
 def face_average_normal(mesh: StructuredMesh, u: np.ndarray) -> np.ndarray:
-    """Normal component of the face average of a cell vector field u (n, 2)."""
-    avg = face_average(mesh, u)
-    return np.concatenate([avg[:mesh.n_cells, 0], avg[mesh.n_cells:, 1]])
+    """Normal component of the face average of a cell vector field u (n, 2).
 
-
-def _along_normal(mesh: StructuredMesh, normal: np.ndarray) -> np.ndarray:
-    """Per-face vectors normal * n_face (n_face = +x, then +y)."""
-    return normal[:, None] * np.repeat(np.eye(2), mesh.n_cells, axis=0)
+    Only u_x enters the x-block and only u_y the y-block.
+    """
+    return 0.5 * _face_values(mesh, u, np.add, normal=True)
 
 
 def cell_gradient(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
@@ -217,18 +243,24 @@ def cell_gradient(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
     uniform mesh this reduces to the central difference of the two
     neighbours in each direction.
     """
-    avg_n = _along_normal(mesh, face_average(mesh, q))
-    return flux_divergence(mesh, avg_n)
+    tx, ty = _weighted_blocks(mesh, face_average(mesh, q))
+    grad = np.stack([tx, ty], axis=-1)
+    grad[:, 1:, 0] -= tx[:, :-1]
+    grad[:, :1, 0] -= tx[:, -1:]
+    grad[1:, :, 1] -= ty[:-1]
+    grad[:1, :, 1] -= ty[-1:]
+    return grad.reshape(-1, 2)
 
 
 def face_gradient_normal(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
     """Normal component of the face (dual-cell) gradient: (|face|/|D|) [[q]]."""
-    return face_weight(mesh) * face_jump(mesh, q)
+    return np.concatenate(_weighted_blocks(mesh, face_jump(mesh, q)), axis=None)
 
 
 def face_gradient(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
     """Face gradient as a per-face vector in the stored orientation."""
-    return _along_normal(mesh, face_gradient_normal(mesh, q))
+    normal = face_gradient_normal(mesh, q)
+    return normal[:, None] * np.repeat(np.eye(2), mesh.n_cells, axis=0)
 
 
 def cell_divergence(mesh: StructuredMesh, phi: np.ndarray) -> np.ndarray:

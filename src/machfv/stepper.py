@@ -183,27 +183,26 @@ def _residual_and_fluxes(mesh, gas, rho_next, rho_old, u_old, dt, eta, eps, s):
 def density_residual(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
                      dt: float, params: SchemeParams, eta: float) -> np.ndarray:
     """Residual of the implicit mass balance at the candidate density."""
-    res, _ = _residual_and_fluxes(mesh, params.gas(), rho_next, state.rho,
-                                  state.u, dt, eta, params.eps,
-                                  params.viscous_scale)
-    return res
+    return _residual_and_fluxes(mesh, params.gas(), rho_next, state.rho, state.u,
+                                dt, eta, params.eps, params.viscous_scale)[0]
 
 
-def _mass_flux_coefficients(mesh, gas, rho, u_old, dt, eta, eps, s):
+def _mass_flux_coefficients(mesh, gas, rho, fluxes, dt, eta, eps):
     """Face coefficients (d_dk, d_dl) of the mass flux's dependence on rho_K, rho_L.
 
-    The upwind indicator signs are frozen at the current iterate
-    (semi-smooth linearisation); where delta_u = 0 the flux is smooth only
-    because rho_K = rho_L there, and either side is the derivative.
+    ``fluxes`` are the fluxes assembled at ``rho``.  The upwind indicator
+    signs are frozen at that iterate (semi-smooth linearisation); where
+    delta_u = 0 the flux is smooth only because rho_K = rho_L there, and
+    either side is the derivative.
     """
-    p = gas.pressure(rho)
-    fl = assemble_fluxes(mesh, rho, u_old, p, eta, dt, eps, s)
-    c_face = (eta * dt / eps ** 2) * face_weight(mesh)
+    s = fluxes.viscous_scale
+    # The stabilisation coefficient per block, applied to (2, n_cells) views.
+    c_face = (eta * dt / eps ** 2) * np.array(face_weight(mesh))[:, None]
     rho_k, rho_l = gather_to_faces(mesh, rho)
-    upwind_rho = np.where(fl.delta_u > 0.0, rho_l, rho_k)
+    upwind_rho = np.where(fluxes.delta_u > 0.0, rho_l, rho_k)
     pprime_k, pprime_l = gather_to_faces(mesh, gas.pressure_derivative(rho))
-    d_dk = fl.w_plus + s + c_face * pprime_k * upwind_rho
-    d_dl = fl.w_minus - s - c_face * pprime_l * upwind_rho
+    d_dk = fluxes.w_plus + s + (c_face * pprime_k.reshape(2, -1)).ravel() * upwind_rho
+    d_dl = fluxes.w_minus - s - (c_face * pprime_l.reshape(2, -1)).ravel() * upwind_rho
     return d_dk, d_dl
 
 
@@ -306,8 +305,10 @@ def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
     """
     import scipy.sparse as sp
 
-    d_dk, d_dl = _mass_flux_coefficients(mesh, params.gas(), rho_next, state.u,
-                                         dt, eta, params.eps, params.viscous_scale)
+    gas = params.gas()
+    _, fluxes = _residual_and_fluxes(mesh, gas, rho_next, state.rho, state.u, dt,
+                                     eta, params.eps, params.viscous_scale)
+    d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho_next, fluxes, dt, eta, params.eps)
     return (flux_divergence_matrix(mesh, d_dk, d_dl)
             + sp.identity(mesh.n_cells, format="csr") / dt)
 
@@ -334,7 +335,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     # remaining terms cover advection, the jump penalty and the 1/dt scaling.
     rho_scale = float(rho_old.max())
     p_scale = float(gas.pressure(np.array([rho_scale]))[0])
-    cmax = face_weight(mesh).max()
+    cmax = max(face_weight(mesh))
     kappa = (eta * dt / eps ** 2) * cmax
     u_scale = float(np.abs(u_old).max())
     fp_eps = np.finfo(float).eps
@@ -351,7 +352,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     iters = 0
     while norm > tol and iters < params.newton_max_iter:
         iters += 1
-        d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho, u_old, dt, eta, eps, s)
+        d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho, fluxes, dt, eta, eps)
         delta, _ = _solve_mass_balance(mesh, dt, d_dk, d_dl, -res, lin_tol)
         alpha = 1.0
         for _ in range(MAX_LINESEARCH_HALVINGS):
@@ -413,13 +414,10 @@ def compute_dt(mesh: StructuredMesh, gas: GasLaw, state: State,
               + np.sqrt((eta / params.eps ** 2) * np.abs(p_l - p_k)))
     # |dK|/|K| is uniform, so beta_face is a single number.
     beta_face = mesh.cell_volume / mesh.boundary_measure
-    active = d_face > 0.0
-    dt = params.dt_max
-    if np.any(active):
-        ratio = np.minimum(1.0, face_min[active] / face_max[active])
-        dt_faces = params.cfl_safety * 0.25 * beta_face * ratio / d_face[active]
-        dt = min(dt, float(dt_faces.min()))
-    return float(dt)
+    ratio = np.minimum(1.0, face_min / face_max)
+    with np.errstate(divide="ignore"):  # d_face = 0 gives inf: no restriction
+        dt_faces = params.cfl_safety * 0.25 * beta_face * ratio / d_face
+    return float(min(params.dt_max, dt_faces.min()))
 
 
 def _dt_third_cfl_cap(mesh: StructuredMesh, rho: np.ndarray,
@@ -463,8 +461,9 @@ def _attempt_step(mesh, gas, state, params, dt, eta):
     rho_star, iters, resnorm, fluxes = solve_density(mesh, gas, state, dt, params, eta)
     # Final update in conservative form: total mass then telescopes exactly.
     rho_next = state.rho - dt * flux_divergence(mesh, fluxes.mass)
-    if rho_next.min() <= 0.0:
-        raise SolverError("conservative density update lost positivity", resnorm)
+    if not rho_next.min() > 0.0:
+        raise SolverError("conservative density update lost positivity or finiteness",
+                          resnorm)
     report = enforce_conditions(mesh, gas, state.rho, rho_next, fluxes, dt, params, eta)
     return rho_next, iters, resnorm, fluxes, report
 

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from machfv import (build_mesh, cell_divergence, cell_gradient, face_average,
-                    face_gradient, face_gradient_normal, face_jump,
-                    flux_divergence, gather_to_faces, project,
+                    face_average_normal, face_gradient, face_gradient_normal,
+                    face_jump, flux_divergence, gather_to_faces, project,
                     scatter_to_cells)
 from machfv.mesh import (face_weight, flux_divergence_matrix,
                          mean_flux_divergence_inverse)
@@ -73,8 +73,8 @@ def test_gather_vector_field_and_dtype(mesh44):
 def test_face_weight_is_inverse_center_distance():
     # |face| / |D| with |D| = |face| times the distance between the centres
     mesh = build_mesh(4, 3, 1.0, 0.9)
-    dist = np.repeat([mesh.hx, mesh.hy], mesh.n_cells)
-    np.testing.assert_allclose(face_weight(mesh) * dist, 1.0, rtol=1e-15)
+    dist = np.array([mesh.hx, mesh.hy])
+    np.testing.assert_allclose(np.multiply(face_weight(mesh), dist), 1.0, rtol=1e-15)
 
 
 def test_total_volume_matches_domain():
@@ -249,3 +249,99 @@ def test_mean_flux_divergence_inverse_is_exact_for_constant_coefficients(nx, ny)
     inverse = mean_flux_divergence_inverse(mesh, coef_k, coef_l, 1.0 / dt)
     q = np.random.default_rng(59).normal(size=n)
     np.testing.assert_allclose(inverse(matrix @ q), q, rtol=0.0, atol=1e-12)
+
+
+# Roll/concatenate forms of the operators, as the slice-based ones were
+# written before; the slice forms must agree with them bit for bit.
+def ref_grid(mesh, q):
+    return q.reshape((mesh.ny, mesh.nx) + q.shape[1:])
+
+
+def ref_gather(mesh, q):
+    right = np.roll(ref_grid(mesh, q), -1, axis=1).reshape(q.shape)
+    up = np.roll(ref_grid(mesh, q), -1, axis=0).reshape(q.shape)
+    return np.concatenate([q, q]), np.concatenate([right, up])
+
+
+def ref_scatter(mesh, value_k, value_l):
+    n = mesh.n_cells
+    wx = mesh.hy / mesh.cell_volume
+    wy = mesh.hx / mesh.cell_volume
+    shape = value_l[:n].shape
+    from_left = np.roll(ref_grid(mesh, wx * value_l[:n]), 1, axis=1).reshape(shape)
+    from_below = np.roll(ref_grid(mesh, wy * value_l[n:]), 1, axis=0).reshape(shape)
+    return wx * value_k[:n] + wy * value_k[n:] + from_left + from_below
+
+
+def ref_flux_divergence(mesh, flux):
+    return ref_scatter(mesh, flux, -flux)
+
+
+def ref_face_average(mesh, q):
+    q_k, q_l = ref_gather(mesh, q)
+    return 0.5 * (q_k + q_l)
+
+
+def ref_face_average_normal(mesh, u):
+    avg = ref_face_average(mesh, u)
+    return np.concatenate([avg[:mesh.n_cells, 0], avg[mesh.n_cells:, 1]])
+
+
+def ref_face_jump(mesh, q):
+    q_k, q_l = ref_gather(mesh, q)
+    return q_l - q_k
+
+
+def ref_face_gradient_normal(mesh, q):
+    weight = np.repeat([mesh.hy / mesh.cell_volume, mesh.hx / mesh.cell_volume],
+                       mesh.n_cells)
+    return weight * ref_face_jump(mesh, q)
+
+
+def ref_cell_gradient(mesh, q):
+    along_normal = np.repeat(np.eye(2), mesh.n_cells, axis=0)
+    return ref_flux_divergence(mesh, ref_face_average(mesh, q)[:, None] * along_normal)
+
+
+def ref_cell_divergence(mesh, phi):
+    return ref_flux_divergence(mesh, ref_face_average_normal(mesh, phi))
+
+
+def assert_exact_and_inputs_untouched(fn, ref_fn, mesh, *inputs):
+    copies = [a.copy() for a in inputs]
+    outs, refs = fn(mesh, *inputs), ref_fn(mesh, *copies)
+    if isinstance(refs, np.ndarray):
+        outs, refs = (outs,), (refs,)
+    for o, r in zip(outs, refs, strict=True):
+        assert o.dtype == r.dtype and o.shape == r.shape
+        assert np.array_equal(o, r)
+        assert not any(np.shares_memory(o, a) for a in inputs)
+    for a, c in zip(inputs, copies):
+        assert np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("nx, ny", [(3, 3), (5, 3), (4, 7)])
+def test_slice_operators_match_roll_forms_exactly(nx, ny, dtype):
+    mesh = build_mesh(nx, ny, 1.3, 0.7)
+    rng = np.random.default_rng(nx * 10 + ny)
+    n = mesh.n_cells
+    for tail in ((), (2,)):
+        cells = rng.normal(size=(n,) + tail).astype(dtype)
+        faces_k = rng.normal(size=(2 * n,) + tail).astype(dtype)
+        faces_l = rng.normal(size=(2 * n,) + tail).astype(dtype)
+        assert_exact_and_inputs_untouched(gather_to_faces, ref_gather, mesh, cells)
+        assert_exact_and_inputs_untouched(scatter_to_cells, ref_scatter, mesh,
+                                          faces_k, faces_l)
+        assert_exact_and_inputs_untouched(flux_divergence, ref_flux_divergence,
+                                          mesh, faces_k)
+        assert_exact_and_inputs_untouched(face_average, ref_face_average, mesh, cells)
+        assert_exact_and_inputs_untouched(face_jump, ref_face_jump, mesh, cells)
+    q = rng.normal(size=n).astype(dtype)
+    u = rng.normal(size=(n, 2)).astype(dtype)
+    assert_exact_and_inputs_untouched(cell_gradient, ref_cell_gradient, mesh, q)
+    assert_exact_and_inputs_untouched(face_gradient_normal, ref_face_gradient_normal,
+                                      mesh, q)
+    assert_exact_and_inputs_untouched(face_average_normal, ref_face_average_normal,
+                                      mesh, u)
+    assert_exact_and_inputs_untouched(cell_divergence, ref_cell_divergence, mesh, u)

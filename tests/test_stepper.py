@@ -1,5 +1,7 @@
 """Semi-implicit step tests: residual, solver, velocity update, conditions."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -131,9 +133,11 @@ def test_preconditioned_gmres_matches_direct_solve_on_vortex(nx, ny, lx, eps):
     mesh, params, state, eta, dt = vortex_first_step(nx, eps, ny=ny, lx=lx)
     jac = density_jacobian(mesh, state.rho, state, dt, params, eta)
     res = density_residual(mesh, state.rho, state, dt, params, eta)
-    d_dk, d_dl = _mass_flux_coefficients(mesh, params.gas(), state.rho,
-                                         state.u, dt, eta, eps,
-                                         params.viscous_scale)
+    gas = params.gas()
+    fluxes = assemble_fluxes(mesh, state.rho, state.u, gas.pressure(state.rho),
+                             eta, dt, eps, params.viscous_scale)
+    d_dk, d_dl = _mass_flux_coefficients(mesh, gas, state.rho, fluxes, dt, eta,
+                                         eps)
     delta, iters = _solve_mass_balance(mesh, dt, d_dk, d_dl, -res,
                                        1e-12 * np.linalg.norm(res))
     ref = spla.spsolve(jac, -res)
@@ -252,6 +256,51 @@ def test_solve_density_raises_when_line_search_fails(monkeypatch):
         solve_density(mesh, params.gas(), state, dt, params, eta)
     assert err.value.final_residual > 0.0
     assert len(solves) == 1
+
+
+def test_solve_density_assembles_fluxes_once_per_residual(monkeypatch):
+    # the Newton coefficients reuse the fluxes of the current iterate: one
+    # assembly for the initial residual and one per line-search trial
+    mesh, params, state, eta, dt = vortex_first_step(32, 1.0)
+    callers, directions = [], []
+    assemble, solve = stepper.assemble_fluxes, stepper._solve_mass_balance
+
+    def counted_assemble(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return assemble(*args)
+
+    def recorded_solve(*args):
+        delta, iters = solve(*args)
+        directions.append(delta)
+        return delta, iters
+
+    monkeypatch.setattr(stepper, "assemble_fluxes", counted_assemble)
+    monkeypatch.setattr(stepper, "_solve_mass_balance", recorded_solve)
+    rho, iters, _, _ = solve_density(mesh, params.gas(), state, dt, params, eta)
+    # every direction was taken in full, so each iteration made one trial
+    full_steps = state.rho
+    for delta in directions:
+        full_steps = full_steps + 1.0 * delta
+    np.testing.assert_array_equal(rho, full_steps)
+    assert iters == len(directions) >= 2
+    assert len(callers) == 1 + iters
+    assert set(callers) == {"_residual_and_fluxes"}
+
+
+def test_attempt_step_rejects_non_finite_conservative_update(monkeypatch):
+    # a NaN mass flux makes min(rho_next) NaN, which "min <= 0" let through
+    mesh, params, state, eta, dt = vortex_first_step(16, 1e-2)
+    solve = stepper.solve_density
+
+    def nan_flux(*args):
+        rho, iters, norm, fluxes = solve(*args)
+        fluxes.mass = fluxes.mass.copy()
+        fluxes.mass[0] = np.nan
+        return rho, iters, norm, fluxes
+
+    monkeypatch.setattr(stepper, "solve_density", nan_flux)
+    with pytest.raises(SolverError, match="positivity or finiteness"):
+        stepper._attempt_step(mesh, params.gas(), state, params, dt, eta)
 
 
 def test_update_velocity_uniform_is_identity(mesh44):
