@@ -3,7 +3,12 @@
 Configs are INI files.  A run config has a [run] section (case, mesh, gas,
 final time, output options) and an optional [scheme] section overriding
 solver parameters.  A convergence config replaces [run] with [convergence]
-(mode, grid list, reference grid).  Every CSV written here starts with a
+(mode, grid list, reference grid).  The dataclasses RunConfig,
+ConvergenceConfig and SchemeParams are the schema: each key, its type and
+its default is one of their fields, the loader and the config.ini echo walk
+those fields in order, and their __post_init__ checks refuse the same values
+whether they come from a file or from Python (ConfigError, or ValueError
+from SchemeParams outside a file).  Every CSV written here starts with a
 comment line carrying the sha256 of the effective config, so outputs are
 traceable to their inputs; rows are formatted with shortest round-trip float
 representations, which makes repeated runs byte-identical.
@@ -11,8 +16,9 @@ representations, which makes repeated runs byte-identical.
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,6 +29,9 @@ from .mesh import StructuredMesh, build_mesh, cell_grid
 from .stepper import SchemeParams, advance
 
 CASES = ("vortex", "well_prepared")
+# SchemeParams fields set in the [run] or [convergence] section; the other
+# SchemeParams fields live in [scheme].
+_MAIN_PARAMS = ("gamma", "eps")
 INEQUALITY_SLACK = 1e-12
 CONSERVATION_TOL = 1e-12
 
@@ -35,41 +44,79 @@ class InequalityViolation(RuntimeError):
     """A run violated an asserted stability inequality."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    case: str = "vortex"
-    nx: int = 32
-    ny: int = 32
-    lx: float = 1.0
-    ly: float = 1.0
-    final_time: float = 0.1
-    params: SchemeParams = field(default_factory=SchemeParams)
-    output: str = "machfv_out"
-    output_every: int = 10
-    emit_fields: bool = False
-    emit_svg: bool = False
-
-
-@dataclass(frozen=True)
-class ConvergenceConfig:
-    mode: str = "coupled"
-    case: str = "vortex"
-    grids: tuple = (8, 16, 32)
-    lx: float = 1.0
-    ly: float = 1.0
-    final_time: float = 0.1
-    reference: int = 64
-    params: SchemeParams = field(default_factory=SchemeParams)
-    output: str = "machfv_convergence"
-
-
-def _check_case_eps(case: str, eps: float):
-    """Reject an eps at which the case's initial density is not positive."""
+def _check_case(section: str, case: str, eps: float):
+    """Reject an unknown case, or an eps at which its density is not positive."""
+    if case not in CASES:
+        raise ConfigError(f"[{section}] case must be one of {CASES}, got {case!r}")
     if case == "well_prepared" and not eps < 1.0:
         # rho = 1 + eps^2 g with max|g| = 1 reaches 0 at eps = 1.
         raise ConfigError(
             f"case 'well_prepared' needs eps < 1, got eps = {eps!r}: its "
             f"density 1 + eps^2 g, with max|g| = 1, is not positive at eps >= 1")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One case run; fields are the keys of a [run] file, in file order."""
+
+    section: ClassVar[str] = "run"
+    case: str = "vortex"
+    nx: int = 32
+    ny: int = 32
+    lx: float = 1.0
+    ly: float = 1.0
+    params: SchemeParams = field(default_factory=SchemeParams)
+    final_time: float = 0.1
+    output: str = "machfv_out"
+    output_every: int = 10
+    emit_fields: bool = False
+    emit_svg: bool = False
+
+    def __post_init__(self):
+        _check_case("run", self.case, self.params.eps)
+        if not self.final_time > 0.0:
+            raise ConfigError(f"[run] final_time must be positive, got {self.final_time}")
+        if self.output_every < 1:
+            raise ConfigError(f"[run] output_every must be >= 1, got {self.output_every}")
+
+
+@dataclass(frozen=True)
+class ConvergenceConfig:
+    """A grid study; fields are the keys of a [convergence] file, in file order."""
+
+    section: ClassVar[str] = "convergence"
+    mode: str = "coupled"
+    case: str = "vortex"
+    grids: tuple[int, ...] = (8, 16, 32)
+    lx: float = 1.0
+    ly: float = 1.0
+    params: SchemeParams = field(default_factory=SchemeParams)
+    final_time: float = 0.1
+    reference: int = 64
+    output: str = "machfv_convergence"
+
+    def __post_init__(self):
+        if self.mode not in ("coupled", "fixed"):
+            raise ConfigError(f"[convergence] mode must be 'coupled' or 'fixed', got {self.mode!r}")
+        if len(self.grids) < 1:
+            raise ConfigError("[convergence] grids must list at least one mesh size")
+        for n in self.grids:
+            if n < 3 or (n & (n - 1)) != 0:
+                raise ConfigError(f"[convergence] grids must be powers of two >= 4, got {n}")
+        if any(b <= a for a, b in zip(self.grids, self.grids[1:])):
+            raise ConfigError(f"[convergence] grids must be strictly increasing, got {self.grids}")
+        if self.mode == "fixed":
+            if self.reference <= max(self.grids):
+                raise ConfigError(
+                    f"[convergence] reference grid {self.reference} must be finer "
+                    f"than every study grid {self.grids}")
+            if (self.reference & (self.reference - 1)) != 0:
+                raise ConfigError(f"[convergence] reference must be a power of two, got {self.reference}")
+        if not self.final_time > 0.0:
+            raise ConfigError(f"[convergence] final_time must be positive, got {self.final_time}")
+        # Coupled studies run at eps = h, the largest on the first grid.
+        _check_case("convergence", self.case, self.params.eps if self.mode == "fixed"
+                    else self.lx / self.grids[0])
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
@@ -86,194 +133,85 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
     return parser
 
 
-class _Section:
-    """Typed access to one INI section with error messages naming the key."""
-
-    def __init__(self, parser, name):
-        self.name = name
-        self.data = dict(parser[name]) if parser.has_section(name) else {}
-
-    def _fetch(self, key, default, convert, describe):
-        if key not in self.data:
-            return default
-        raw = self.data.pop(key)
-        try:
-            return convert(raw)
-        except ValueError as err:
-            raise ConfigError(
-                f"[{self.name}] {key} = {raw!r}: expected {describe}") from err
-
-    def get_int(self, key, default):
-        return self._fetch(key, default, int, "an integer")
-
-    def get_float(self, key, default):
-        return self._fetch(key, default, float, "a number")
-
-    def get_str(self, key, default):
-        return self._fetch(key, default, str, "a string")
-
-    def get_bool(self, key, default):
-        def conv(raw):
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return self._fetch(key, default, conv, "a boolean")
-
-    def get_int_list(self, key, default):
-        def conv(raw):
-            return tuple(int(part) for part in raw.replace(",", " ").split())
-        return self._fetch(key, default, conv, "a comma-separated integer list")
-
-    def reject_unknown(self):
-        if self.data:
-            unknown = ", ".join(sorted(self.data))
-            raise ConfigError(f"unknown keys in [{self.name}]: {unknown}")
+def _to_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
 
 
-def _scheme_params(parser, gamma, eps) -> SchemeParams:
-    sec = _Section(parser, "scheme")
-    eta_mode = sec.get_str("eta_mode", "auto")
-    eta_value = sec.get_float("eta_value", None)
-    kwargs = dict(
-        gamma=gamma,
-        eps=eps,
-        eta_mode=eta_mode,
-        eta_value=eta_value,
-        eta_safety=sec.get_float("eta_safety", 1.1),
-        newton_tol=sec.get_float("newton_tol", 1e-10),
-        newton_max_iter=sec.get_int("newton_max_iter", 50),
-        dt_max=sec.get_float("dt_max", 0.1),
-        cfl_safety=sec.get_float("cfl_safety", 0.9),
-        beta=sec.get_float("beta", 0.05),
-        viscous_scale=sec.get_float("viscous_scale", 1.0),
-    )
-    sec.reject_unknown()
+# Field annotation -> (INI text converter, what the error message expects).
+_CONVERTERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    float | None: (float, "a number"),
+    str: (str, "a string"),
+    bool: (_to_bool, "a boolean"),
+    tuple[int, ...]: (lambda raw: tuple(int(part) for part in raw.replace(",", " ").split()),
+                      "a comma-separated integer list"),
+}
+
+
+def _schema(cls):
+    """(section, field, in params) for every key of a `cls` file, in file order."""
+    for f in fields(cls):
+        if f.name != "params":
+            yield cls.section, f, False
+        else:
+            yield from ((cls.section, p, True) for p in fields(SchemeParams)
+                        if p.name in _MAIN_PARAMS)
+    yield from (("scheme", p, True) for p in fields(SchemeParams) if p.name not in _MAIN_PARAMS)
+
+
+def _convert(section: str, f, raw: str):
+    convert, describe = _CONVERTERS[f.type]
     try:
-        return SchemeParams(**kwargs)
+        return convert(raw)
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {f.name} = {raw!r}: expected {describe}") from err
+
+
+def _load_config(path, cls):
+    parser = _read_ini(path)
+    if not parser.has_section(cls.section):
+        raise ConfigError(f"{path}: missing [{cls.section}] section")
+    raw = {name: dict(parser[name]) if parser.has_section(name) else {}
+           for name in (cls.section, "scheme")}
+    kwargs, param_kwargs = {}, {}
+    for section, f, in_params in _schema(cls):
+        if f.name in raw[section]:
+            value = _convert(section, f, raw[section].pop(f.name))
+            (param_kwargs if in_params else kwargs)[f.name] = value
+    for section, unknown in raw.items():
+        if unknown:
+            raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
+    try:
+        params = SchemeParams(**param_kwargs)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    return cls(**kwargs, params=params)
 
 
 def load_run_config(path) -> RunConfig:
-    parser = _read_ini(path)
-    if not parser.has_section("run"):
-        raise ConfigError(f"{path}: missing [run] section")
-    sec = _Section(parser, "run")
-    case = sec.get_str("case", "vortex")
-    if case not in CASES:
-        raise ConfigError(f"[run] case must be one of {CASES}, got {case!r}")
-    gamma = sec.get_float("gamma", 2.0)
-    eps = sec.get_float("eps", 1.0)
-    cfg = RunConfig(
-        case=case,
-        nx=sec.get_int("nx", 32),
-        ny=sec.get_int("ny", 32),
-        lx=sec.get_float("lx", 1.0),
-        ly=sec.get_float("ly", 1.0),
-        final_time=sec.get_float("final_time", 0.1),
-        params=_scheme_params(parser, gamma, eps),
-        output=sec.get_str("output", "machfv_out"),
-        output_every=sec.get_int("output_every", 10),
-        emit_fields=sec.get_bool("emit_fields", False),
-        emit_svg=sec.get_bool("emit_svg", False),
-    )
-    sec.reject_unknown()
-    if cfg.final_time <= 0.0:
-        raise ConfigError(f"[run] final_time must be positive, got {cfg.final_time}")
-    if cfg.output_every < 1:
-        raise ConfigError(f"[run] output_every must be >= 1, got {cfg.output_every}")
-    _check_case_eps(cfg.case, cfg.params.eps)
-    return cfg
+    return _load_config(path, RunConfig)
 
 
 def load_convergence_config(path) -> ConvergenceConfig:
-    parser = _read_ini(path)
-    if not parser.has_section("convergence"):
-        raise ConfigError(f"{path}: missing [convergence] section")
-    sec = _Section(parser, "convergence")
-    mode = sec.get_str("mode", "coupled")
-    if mode not in ("coupled", "fixed"):
-        raise ConfigError(f"[convergence] mode must be 'coupled' or 'fixed', got {mode!r}")
-    case = sec.get_str("case", "vortex")
-    if case not in CASES:
-        raise ConfigError(f"[convergence] case must be one of {CASES}, got {case!r}")
-    gamma = sec.get_float("gamma", 2.0)
-    eps = sec.get_float("eps", 1.0)
-    cfg = ConvergenceConfig(
-        mode=mode,
-        case=case,
-        grids=sec.get_int_list("grids", (8, 16, 32)),
-        lx=sec.get_float("lx", 1.0),
-        ly=sec.get_float("ly", 1.0),
-        final_time=sec.get_float("final_time", 0.1),
-        reference=sec.get_int("reference", 64),
-        params=_scheme_params(parser, gamma, eps),
-        output=sec.get_str("output", "machfv_convergence"),
-    )
-    sec.reject_unknown()
-    if len(cfg.grids) < 1:
-        raise ConfigError("[convergence] grids must list at least one mesh size")
-    for n in cfg.grids:
-        if n < 3 or (n & (n - 1)) != 0:
-            raise ConfigError(f"[convergence] grids must be powers of two >= 4, got {n}")
-    if any(b <= a for a, b in zip(cfg.grids, cfg.grids[1:])):
-        raise ConfigError(f"[convergence] grids must be strictly increasing, got {cfg.grids}")
-    if cfg.mode == "fixed":
-        if cfg.reference <= max(cfg.grids):
-            raise ConfigError(
-                f"[convergence] reference grid {cfg.reference} must be finer "
-                f"than every study grid {cfg.grids}")
-        if (cfg.reference & (cfg.reference - 1)) != 0:
-            raise ConfigError(f"[convergence] reference must be a power of two, got {cfg.reference}")
-    if cfg.final_time <= 0.0:
-        raise ConfigError(f"[convergence] final_time must be positive, got {cfg.final_time}")
-    # Coupled studies run at eps = h, the largest on the first grid.
-    _check_case_eps(cfg.case, cfg.params.eps if cfg.mode == "fixed"
-                    else cfg.lx / cfg.grids[0])
-    return cfg
+    return _load_config(path, ConvergenceConfig)
 
 
-def _effective_run_text(cfg: RunConfig) -> str:
-    p = cfg.params
-    return (
-        "[run]\n"
-        f"case = {cfg.case}\nnx = {cfg.nx}\nny = {cfg.ny}\n"
-        f"lx = {cfg.lx!r}\nly = {cfg.ly!r}\n"
-        f"gamma = {p.gamma!r}\neps = {p.eps!r}\n"
-        f"final_time = {cfg.final_time!r}\noutput = {cfg.output}\n"
-        f"output_every = {cfg.output_every}\nemit_fields = {cfg.emit_fields}\n"
-        f"emit_svg = {cfg.emit_svg}\n\n"
-        + _scheme_text(p)
-    )
-
-
-def _scheme_text(p: SchemeParams) -> str:
-    return (
-        "[scheme]\n"
-        f"eta_mode = {p.eta_mode}\n"
-        + (f"eta_value = {p.eta_value!r}\n" if p.eta_value is not None else "")
-        + f"eta_safety = {p.eta_safety!r}\nnewton_tol = {p.newton_tol!r}\n"
-        f"newton_max_iter = {p.newton_max_iter}\n"
-        f"dt_max = {p.dt_max!r}\ncfl_safety = {p.cfl_safety!r}\n"
-        f"beta = {p.beta!r}\nviscous_scale = {p.viscous_scale!r}\n"
-    )
-
-
-def _effective_convergence_text(cfg: ConvergenceConfig) -> str:
-    p = cfg.params
-    return (
-        "[convergence]\n"
-        f"mode = {cfg.mode}\ncase = {cfg.case}\n"
-        f"grids = {', '.join(str(n) for n in cfg.grids)}\n"
-        f"lx = {cfg.lx!r}\nly = {cfg.ly!r}\n"
-        f"gamma = {p.gamma!r}\neps = {p.eps!r}\n"
-        f"final_time = {cfg.final_time!r}\nreference = {cfg.reference}\n"
-        f"output = {cfg.output}\n\n"
-        + _scheme_text(p)
-    )
+def _config_text(cfg) -> str:
+    """The config as INI text that loads back to it; None values are left out."""
+    lines = {cfg.section: "", "scheme": ""}
+    for section, f, in_params in _schema(type(cfg)):
+        value = getattr(cfg.params if in_params else cfg, f.name)
+        if isinstance(value, (tuple, list)):
+            value = ", ".join(map(str, value))
+        if value is not None:
+            lines[section] += f"{f.name} = {value}\n"
+    return "\n".join(f"[{section}]\n{text}" for section, text in lines.items())
 
 
 def _config_hash(text: str) -> str:
@@ -283,11 +221,8 @@ def _config_hash(text: str) -> str:
 def initial_state(cfg: RunConfig, mesh: StructuredMesh):
     if cfg.case == "vortex":
         return vortex_compressible_init(mesh, cfg.params.gamma, cfg.params.eps)
-    if cfg.case == "well_prepared":
-        _check_case_eps(cfg.case, cfg.params.eps)
-        v0, _ = vortex_incompressible_exact(mesh)
-        return well_prepared_perturbation(mesh, v0, cfg.params.eps)
-    raise ConfigError(f"unknown case {cfg.case!r}")
+    v0, _ = vortex_incompressible_exact(mesh)
+    return well_prepared_perturbation(mesh, v0, cfg.params.eps)
 
 
 @dataclass
@@ -415,7 +350,7 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
     out = Path(output_dir if output_dir is not None else cfg.output)
     if write_outputs:
         out.mkdir(parents=True, exist_ok=True)
-        text = _effective_run_text(cfg)
+        text = _config_text(cfg)
         (out / "config.ini").write_text(text)
         cfg_hash = _config_hash(text)
         if cfg.emit_fields:
@@ -520,7 +455,7 @@ def convergence_study(cfg: ConvergenceConfig, output_dir=None, threads: int = 1)
     """
     out = Path(output_dir if output_dir is not None else cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-    text = _effective_convergence_text(cfg)
+    text = _config_text(cfg)
     (out / "config.ini").write_text(text)
     cfg_hash = _config_hash(text)
 

@@ -10,7 +10,8 @@ class PositivityError(ValueError):
 
 
 def _require_positive(z, what: str):
-    z = np.asarray(z, dtype=np.result_type(z, float))
+    z = np.asarray(z)  # a plain list would read as a structured-dtype spec
+    z = z.astype(np.result_type(z, float), copy=False)
     if z.size == 0:
         raise ValueError(f"{what} array is empty")
     # Two reductions on the passing path: a NaN fails min > 0, +inf max < inf.

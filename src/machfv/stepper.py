@@ -168,7 +168,7 @@ class StepDiagnostics:
     fluxes: FaceFluxes | None = None
 
 
-def auto_eta(mesh: StructuredMesh, rho: np.ndarray, safety: float = 1.1) -> float:
+def auto_eta(mesh: StructuredMesh, rho: np.ndarray, safety: float) -> float:
     """Smallest stabilisation strength with margin: safety * 3 * max {{1/rho}}."""
     return float(safety * (3.0 * SPACE_DIM / 2.0) * face_average(mesh, 1.0 / rho).max())
 

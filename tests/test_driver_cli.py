@@ -1,6 +1,7 @@
 """Config parsing, run orchestration, file outputs, CLI exit codes."""
 
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from machfv import build_mesh
 from machfv.cli import main
 from machfv.driver import (ConfigError, ConvergenceConfig, InequalityViolation,
-                           RunConfig, convergence_study, initial_state,
+                           RunConfig, _config_text, convergence_study, initial_state,
                            load_convergence_config, load_run_config,
                            restrict_to_coarse, run_case, write_field_snapshot,
                            write_line_chart)
@@ -77,6 +78,47 @@ def test_load_convergence_config_errors(tmp_path):
         load_convergence_config(write_config(tmp_path, conv_ini(reference=16)))
     with pytest.raises(ConfigError, match="mode"):
         load_convergence_config(write_config(tmp_path, conv_ini(mode="spacetime")))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RunConfig(output_every=0),
+    lambda: RunConfig(final_time=0.0),
+    lambda: RunConfig(case="shock_tube"),
+    lambda: ConvergenceConfig(mode="bogus"),
+    lambda: ConvergenceConfig(grids=()),
+    lambda: ConvergenceConfig(grids=(8, 12)),
+    lambda: ConvergenceConfig(mode="fixed", grids=(8,), reference=8),
+], ids=["output_every", "final_time", "case", "mode", "no_grids", "grid_power",
+        "reference"])
+def test_api_refuses_what_the_loader_refuses(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_every_key_round_trips_through_the_echo(tmp_path):
+    params = SchemeParams(gamma=1.4, eps=0.125, eta_mode="fixed", eta_value=7.5,
+                          eta_safety=1.5, newton_tol=1e-9, newton_max_iter=20,
+                          dt_max=0.05, cfl_safety=0.8, beta=0.1,
+                          viscous_scale=2.0)
+    configs = {
+        load_run_config: RunConfig(
+            case="well_prepared", nx=12, ny=10, lx=2.0, ly=1.5, params=params,
+            final_time=0.25, output="elsewhere", output_every=4,
+            emit_fields=True, emit_svg=True),
+        load_convergence_config: ConvergenceConfig(
+            mode="fixed", case="well_prepared", grids=(4, 16), lx=2.0, ly=1.5,
+            params=params, final_time=0.25, reference=32, output="study"),
+    }
+    for load, cfg in configs.items():
+        for f in fields(cfg):
+            assert getattr(cfg, f.name) != f.default, f.name
+        for f in fields(params):
+            assert getattr(params, f.name) != f.default, f.name
+        text = _config_text(cfg)
+        path = write_config(tmp_path, text, name=f"{load.__name__}.ini")
+        echo = load(path)
+        assert echo == cfg
+        assert _config_text(echo).encode() == text.encode()
 
 
 def test_run_case_outputs(tmp_path):
@@ -273,9 +315,9 @@ def test_cli_well_prepared_eps_one_is_config_error(tmp_path, capsys, n):
 def test_well_prepared_eps_at_least_one_rejected_everywhere(tmp_path):
     mesh = build_mesh(8, 8, 1.0, 1.0)
     for eps in (1.0, 1.5):
-        cfg = RunConfig(case="well_prepared", nx=8, ny=8,
-                        params=SchemeParams(gamma=1.4, eps=eps))
         with pytest.raises(ConfigError, match="eps"):
+            cfg = RunConfig(case="well_prepared", nx=8, ny=8,
+                            params=SchemeParams(gamma=1.4, eps=eps))
             initial_state(cfg, mesh)
     assert initial_state(RunConfig(case="well_prepared",
                                    params=SchemeParams(eps=0.5)), mesh).rho.min() > 0.0

@@ -77,3 +77,19 @@ def test_positivity_guard_names_offending_cell():
         assert "2" in str(err.value)  # message points at the argmin cell
     with pytest.raises(PositivityError):
         gas.relative_internal_energy(bad, 1.0)
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+def test_sequence_input_matches_array(container):
+    gas = GasLaw(1.4)
+    values = [0.5, 1.0, 2.0]
+    for fn in (gas.pressure, gas.pressure_derivative, gas.internal_energy):
+        result = fn(container(values))
+        expected = fn(np.array(values))
+        assert result.dtype == expected.dtype
+        np.testing.assert_array_equal(result, expected)
+    np.testing.assert_array_equal(
+        gas.relative_internal_energy(container(values), container(values[::-1])),
+        gas.relative_internal_energy(np.array(values), np.array(values[::-1])))
+    with pytest.raises(PositivityError, match="cell 1"):
+        gas.pressure(container([1.0, 0.0]))
