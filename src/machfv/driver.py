@@ -3,19 +3,29 @@
 Configs are INI files.  A run config has a [run] section (case, mesh, gas,
 final time, output options) and an optional [scheme] section overriding
 solver parameters.  A convergence config replaces [run] with [convergence]
-(mode, grid list, reference grid).  The dataclasses RunConfig,
-ConvergenceConfig and SchemeParams are the schema: each key, its type and
-its default is one of their fields, the loader and the config.ini echo walk
-those fields in order, and their __post_init__ checks refuse the same values
-whether they come from a file or from Python (ConfigError, or ValueError
-from SchemeParams outside a file).  Every CSV written here starts with a
-comment line carrying the sha256 of the effective config, so outputs are
-traceable to their inputs; rows are formatted with shortest round-trip float
-representations, which makes repeated runs byte-identical.
+(mode, grid list, reference grid).  Any other section is refused.  The
+dataclasses RunConfig, ConvergenceConfig and SchemeParams are the schema:
+each key, its type and its default is one of their fields, the loader and
+the config.ini echo walk those fields in order, and their __post_init__
+checks refuse the same values whether they come from a file or from Python
+(ConfigError, or ValueError from SchemeParams outside a file).  Every CSV
+written here starts with a comment line carrying the sha256 of the
+effective config, so outputs are traceable to their inputs; rows are
+formatted with shortest round-trip float representations, which makes
+repeated runs byte-identical.
+
+write_field_snapshot formats every field file.  run_case writes the step-0
+snapshot in process and hands each in-run field file to a pool of up to
+three forked worker processes (one per field of a snapshot, at most one per
+available core), started at the first in-run snapshot.  It waits for every
+file before it returns, raises a worker's exception with its own type, and
+leaves no worker running, whether it returns or raises.
 """
 
 import configparser
 import hashlib
+import os
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
@@ -34,6 +44,8 @@ CASES = ("vortex", "well_prepared")
 _MAIN_PARAMS = ("gamma", "eps")
 INEQUALITY_SLACK = 1e-12
 CONSERVATION_TOL = 1e-12
+# Field files per snapshot (rho, ux, uy): the most snapshot workers used.
+SNAPSHOT_FIELDS = 3
 
 
 class ConfigError(ValueError):
@@ -177,8 +189,13 @@ def _load_config(path, cls):
     parser = _read_ini(path)
     if not parser.has_section(cls.section):
         raise ConfigError(f"{path}: missing [{cls.section}] section")
+    known = (cls.section, "scheme")
+    unknown = [f"[{name}]" for name in parser.sections() if name not in known]
+    if unknown:
+        raise ConfigError(f"{path}: unknown sections {', '.join(unknown)}; "
+                          f"a {cls.section} config has [{cls.section}] and [scheme]")
     raw = {name: dict(parser[name]) if parser.has_section(name) else {}
-           for name in (cls.section, "scheme")}
+           for name in known}
     kwargs, param_kwargs = {}, {}
     for section, f, in_params in _schema(cls):
         if f.name in raw[section]:
@@ -251,13 +268,11 @@ def write_field_snapshot(path, mesh: StructuredMesh, values, time: float):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _emit_fields(out_dir, mesh, state):
-    fdir = out_dir / "fields"
-    fdir.mkdir(exist_ok=True)
+def _snapshot_files(fdir, state):
+    """(path as str, values) of each field file of one snapshot."""
     tag = f"step{state.step_index:06d}"
-    write_field_snapshot(fdir / f"rho_{tag}.dat", mesh, state.rho, state.time)
-    write_field_snapshot(fdir / f"ux_{tag}.dat", mesh, state.u[:, 0], state.time)
-    write_field_snapshot(fdir / f"uy_{tag}.dat", mesh, state.u[:, 1], state.time)
+    return [(str(fdir / f"{name}_{tag}.dat"), values) for name, values in
+            (("rho", state.rho), ("ux", state.u[:, 0]), ("uy", state.u[:, 1]))]
 
 
 def write_line_chart(path, title, xlabel, ylabel, series):
@@ -354,9 +369,34 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
         (out / "config.ini").write_text(text)
         cfg_hash = _config_hash(text)
         if cfg.emit_fields:
-            _emit_fields(out, mesh, state0)
+            fdir = out / "fields"
+            fdir.mkdir(exist_ok=True)
+            for path, values in _snapshot_files(fdir, state0):
+                write_field_snapshot(path, mesh, values, state0.time)
 
     rows = []
+    # In-run snapshots go to worker processes, one job per field file.  The
+    # pool starts at the first of them, so set-up does not pay for it.
+    pool, backlog, pending = None, 0, deque()
+
+    def emit_fields(state):
+        nonlocal pool, backlog
+        if pool is None:
+            # Imported here: runs without in-run snapshots need no pool.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            workers = min(SNAPSHOT_FIELDS, len(os.sched_getaffinity(0)))
+            # Forked workers start without re-importing numpy and machfv;
+            # they only format text and write files.
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+            # Queued jobs keep their step's arrays alive, so bound them.
+            backlog = 3 * workers
+        for path, values in _snapshot_files(fdir, state):
+            if len(pending) >= backlog:
+                pending.popleft().result()
+            pending.append(pool.submit(write_field_snapshot, path, mesh, values,
+                                       state.time))
 
     def on_step(before, after, diag):
         if assert_inequalities:
@@ -371,11 +411,18 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
             diag.conditions.dt_cfl_ok, ke_ratio,
         ])
         if write_outputs and cfg.emit_fields and diag.step_index % cfg.output_every == 0:
-            _emit_fields(out, mesh, after)
+            emit_fields(after)
 
-    final_state, diags, states = advance(
-        mesh, state0, cfg.params, cfg.final_time,
-        collect_states=collect_states, on_step=on_step)
+    try:
+        final_state, diags, states = advance(
+            mesh, state0, cfg.params, cfg.final_time,
+            collect_states=collect_states, on_step=on_step)
+        # A worker's exception is raised here, with its own type.
+        while pending:
+            pending.popleft().result()
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     if write_outputs:
         header = ("step,time,dt,total_energy,total_entropy,total_mass,"

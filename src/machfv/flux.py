@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (StructuredMesh, face_average_normal, face_gradient_normal,
-                   gather_to_faces)
+from .mesh import StructuredMesh, face_gradient_normal, gather_to_faces
 
 
 @dataclass
@@ -78,16 +77,16 @@ def momentum_flux(mass_plus, mass_minus, u_k, u_l, viscous_scale: float = 1.0):
     return mass_plus * u_k + mass_minus * u_l - viscous_scale * (u_l - u_k)
 
 
-def assemble_fluxes(mesh: StructuredMesh, rho_next: np.ndarray, u_now: np.ndarray,
+def assemble_fluxes(mesh: StructuredMesh, rho_next: np.ndarray, u_normal: np.ndarray,
                     p_next: np.ndarray, eta: float, dt: float, eps: float,
                     viscous_scale: float = 1.0) -> FaceFluxes:
     """Assemble the mass fluxes for one step.
 
     rho_next and p_next = pressure(rho_next) are the end-of-step fields the
-    mass balance is implicit in; u_now is the start-of-step velocity.
+    mass balance is implicit in; u_normal = face_average_normal(mesh, u) is
+    the start-of-step normal velocity, the same for every iterate of a step.
     """
     delta_u = stabilisation_velocity(mesh, p_next, eta, dt, eps)
-    u_normal = face_average_normal(mesh, u_now)
     w_plus, w_minus = split_normal_velocity(u_normal, delta_u)
     rho_k, rho_l = gather_to_faces(mesh, rho_next)
     mass, mass_plus, mass_minus = mass_flux(rho_k, rho_l, w_plus, w_minus,

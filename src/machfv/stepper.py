@@ -173,9 +173,9 @@ def auto_eta(mesh: StructuredMesh, rho: np.ndarray, safety: float) -> float:
     return float(safety * (3.0 * SPACE_DIM / 2.0) * face_average(mesh, 1.0 / rho).max())
 
 
-def _residual_and_fluxes(mesh, gas, rho_next, rho_old, u_old, dt, eta, eps, s):
+def _residual_and_fluxes(mesh, gas, rho_next, rho_old, u_normal, dt, eta, eps, s):
     p_next = gas.pressure(rho_next)
-    fluxes = assemble_fluxes(mesh, rho_next, u_old, p_next, eta, dt, eps, s)
+    fluxes = assemble_fluxes(mesh, rho_next, u_normal, p_next, eta, dt, eps, s)
     res = (rho_next - rho_old) / dt + flux_divergence(mesh, fluxes.mass)
     return res, fluxes
 
@@ -183,8 +183,9 @@ def _residual_and_fluxes(mesh, gas, rho_next, rho_old, u_old, dt, eta, eps, s):
 def density_residual(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
                      dt: float, params: SchemeParams, eta: float) -> np.ndarray:
     """Residual of the implicit mass balance at the candidate density."""
-    return _residual_and_fluxes(mesh, params.gas(), rho_next, state.rho, state.u,
-                                dt, eta, params.eps, params.viscous_scale)[0]
+    return _residual_and_fluxes(mesh, params.gas(), rho_next, state.rho,
+                                face_average_normal(mesh, state.u), dt, eta,
+                                params.eps, params.viscous_scale)[0]
 
 
 def _mass_flux_coefficients(mesh, gas, rho, fluxes, dt, eta, eps):
@@ -306,7 +307,8 @@ def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
     import scipy.sparse as sp
 
     gas = params.gas()
-    _, fluxes = _residual_and_fluxes(mesh, gas, rho_next, state.rho, state.u, dt,
+    _, fluxes = _residual_and_fluxes(mesh, gas, rho_next, state.rho,
+                                     face_average_normal(mesh, state.u), dt,
                                      eta, params.eps, params.viscous_scale)
     d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho_next, fluxes, dt, eta, params.eps)
     return (flux_divergence_matrix(mesh, d_dk, d_dl)
@@ -314,18 +316,20 @@ def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
 
 
 def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
-                  params: SchemeParams, eta: float):
+                  params: SchemeParams, eta: float, u_normal: np.ndarray | None = None):
     """Solve the implicit mass balance for the end-of-step density.
 
     Damped Newton with a positivity-preserving backtracking line search;
     each Newton direction comes from matrix-free preconditioned GMRES.
     Raises SolverError, carrying the residual, when the line search cannot
     reduce the residual or newton_max_iter iterations do not reach the
-    tolerance.  Returns (rho_next, iterations, residual_inf_norm,
-    fluxes_at_solution).
+    tolerance.  ``u_normal`` is face_average_normal(mesh, state.u) when the
+    caller already has it.  Returns (rho_next, iterations,
+    residual_inf_norm, fluxes_at_solution).
     """
     rho_old = state.rho
-    u_old = state.u
+    if u_normal is None:
+        u_normal = face_average_normal(mesh, state.u)
     eps = params.eps
     s = params.viscous_scale
 
@@ -337,7 +341,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     p_scale = float(gas.pressure(np.array([rho_scale]))[0])
     cmax = max(face_weight(mesh))
     kappa = (eta * dt / eps ** 2) * cmax
-    u_scale = float(np.abs(u_old).max())
+    u_scale = float(np.abs(state.u).max())
     fp_eps = np.finfo(float).eps
     noise = fp_eps * (rho_scale / dt + 4.0 * cmax * rho_scale
                       * (u_scale + s + 2.0 * kappa * p_scale))
@@ -346,7 +350,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     lin_tol = 0.1 * tol
 
     rho = rho_old.copy()
-    res, fluxes = _residual_and_fluxes(mesh, gas, rho, rho_old, u_old, dt, eta, eps, s)
+    res, fluxes = _residual_and_fluxes(mesh, gas, rho, rho_old, u_normal, dt, eta, eps, s)
     norm = np.abs(res).max()
 
     iters = 0
@@ -359,7 +363,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
             cand = rho + alpha * delta
             if cand.min() > 0.0:
                 cres, cflux = _residual_and_fluxes(mesh, gas, cand, rho_old,
-                                                   u_old, dt, eta, eps, s)
+                                                   u_normal, dt, eta, eps, s)
                 cnorm = np.abs(cres).max()
                 if cnorm <= (1.0 - 1e-4 * alpha) * norm or cnorm <= tol:
                     rho, res, fluxes, norm = cand, cres, cflux, cnorm
@@ -392,14 +396,16 @@ def update_velocity(mesh: StructuredMesh, gas: GasLaw, state: State,
 
 def compute_dt(mesh: StructuredMesh, gas: GasLaw, state: State,
                params: SchemeParams, eta: float,
-               rho_next_prev: np.ndarray | None = None) -> float:
+               rho_next_prev: np.ndarray | None = None,
+               u_normal: np.ndarray | None = None) -> float:
     """Explicit surrogate of the sufficient flux-CFL bound.
 
     dt = cfl_safety * (beta_face / 4) * min{1, rho_min/rho_max on the face}
     / D_face minimised over faces, where D_face collects the advective
     speed, the relative density jump and the stabilisation speed
     sqrt((eta/eps^2) |[[p]]|).  Densities default to step-n values; the
-    previous step's implicit density can be passed as a better surrogate.
+    previous step's implicit density can be passed as a better surrogate,
+    and ``u_normal`` = face_average_normal(mesh, state.u) when known.
     Faces with D_face = 0 impose no restriction; the result is capped at
     dt_max.
     """
@@ -408,8 +414,9 @@ def compute_dt(mesh: StructuredMesh, gas: GasLaw, state: State,
     p_k, p_l = gather_to_faces(mesh, gas.pressure(rho))
     face_min = np.minimum(rho_k, rho_l)
     face_max = np.maximum(rho_k, rho_l)
-    u_n = face_average_normal(mesh, state.u)
-    d_face = (np.abs(u_n)
+    if u_normal is None:
+        u_normal = face_average_normal(mesh, state.u)
+    d_face = (np.abs(u_normal)
               + np.abs(rho_l - rho_k) / face_max
               + np.sqrt((eta / params.eps ** 2) * np.abs(p_l - p_k)))
     # |dK|/|K| is uniform, so beta_face is a single number.
@@ -457,8 +464,9 @@ def enforce_conditions(mesh: StructuredMesh, gas: GasLaw, rho_old: np.ndarray,
     )
 
 
-def _attempt_step(mesh, gas, state, params, dt, eta):
-    rho_star, iters, resnorm, fluxes = solve_density(mesh, gas, state, dt, params, eta)
+def _attempt_step(mesh, gas, state, params, dt, eta, u_normal=None):
+    rho_star, iters, resnorm, fluxes = solve_density(mesh, gas, state, dt, params, eta,
+                                                     u_normal)
     # Final update in conservative form: total mass then telescopes exactly.
     rho_next = state.rho - dt * flux_divergence(mesh, fluxes.mass)
     if not rho_next.min() > 0.0:
@@ -491,7 +499,10 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     else:
         eta = auto_eta(mesh, state.rho, params.eta_safety)
 
-    dt = compute_dt(mesh, gas, state, params, eta)
+    # The start-of-step normal velocity serves the controller and every
+    # residual of every attempt.
+    u_normal = face_average_normal(mesh, state.u)
+    dt = compute_dt(mesh, gas, state, params, eta, u_normal=u_normal)
     dt = min(dt, _dt_third_cfl_cap(mesh, state.rho, params))
     if dt_limit is not None:
         if dt < dt_limit < 2.0 * dt:
@@ -507,7 +518,8 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
         report = None
         for retry in range(MAX_ETA_RETRIES + 1):
             try:
-                result = _attempt_step(mesh, gas, state, params, dt, attempt_eta)
+                result = _attempt_step(mesh, gas, state, params, dt, attempt_eta,
+                                       u_normal)
             except (SolverError, PositivityError) as err:
                 failure = str(err)
                 result = None

@@ -1,5 +1,6 @@
 """Config parsing, run orchestration, file outputs, CLI exit codes."""
 
+import multiprocessing
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 
@@ -59,6 +60,20 @@ def test_load_run_config_errors(tmp_path):
         load_run_config(write_config(tmp_path, good_run_ini(final_time=-1.0)))
     with pytest.raises(ConfigError):
         load_run_config(tmp_path / "missing.ini")
+
+
+def test_load_config_refuses_unknown_sections(tmp_path):
+    # a misspelt [scheme] would otherwise drop every solver override
+    misspelt = "[run]\nnx = 8\n[schem]\nnewton_tol = 1e-3\n"
+    with pytest.raises(ConfigError, match=r"unknown sections \[schem\]"):
+        load_run_config(write_config(tmp_path, misspelt))
+    with pytest.raises(ConfigError, match=r"unknown sections \[convergence\]"):
+        load_run_config(write_config(
+            tmp_path, good_run_ini() + "\n[convergence]\ngrids = 8, 16\n"))
+    with pytest.raises(ConfigError, match=r"unknown sections \[run\]"):
+        load_convergence_config(write_config(
+            tmp_path, "[convergence]\ngrids = 8, 16\n[run]\nnx = 8\n"))
+    assert main(["run", "--config", str(write_config(tmp_path, misspelt))]) == 2
 
 
 def test_load_convergence_config_errors(tmp_path):
@@ -158,6 +173,67 @@ def test_run_outputs_bit_identical(tmp_path):
     assert (out1 / "diagnostics.csv").read_bytes() == \
         (out2 / "diagnostics.csv").read_bytes()
     assert (out1 / "config.ini").read_bytes() == (out2 / "config.ini").read_bytes()
+
+
+def snapshot_run_config(**overrides):
+    """16^2 vortex, 6 steps, a snapshot after every step."""
+    keys = dict(nx=16, ny=16, final_time=0.02, output_every=1, emit_fields=True,
+                params=SchemeParams(gamma=2.0, eps=0.1))
+    keys.update(overrides)
+    return RunConfig(**keys)
+
+
+def test_in_run_snapshots_match_in_process_writer(tmp_path):
+    out = tmp_path / "out"
+    result = run_case(snapshot_run_config(), output_dir=out, collect_states=True)
+    assert multiprocessing.active_children() == []
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    for state in result.states:
+        tag = f"step{state.step_index:06d}"
+        for name, values in (("rho", state.rho), ("ux", state.u[:, 0]),
+                             ("uy", state.u[:, 1])):
+            write_field_snapshot(expected / f"{name}_{tag}.dat", result.mesh,
+                                 values, state.time)
+    written = sorted(p.name for p in (out / "fields").iterdir())
+    assert written == sorted(p.name for p in expected.iterdir())
+    assert len(written) == 3 * (len(result.diags) + 1)
+    for name in written:
+        assert (out / "fields" / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_snapshot_write_error_reaches_the_caller(tmp_path):
+    out = tmp_path / "out"
+    (out / "fields" / "rho_step000002.dat").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        run_case(snapshot_run_config(), output_dir=out)
+    assert multiprocessing.active_children() == []
+
+
+def test_inequality_violation_mid_run_surfaces_unchanged(tmp_path, monkeypatch, capsys):
+    raised = InequalityViolation("step 3: energy increased")
+
+    def fail_at_step_3(diag, baseline):
+        if diag.step_index == 3:
+            raise raised
+
+    monkeypatch.setattr("machfv.driver._check_step_inequalities", fail_at_step_3)
+    with pytest.raises(InequalityViolation) as excinfo:
+        run_case(snapshot_run_config(), output_dir=tmp_path / "api",
+                 assert_inequalities=True)
+    assert excinfo.value is raised
+    assert multiprocessing.active_children() == []
+    # the snapshots before the failing step are all written
+    assert len(list((tmp_path / "api" / "fields").iterdir())) == 3 * 3
+
+    cfg_path = write_config(tmp_path, good_run_ini(nx=16, ny=16, eps=0.1,
+                                                   final_time=0.02, output_every=1,
+                                                   emit_svg="false"))
+    code = main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "cli"),
+                 "--assert-inequalities"])
+    assert code == 4
+    assert "step 3: energy increased" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_field_snapshot_roundtrip(tmp_path):

@@ -14,7 +14,7 @@ from machfv import (GasLaw, SchemeParams, SolverError, State, advance,
 from machfv import diagnostics, stepper
 from machfv.stepper import (_dt_third_cfl_cap, _gmres, _mass_flux_coefficients,
                             _solve_mass_balance)
-from machfv import assemble_fluxes
+from machfv import assemble_fluxes, face_average_normal
 
 from oracles import dense_newton, loop_residual
 
@@ -134,7 +134,8 @@ def test_preconditioned_gmres_matches_direct_solve_on_vortex(nx, ny, lx, eps):
     jac = density_jacobian(mesh, state.rho, state, dt, params, eta)
     res = density_residual(mesh, state.rho, state, dt, params, eta)
     gas = params.gas()
-    fluxes = assemble_fluxes(mesh, state.rho, state.u, gas.pressure(state.rho),
+    fluxes = assemble_fluxes(mesh, state.rho, face_average_normal(mesh, state.u),
+                             gas.pressure(state.rho),
                              eta, dt, eps, params.viscous_scale)
     d_dk, d_dl = _mass_flux_coefficients(mesh, gas, state.rho, fluxes, dt, eta,
                                          eps)
@@ -287,6 +288,23 @@ def test_solve_density_assembles_fluxes_once_per_residual(monkeypatch):
     assert set(callers) == {"_residual_and_fluxes"}
 
 
+def test_step_computes_the_normal_velocity_once(monkeypatch):
+    # the controller and every residual of the step share one u_normal; the
+    # 32^2 vortex at eps=1 takes two Newton iterations in its first step
+    mesh, params, state, _, _ = vortex_first_step(32, 1.0)
+    calls = []
+    average_normal = stepper.face_average_normal
+
+    def counted(*args):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return average_normal(*args)
+
+    monkeypatch.setattr(stepper, "face_average_normal", counted)
+    _, diag = step(mesh, state, params)
+    assert diag.newton_iters >= 2
+    assert calls == ["step"]
+
+
 def test_attempt_step_rejects_non_finite_conservative_update(monkeypatch):
     # a NaN mass flux makes min(rho_next) NaN, which "min <= 0" let through
     mesh, params, state, eta, dt = vortex_first_step(16, 1e-2)
@@ -308,7 +326,8 @@ def test_update_velocity_uniform_is_identity(mesh44):
     params = SchemeParams()
     gas = params.gas()
     p = gas.pressure(state.rho)
-    fluxes = assemble_fluxes(mesh44, state.rho, state.u, p, 3.3, 0.01, 1.0)
+    fluxes = assemble_fluxes(mesh44, state.rho, face_average_normal(mesh44, state.u),
+                             p, 3.3, 0.01, 1.0)
     u_next = update_velocity(mesh44, gas, state, state.rho, fluxes, 0.01, 1.0)
     np.testing.assert_allclose(u_next, state.u, atol=1e-15)
 
@@ -323,7 +342,8 @@ def test_update_velocity_pressure_gradient_row():
     params = SchemeParams(gamma=2.0, eps=0.5)
     gas = params.gas()
     dt = 0.01
-    fluxes = assemble_fluxes(mesh, rho_next, state.u, gas.pressure(rho_next),
+    fluxes = assemble_fluxes(mesh, rho_next, face_average_normal(mesh, state.u),
+                             gas.pressure(rho_next),
                              3.3, dt, params.eps)
     u_next = update_velocity(mesh, gas, state, rho_next, fluxes, dt, params.eps)
     p = pattern ** 2.0
@@ -390,7 +410,8 @@ def test_enforce_conditions_dt_threshold():
     gas = params.gas()
     rho = np.ones(mesh.n_cells)
     u = np.zeros((mesh.n_cells, 2))
-    fluxes = assemble_fluxes(mesh, rho, u, gas.pressure(rho), 3.3, 0.001, 1.0)
+    fluxes = assemble_fluxes(mesh, rho, face_average_normal(mesh, u), gas.pressure(rho),
+                             3.3, 0.001, 1.0)
     dt_crit = (1.0 / 3.0 - params.beta) * mesh.hx / 4.0
     ok = enforce_conditions(mesh, gas, rho, rho, fluxes, 0.99 * dt_crit,
                             params, eta=3.3)
