@@ -245,7 +245,7 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
     q_face = (mass_plus * 0.5 * speed2_k + mass_minus * 0.5 * speed2_l
               - s * 0.5 * (speed2_l - speed2_k))
     div_q = flux_divergence(mesh, q_face)
-    jump_u_sq = ((u_l - u_k) ** 2).sum(axis=1)
+    jump_u_sq = ((u_l - u_k) ** 2).sum(axis=-1)
     s_faces = scatter_to_cells(mesh, (mass_minus - s) * 0.5 * jump_u_sq,
                                (-mass_plus - s) * 0.5 * jump_u_sq)
     diff_u_sq = ((u_hat - u_n) ** 2).sum(axis=1)

@@ -25,8 +25,9 @@ class FaceFluxes:
 
     mass = mass_plus + mass_minus is the stabilised upwind mass flux.
     w_plus >= 0 and w_minus <= 0 are the split parts of the advecting normal
-    velocity u_normal - delta_u.  The matching momentum flux is built from
-    mass_plus and mass_minus by momentum_flux once the step is accepted.
+    velocity u_normal - delta_u; all are (2, n_cells) face arrays.  The
+    momentum flux is built from mass_plus and mass_minus by momentum_flux
+    once the step is accepted.
     """
 
     mass: np.ndarray
@@ -35,7 +36,6 @@ class FaceFluxes:
     w_plus: np.ndarray
     w_minus: np.ndarray
     delta_u: np.ndarray
-    u_normal: np.ndarray
     viscous_scale: float
 
 
@@ -93,5 +93,4 @@ def assemble_fluxes(mesh: StructuredMesh, rho_next: np.ndarray, u_normal: np.nda
                                             viscous_scale)
     return FaceFluxes(
         mass=mass, mass_plus=mass_plus, mass_minus=mass_minus,
-        w_plus=w_plus, w_minus=w_minus, delta_u=delta_u, u_normal=u_normal,
-        viscous_scale=viscous_scale)
+        w_plus=w_plus, w_minus=w_minus, delta_u=delta_u, viscous_scale=viscous_scale)

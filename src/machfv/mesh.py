@@ -1,12 +1,13 @@
 """Periodic uniform Cartesian meshes and the discrete operators living on them.
 
-Cells are indexed row-major, ``cell = i + nx * j``, so a flat cell array of
-shape (n_cells, ...) is a free (ny, nx, ...) view.  Faces come in two
-contiguous blocks, x-normal then y-normal, each in cell order, so a flat
-face array of shape (n_faces, ...) is a free (2, ny, nx, ...) view.  Face
-(i, j) of the x-block joins cell (i, j), its K side, to the right neighbour
-((i + 1) % nx, j), its L side; the y-block face joins (i, j) to
-(i, (j + 1) % ny).  The unit normal points from K to L, along +x or +y, and
+Cells are indexed row-major, ``cell = i + nx * j``, so a cell array of shape
+(n_cells, ...) is a free (ny, nx, ...) view.  A face array has shape
+(2, n_cells, ...): the x-normal faces, then the y-normal ones, each block in
+cell order, so it is a free (2, ny, nx, ...) view.  Face (i, j) of the
+x-block joins cell (i, j), its K side, to ((i + 1) % nx, j), its L side; the
+y-block face joins (i, j) to (i, (j + 1) % ny).  So a K side is the cell
+array itself, which broadcasts against face arrays: it is the caller's
+array, never to be written into.  The unit normal points from K to L, and
 every per-face quantity is reported with that K-side orientation; the jump
 is ``q_L - q_K``.  Every face is interior and its dual volume equals the
 cell volume, so the face weight |face| / |K| = |face| / |D| is 1/hx on the
@@ -104,7 +105,7 @@ def face_weight(mesh: StructuredMesh):
 
 
 def _face_values(mesh: StructuredMesh, q, op=None, normal: bool = False):
-    """Flat face array of op(q_L, q_K), or of q_L when op is None, from slices.
+    """Face array of op(q_L, q_K), or of q_L when op is None, from slices.
 
     normal=True takes a vector field's x component on the x-block and its y
     component on the y-block.
@@ -120,12 +121,12 @@ def _face_values(mesh: StructuredMesh, q, op=None, normal: bool = False):
             dst[...] = q_l
         else:
             op(q_l, q_k, out=dst)
-    return out.reshape((-1,) + x_grid.shape[2:])
+    return out.reshape((2, -1) + x_grid.shape[2:])
 
 
 def _weighted_blocks(mesh: StructuredMesh, f):
     """(f_x / hx, f_y / hy): a face array's blocks times their weight, as grids."""
-    blocks = np.reshape(f, (2, mesh.ny, mesh.nx) + np.shape(f)[1:])
+    blocks = np.reshape(f, (2, mesh.ny, mesh.nx) + np.shape(f)[2:])
     return tuple(weight * block for weight, block in zip(face_weight(mesh), blocks))
 
 
@@ -147,16 +148,17 @@ def gather_to_faces(mesh: StructuredMesh, q):
     """K-side and L-side values (q_K, q_L) of a cell array on every face.
 
     Accepts shape (n_cells,) or (n_cells, m) and preserves the dtype.  The
-    K side is the cell array twice over; the L side is filled from slices.
+    K side is ``q`` itself, which broadcasts against face arrays; the L side
+    is a new (2, n_cells[, m]) face array filled from slices.
     """
-    return np.concatenate([q, q]), _face_values(mesh, q)
+    return q, _face_values(mesh, q)
 
 
 def scatter_to_cells(mesh: StructuredMesh, value_k, value_l) -> np.ndarray:
     """Per-cell sum of (|face| / |K|) times face values over the cell's faces.
 
     Each face adds ``value_k`` to its K cell and ``value_l`` to its L cell.
-    Accepts shape (n_faces,) or (n_faces, m), preserves the dtype and sums
+    Accepts shape (2, n_cells) or (2, n_cells, m), preserves the dtype and sums
     in a fixed order, so results are deterministic.
     """
     return _cell_sums(*_weighted_blocks(mesh, value_k),
@@ -182,8 +184,9 @@ def flux_divergence_matrix(mesh: StructuredMesh, coef_k, coef_l):
     """
     import scipy.sparse as sp
 
-    k, l = gather_to_faces(mesh, np.arange(mesh.n_cells))
-    w = np.repeat(face_weight(mesh), mesh.n_cells)
+    k, l, w, coef_k, coef_l = (a.ravel() for a in np.broadcast_arrays(
+        *gather_to_faces(mesh, np.arange(mesh.n_cells)),
+        np.array(face_weight(mesh))[:, None], coef_k, coef_l))
     rows = np.concatenate([k, k, l, l])
     cols = np.concatenate([k, l, k, l])
     vals = np.concatenate([w * coef_k, w * coef_l, -w * coef_k, -w * coef_l])
@@ -206,8 +209,7 @@ def mean_flux_divergence_inverse(mesh: StructuredMesh, coef_k, coef_l, shift: fl
     next_y = np.exp(2j * np.pi * np.fft.fftfreq(mesh.ny))[:, None]
     symbol = shift
     for weight, nxt, block_k, block_l in zip(face_weight(mesh), (next_x, next_y),
-                                             np.reshape(coef_k, (2, -1)),
-                                             np.reshape(coef_l, (2, -1))):
+                                             coef_k, coef_l):
         a_k, a_l = block_k.mean(), block_l.mean()
         symbol = symbol + weight * (a_k + a_l * nxt - a_k * nxt.conj() - a_l)
 
@@ -254,13 +256,15 @@ def cell_gradient(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
 
 def face_gradient_normal(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
     """Normal component of the face (dual-cell) gradient: (|face|/|D|) [[q]]."""
-    return np.concatenate(_weighted_blocks(mesh, face_jump(mesh, q)), axis=None)
+    grad = face_jump(mesh, q)
+    for block, weight in zip(grad, face_weight(mesh)):
+        block *= weight
+    return grad
 
 
 def face_gradient(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
-    """Face gradient as a per-face vector in the stored orientation."""
-    normal = face_gradient_normal(mesh, q)
-    return normal[:, None] * np.repeat(np.eye(2), mesh.n_cells, axis=0)
+    """Face gradient as a per-face vector in the stored orientation, (2, n_cells, 2)."""
+    return face_gradient_normal(mesh, q)[..., None] * np.eye(2)[:, None]
 
 
 def cell_divergence(mesh: StructuredMesh, phi: np.ndarray) -> np.ndarray:

@@ -197,13 +197,13 @@ def _mass_flux_coefficients(mesh, gas, rho, fluxes, dt, eta, eps):
     either side is the derivative.
     """
     s = fluxes.viscous_scale
-    # The stabilisation coefficient per block, applied to (2, n_cells) views.
+    # The stabilisation coefficient per block, broadcast over each block.
     c_face = (eta * dt / eps ** 2) * np.array(face_weight(mesh))[:, None]
     rho_k, rho_l = gather_to_faces(mesh, rho)
     upwind_rho = np.where(fluxes.delta_u > 0.0, rho_l, rho_k)
     pprime_k, pprime_l = gather_to_faces(mesh, gas.pressure_derivative(rho))
-    d_dk = fluxes.w_plus + s + (c_face * pprime_k.reshape(2, -1)).ravel() * upwind_rho
-    d_dl = fluxes.w_minus - s - (c_face * pprime_l.reshape(2, -1)).ravel() * upwind_rho
+    d_dk = fluxes.w_plus + s + c_face * pprime_k * upwind_rho
+    d_dl = fluxes.w_minus - s - c_face * pprime_l * upwind_rho
     return d_dk, d_dl
 
 
@@ -231,11 +231,12 @@ def _gmres(apply, precond, b, atol):
     cos = np.zeros(m)
     sin = np.zeros(m)
     factor = 1.0
-    inner_tol = np.linalg.norm(precond(b)) * min(1.0, atol / b_norm)
-    r = b
+    z = precond(b)
+    inner_tol = np.linalg.norm(z) * min(1.0, atol / b_norm)
     iters = 0
-    for _ in range(GMRES_MAX_RESTARTS):
-        z = precond(r)
+    for cycle in range(GMRES_MAX_RESTARTS):
+        if cycle:
+            z = precond(r)
         g = np.zeros(m + 1)
         g[0] = np.linalg.norm(z)
         basis[0] = z / g[0]
@@ -396,22 +397,18 @@ def update_velocity(mesh: StructuredMesh, gas: GasLaw, state: State,
 
 def compute_dt(mesh: StructuredMesh, gas: GasLaw, state: State,
                params: SchemeParams, eta: float,
-               rho_next_prev: np.ndarray | None = None,
                u_normal: np.ndarray | None = None) -> float:
     """Explicit surrogate of the sufficient flux-CFL bound.
 
     dt = cfl_safety * (beta_face / 4) * min{1, rho_min/rho_max on the face}
     / D_face minimised over faces, where D_face collects the advective
     speed, the relative density jump and the stabilisation speed
-    sqrt((eta/eps^2) |[[p]]|).  Densities default to step-n values; the
-    previous step's implicit density can be passed as a better surrogate,
-    and ``u_normal`` = face_average_normal(mesh, state.u) when known.
-    Faces with D_face = 0 impose no restriction; the result is capped at
-    dt_max.
+    sqrt((eta/eps^2) |[[p]]|), all at step n; ``u_normal`` is
+    face_average_normal(mesh, state.u) when known.  Faces with D_face = 0
+    impose no restriction; the result is capped at dt_max.
     """
-    rho = state.rho if rho_next_prev is None else rho_next_prev
-    rho_k, rho_l = gather_to_faces(mesh, rho)
-    p_k, p_l = gather_to_faces(mesh, gas.pressure(rho))
+    rho_k, rho_l = gather_to_faces(mesh, state.rho)
+    p_k, p_l = gather_to_faces(mesh, gas.pressure(state.rho))
     face_min = np.minimum(rho_k, rho_l)
     face_max = np.maximum(rho_k, rho_l)
     if u_normal is None:

@@ -37,24 +37,29 @@ def test_build_mesh_rejects_small_and_degenerate():
 
 
 def face_cells(mesh):
-    """(K, L) cell indices of every face, from the documented convention."""
+    """(K, L) cell indices of every face, as (2, n_cells) face arrays, from
+    the documented convention."""
     n = mesh.n_cells
     i, j = np.arange(n) % mesh.nx, np.arange(n) // mesh.nx
     right = (i + 1) % mesh.nx + mesh.nx * j
     up = i + mesh.nx * ((j + 1) % mesh.ny)
-    return np.concatenate([np.arange(n), np.arange(n)]), np.concatenate([right, up])
+    return np.stack([np.arange(n), np.arange(n)]), np.stack([right, up])
 
 
 @pytest.mark.parametrize("nx, ny", [(4, 4), (5, 3)])
 def test_gather_puts_every_cell_on_four_faces_and_each_pair_once(nx, ny):
     mesh = build_mesh(nx, ny, 1.0, 1.0)
-    k, l = gather_to_faces(mesh, np.arange(mesh.n_cells))
-    assert k.shape == l.shape == (mesh.n_faces,)
-    counts = np.bincount(k, minlength=mesh.n_cells) + np.bincount(l, minlength=mesh.n_cells)
+    cells = np.arange(mesh.n_cells)
+    k, l = gather_to_faces(mesh, cells)
+    assert k is cells  # every face's K side is its own cell: no copy
+    assert l.shape == (2, mesh.n_cells) and 2 * mesh.n_cells == mesh.n_faces
+    k = np.broadcast_to(k, l.shape)
+    counts = (np.bincount(k.ravel(), minlength=mesh.n_cells)
+              + np.bincount(l.ravel(), minlength=mesh.n_cells))
     assert (counts == 4).all()
     assert (k != l).all()
     # each (K, L) unordered pair appears exactly once
-    pairs = {tuple(sorted(p)) for p in zip(k.tolist(), l.tolist())}
+    pairs = {tuple(sorted(p)) for p in zip(k.ravel().tolist(), l.ravel().tolist())}
     assert len(pairs) == mesh.n_faces
     expected_k, expected_l = face_cells(mesh)
     np.testing.assert_array_equal(k, expected_k)
@@ -66,7 +71,7 @@ def test_gather_vector_field_and_dtype(mesh44):
     u_k, u_l = gather_to_faces(mesh44, u)
     k, l = face_cells(mesh44)
     assert u_k.dtype == u_l.dtype == np.longdouble
-    np.testing.assert_array_equal(u_k, u[k])
+    np.testing.assert_array_equal(np.broadcast_to(u_k, u_l.shape), u[k])
     np.testing.assert_array_equal(u_l, u[l])
 
 
@@ -108,15 +113,15 @@ def test_project_rejects_unknown_rule(mesh44):
 
 def test_face_average_and_jump_values(mesh44):
     q = np.zeros(mesh44.n_cells)
-    f = 0  # first x-face: joins cell 0 to its right neighbour, cell 1
+    f = 0, 0  # first x-face: joins cell 0 to its right neighbour, cell 1
     q[0] = 1.0
     q[1] = 3.0
     assert face_average(mesh44, q)[f] == pytest.approx(2.0)
     assert face_jump(mesh44, q)[f] == pytest.approx(2.0)
 
     const = np.full(mesh44.n_cells, 4.2)
-    np.testing.assert_array_equal(face_average(mesh44, const), const[:1].repeat(32))
-    np.testing.assert_array_equal(face_jump(mesh44, const), np.zeros(32))
+    np.testing.assert_array_equal(face_average(mesh44, const), np.full((2, 16), 4.2))
+    np.testing.assert_array_equal(face_jump(mesh44, const), np.zeros((2, 16)))
 
 
 def test_face_jump_follows_stored_orientation(mesh44):
@@ -155,12 +160,12 @@ def test_cell_gradient_matches_face_loop_oracle():
 def test_face_gradient_single_jump():
     mesh = build_mesh(4, 4, 2.0, 2.0)  # hx = 0.5
     q = np.ones(mesh.n_cells)
-    f = 0  # first x-face: K = cell 0, L = cell 1
+    f = 0, 0  # first x-face: K = cell 0, L = cell 1
     q[1] = 2.0
     q[0] = 1.0
     grad = face_gradient(mesh, q)
-    assert grad[f, 0] == pytest.approx(2.0)  # [[q]] / hx
-    assert grad[f, 1] == 0.0
+    assert grad[f][0] == pytest.approx(2.0)  # [[q]] / hx
+    assert grad[f][1] == 0.0
     assert face_gradient_normal(mesh, q)[f] == pytest.approx(2.0)
 
 
@@ -206,7 +211,7 @@ def test_summation_by_parts_duality(mesh88):
 
 def test_face_sum_telescoping(mesh88):
     rng = np.random.default_rng(29)
-    value = rng.normal(size=mesh88.n_faces)
+    value = rng.normal(size=(2, mesh88.n_cells))
     total = mesh88.cell_volume * flux_divergence(mesh88, value).sum()
     scale = mesh88.hx * np.abs(value).sum()  # sum of |face| |value|
     assert abs(total) <= 1e-12 * scale
@@ -215,15 +220,16 @@ def test_face_sum_telescoping(mesh88):
 def test_scatter_to_cells_matches_face_loop_vector_and_dtype():
     mesh = build_mesh(5, 3, 1.0, 0.9)
     rng = np.random.default_rng(31)
-    to_k = rng.normal(size=(mesh.n_faces, 2))
-    to_l = rng.normal(size=(mesh.n_faces, 2))
+    to_k = rng.normal(size=(2, mesh.n_cells, 2))
+    to_l = rng.normal(size=(2, mesh.n_cells, 2))
     out = scatter_to_cells(mesh, to_k, to_l)
     assert out.shape == (mesh.n_cells, 2)
     expected = np.zeros((mesh.n_cells, 2))
-    weight = np.repeat([1.0 / mesh.hx, 1.0 / mesh.hy], mesh.n_cells)
-    for f, (k, l, w) in enumerate(zip(*face_cells(mesh), weight)):
-        expected[k] += w * to_k[f]
-        expected[l] += w * to_l[f]
+    weight = (1.0 / mesh.hx, 1.0 / mesh.hy)  # per block
+    k, l = face_cells(mesh)
+    for f in np.ndindex(k.shape):
+        expected[k[f]] += weight[f[0]] * to_k[f]
+        expected[l[f]] += weight[f[0]] * to_l[f]
     np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-14)
     ld = np.longdouble
     out_ld = scatter_to_cells(mesh, to_k.astype(ld), to_l.astype(ld))
@@ -243,8 +249,8 @@ def test_mean_flux_divergence_inverse_is_exact_for_constant_coefficients(nx, ny)
     mesh = build_mesh(nx, ny, 1.0, 0.8)
     n = mesh.n_cells
     dt = 0.01
-    coef_k = np.repeat([2.0, 3.5], n)
-    coef_l = np.repeat([-1.5, -0.25], n)
+    coef_k = np.repeat([[2.0], [3.5]], n, axis=1)
+    coef_l = np.repeat([[-1.5], [-0.25]], n, axis=1)
     matrix = flux_divergence_matrix(mesh, coef_k, coef_l) + sp.identity(n) / dt
     inverse = mean_flux_divergence_inverse(mesh, coef_k, coef_l, 1.0 / dt)
     q = np.random.default_rng(59).normal(size=n)
@@ -260,17 +266,16 @@ def ref_grid(mesh, q):
 def ref_gather(mesh, q):
     right = np.roll(ref_grid(mesh, q), -1, axis=1).reshape(q.shape)
     up = np.roll(ref_grid(mesh, q), -1, axis=0).reshape(q.shape)
-    return np.concatenate([q, q]), np.concatenate([right, up])
+    return q, np.stack([right, up])
 
 
 def ref_scatter(mesh, value_k, value_l):
-    n = mesh.n_cells
     wx = mesh.hy / mesh.cell_volume
     wy = mesh.hx / mesh.cell_volume
-    shape = value_l[:n].shape
-    from_left = np.roll(ref_grid(mesh, wx * value_l[:n]), 1, axis=1).reshape(shape)
-    from_below = np.roll(ref_grid(mesh, wy * value_l[n:]), 1, axis=0).reshape(shape)
-    return wx * value_k[:n] + wy * value_k[n:] + from_left + from_below
+    shape = value_l[0].shape
+    from_left = np.roll(ref_grid(mesh, wx * value_l[0]), 1, axis=1).reshape(shape)
+    from_below = np.roll(ref_grid(mesh, wy * value_l[1]), 1, axis=0).reshape(shape)
+    return wx * value_k[0] + wy * value_k[1] + from_left + from_below
 
 
 def ref_flux_divergence(mesh, flux):
@@ -284,7 +289,7 @@ def ref_face_average(mesh, q):
 
 def ref_face_average_normal(mesh, u):
     avg = ref_face_average(mesh, u)
-    return np.concatenate([avg[:mesh.n_cells, 0], avg[mesh.n_cells:, 1]])
+    return np.stack([avg[0, :, 0], avg[1, :, 1]])
 
 
 def ref_face_jump(mesh, q):
@@ -293,18 +298,28 @@ def ref_face_jump(mesh, q):
 
 
 def ref_face_gradient_normal(mesh, q):
-    weight = np.repeat([mesh.hy / mesh.cell_volume, mesh.hx / mesh.cell_volume],
-                       mesh.n_cells)
+    weight = np.array([[mesh.hy / mesh.cell_volume], [mesh.hx / mesh.cell_volume]])
     return weight * ref_face_jump(mesh, q)
 
 
 def ref_cell_gradient(mesh, q):
-    along_normal = np.repeat(np.eye(2), mesh.n_cells, axis=0)
-    return ref_flux_divergence(mesh, ref_face_average(mesh, q)[:, None] * along_normal)
+    along_normal = np.eye(2)[:, None]
+    return ref_flux_divergence(mesh, ref_face_average(mesh, q)[..., None] * along_normal)
 
 
 def ref_cell_divergence(mesh, phi):
     return ref_flux_divergence(mesh, ref_face_average_normal(mesh, phi))
+
+
+def gather_l_side(mesh, q):
+    """The L side of gather_to_faces, once its K side is checked to be q itself."""
+    q_k, q_l = gather_to_faces(mesh, q)
+    assert q_k is q
+    return q_l
+
+
+def ref_gather_l_side(mesh, q):
+    return ref_gather(mesh, q)[1]
 
 
 def assert_exact_and_inputs_untouched(fn, ref_fn, mesh, *inputs):
@@ -328,9 +343,9 @@ def test_slice_operators_match_roll_forms_exactly(nx, ny, dtype):
     n = mesh.n_cells
     for tail in ((), (2,)):
         cells = rng.normal(size=(n,) + tail).astype(dtype)
-        faces_k = rng.normal(size=(2 * n,) + tail).astype(dtype)
-        faces_l = rng.normal(size=(2 * n,) + tail).astype(dtype)
-        assert_exact_and_inputs_untouched(gather_to_faces, ref_gather, mesh, cells)
+        faces_k = rng.normal(size=(2, n) + tail).astype(dtype)
+        faces_l = rng.normal(size=(2, n) + tail).astype(dtype)
+        assert_exact_and_inputs_untouched(gather_l_side, ref_gather_l_side, mesh, cells)
         assert_exact_and_inputs_untouched(scatter_to_cells, ref_scatter, mesh,
                                           faces_k, faces_l)
         assert_exact_and_inputs_untouched(flux_divergence, ref_flux_divergence,

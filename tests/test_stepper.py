@@ -188,6 +188,24 @@ def test_gmres_returns_last_iterate_when_cycles_run_out(monkeypatch):
     assert np.linalg.norm(b - a @ x) > atol
 
 
+def test_gmres_preconditions_b_once_per_solve(monkeypatch):
+    # precond(b) sets the inner tolerance and starts the first cycle: a
+    # one-cycle solve of k inner iterations preconditions k + 1 vectors
+    monkeypatch.setattr(stepper, "GMRES_MAX_RESTARTS", 1)
+    a, b = nonsymmetric_system(40, 72, 0.05)
+    atol = 1e-10 * np.linalg.norm(b)
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return v
+
+    x, iters = _gmres(lambda v: a @ v, counted, b, atol)
+    assert np.linalg.norm(b - a @ x) <= atol
+    assert 2 <= iters < 20
+    assert len(calls) == iters + 1
+
+
 def test_gmres_zero_rhs_returns_zeros_without_iterating():
     def never(v):
         raise AssertionError("no operator application expected")
@@ -313,7 +331,7 @@ def test_attempt_step_rejects_non_finite_conservative_update(monkeypatch):
     def nan_flux(*args):
         rho, iters, norm, fluxes = solve(*args)
         fluxes.mass = fluxes.mass.copy()
-        fluxes.mass[0] = np.nan
+        fluxes.mass[0, 0] = np.nan
         return rho, iters, norm, fluxes
 
     monkeypatch.setattr(stepper, "solve_density", nan_flux)
