@@ -21,7 +21,7 @@ import numpy as np
 
 from .eos import GasLaw
 from .flux import momentum_flux
-from .mesh import (StructuredMesh, cell_gradient, face_gradient_normal,
+from .mesh import (StructuredMesh, cell_gradient, face_gradient_normal, face_jump,
                    flux_divergence, gather_to_faces, scatter_to_cells)
 
 
@@ -36,11 +36,22 @@ class EnergyReport:
     entropy_total: float
 
 
+def _dot(a, b=None):
+    """Per-cell a . b (a . a without b) of (n_cells, 2) fields, by components."""
+    b = a if b is None else b
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+
+
+def total_momentum(mesh: StructuredMesh, rho, u) -> np.ndarray:
+    """sum |K| rho u, each component a contiguous pairwise sum."""
+    return mesh.cell_volume * np.array([(rho * u[:, c]).sum() for c in range(u.shape[1])])
+
+
 def energy_report(mesh: StructuredMesh, gas: GasLaw, rho: np.ndarray,
                   u: np.ndarray, eps: float) -> EnergyReport:
     """Kinetic, scaled internal and scaled entropy totals of a state."""
     vol = mesh.cell_volume
-    kinetic = vol * (0.5 * rho * (u ** 2).sum(axis=1)).sum()
+    kinetic = vol * (0.5 * rho * _dot(u)).sum()
     internal = vol * gas.internal_energy(rho).sum() / eps ** 2
     entropy = vol * gas.relative_internal_energy(rho, 1.0).sum() / eps ** 2
     return EnergyReport(
@@ -58,7 +69,7 @@ def relative_energy(mesh: StructuredMesh, gas: GasLaw, rho, u, ref_rho, ref_u,
 
     ref_rho may be a scalar (constant reference density).
     """
-    diff2 = ((u - ref_u) ** 2).sum(axis=1)
+    diff2 = _dot(u - ref_u)
     bregman = gas.relative_internal_energy(rho, ref_rho)
     return float(mesh.cell_volume * (0.5 * rho * diff2 + bregman / eps ** 2).sum())
 
@@ -71,7 +82,7 @@ def relative_energy_to_limit(mesh: StructuredMesh, gas: GasLaw, rho, u, v,
 
 def flow_mach(gas: GasLaw, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Local Mach number |u| / sqrt(p'(rho)) per cell."""
-    return np.sqrt((u ** 2).sum(axis=1) / gas.pressure_derivative(rho))
+    return np.sqrt(_dot(u) / gas.pressure_derivative(rho))
 
 
 def _l2(mesh, q):
@@ -196,16 +207,18 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
     mass_plus = fluxes.mass_plus.astype(ld)
     mass_minus = fluxes.mass_minus.astype(ld)
     mass = mass_plus + mass_minus
-    u_k, u_l = gather_to_faces(mesh, u_n)
-    mom = momentum_flux(mass_plus, mass_minus, u_k, u_l, s)
+    u_comps = np.ascontiguousarray(u_n.T)
 
     # Re-derive the end-of-step fields from the fluxes so that the discrete
     # balances hold at extended precision, not just at solver tolerance.
     rho_hat = rho_n - dtl * flux_divergence(mesh, mass)
     p_hat = rho_hat ** g
     grad_p = cell_gradient(mesh, p_hat)
-    div_mom = flux_divergence(mesh, mom)
-    u_hat = (rho_n[:, None] * u_n - dtl * (div_mom + grad_p / eps2)) / rho_hat[:, None]
+    u_hat = np.empty_like(u_n)
+    for c, u_c in enumerate(u_comps):
+        div_mom = flux_divergence(mesh, momentum_flux(
+            mass_plus, mass_minus, *gather_to_faces(mesh, u_c), s))
+        u_hat[:, c] = (rho_n * u_c - dtl * (div_mom + grad_p[:, c] / eps2)) / rho_hat
 
     def potential(z):
         return z ** g / (g - 1.0)
@@ -240,20 +253,20 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
         (s + w_plus) * bregman(rho_hat_k, rho_hat_l))
 
     # Kinetic-energy balance with its exact transport remainder S.
-    speed2_n = (u_n ** 2).sum(axis=1)
+    speed2_n = _dot(u_n)
     speed2_k, speed2_l = gather_to_faces(mesh, speed2_n)
     q_face = (mass_plus * 0.5 * speed2_k + mass_minus * 0.5 * speed2_l
               - s * 0.5 * (speed2_l - speed2_k))
     div_q = flux_divergence(mesh, q_face)
-    jump_u_sq = ((u_l - u_k) ** 2).sum(axis=-1)
+    jump_u_sq = sum(face_jump(mesh, u_c) ** 2 for u_c in u_comps)
     s_faces = scatter_to_cells(mesh, (mass_minus - s) * 0.5 * jump_u_sq,
                                (-mass_plus - s) * 0.5 * jump_u_sq)
-    diff_u_sq = ((u_hat - u_n) ** 2).sum(axis=1)
+    diff_u_sq = _dot(u_hat - u_n)
     transport = rho_hat * diff_u_sq / (2.0 * dtl) + s_faces
     ke_n = 0.5 * rho_n * speed2_n
-    ke_hat = 0.5 * rho_hat * (u_hat ** 2).sum(axis=1)
+    ke_hat = 0.5 * rho_hat * _dot(u_hat)
     kin_residual = ((ke_hat - ke_n) / dtl + div_q
-                    + (grad_p * u_n).sum(axis=1) / eps2 - transport)
+                    + _dot(grad_p, u_n) / eps2 - transport)
 
     # Assembled total-energy identity; per-cell differences first to avoid
     # cancellation between large totals.  The balance-derived remainder keeps

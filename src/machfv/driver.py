@@ -34,7 +34,7 @@ import numpy as np
 
 from .cases import (vortex_compressible_init, vortex_incompressible_exact,
                     well_prepared_perturbation)
-from .diagnostics import energy_report, eoc, error_norms
+from .diagnostics import energy_report, eoc, error_norms, total_momentum
 from .mesh import StructuredMesh, build_mesh, cell_grid
 from .stepper import SchemeParams, advance
 
@@ -356,8 +356,8 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
     baseline = {
         "energy0": report0.total,
         "mass0": vol * state0.rho.sum(),
-        "momentum0": vol * (state0.rho[:, None] * state0.u).sum(axis=0),
-        "momentum_scale": max(vol * (np.abs(state0.rho[:, None] * state0.u)).sum(),
+        "momentum0": total_momentum(mesh, state0.rho, state0.u),
+        "momentum_scale": max(total_momentum(mesh, state0.rho, np.abs(state0.u)).sum(),
                               vol * state0.rho.sum()),
         "ke0": report0.kinetic,
     }

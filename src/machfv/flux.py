@@ -9,7 +9,8 @@ upwinds the current velocity; both carry an extra jump penalty (the
 
 All per-face quantities are stored with the K-side sign of the face; the
 value seen from the other cell is the negation, which is what makes the
-discrete balances telescope to exact conservation.
+discrete balances telescope to exact conservation.  The momentum flux is
+built per velocity component; vector fields stay (n_cells, 2) at the API.
 """
 
 from dataclasses import dataclass
@@ -69,11 +70,7 @@ def mass_flux(rho_k, rho_l, w_plus, w_minus, viscous_scale: float = 1.0):
 
 
 def momentum_flux(mass_plus, mass_minus, u_k, u_l, viscous_scale: float = 1.0):
-    """Momentum flux F+ u_K + F- u_L - s [[u]] per component, in the inputs' dtype."""
-    mass_plus = np.asarray(mass_plus)[..., None]
-    mass_minus = np.asarray(mass_minus)[..., None]
-    u_k = np.asarray(u_k)
-    u_l = np.asarray(u_l)
+    """Momentum flux F+ u_K + F- u_L - s [[u]] of one velocity component, elementwise."""
     return mass_plus * u_k + mass_minus * u_l - viscous_scale * (u_l - u_k)
 
 

@@ -2,18 +2,18 @@
 momentum update.
 
 Each step solves the nonlinear mass balance for the end-of-step density with
-a damped semi-smooth Newton method, then updates the velocity explicitly
-from the momentum balance using the retained fluxes.  Each Newton system is
-I/dt plus the divergence of a face flux linear in the two adjacent
-densities.  A restarted GMRES written in numpy applies it matrix-free, by
-the same gather and flux divergence as the residual, preconditioned with
-the FFT inverse of its face-mean constant-coefficient part (exact on uniform
-regions, where the stabilisation term makes the operator a stiff pressure
-Laplacian at low Mach).  A time-step controller and three per-step
-stability conditions (stabilisation strength, a quarter-CFL on the mass
-fluxes, a third-CFL on the cell boundary measure) keep the discrete energy
-and entropy functionals non-increasing; violated conditions trigger eta
-doubling (auto mode, at most 3 retries) and dt halving (at most 8).
+a damped semi-smooth Newton method, then updates the velocity explicitly, one
+component at a time, from the momentum balance with the retained fluxes.  A
+Newton system is I/dt plus the divergence of a face flux linear in the two
+adjacent densities.  A restarted GMRES written in numpy applies it
+matrix-free, by the same gather and flux divergence as the residual,
+preconditioned with the FFT inverse of its face-mean constant-coefficient
+part (exact on uniform regions, where the stabilisation term makes the
+operator a stiff pressure Laplacian at low Mach).  A time-step controller and
+three per-step stability conditions (stabilisation strength, a quarter-CFL on
+the mass fluxes, a third-CFL on the cell boundary measure) keep the discrete
+energy and entropy functionals non-increasing; violated conditions trigger
+eta doubling (auto mode, at most 3 retries) and dt halving (at most 8).
 
 A step needs numpy only.  scipy serves the assembled CSR form of the
 Jacobian, ``density_jacobian``, which the tests check the solver against; it
@@ -385,14 +385,15 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
 def update_velocity(mesh: StructuredMesh, gas: GasLaw, state: State,
                     rho_next: np.ndarray, fluxes: FaceFluxes, dt: float,
                     eps: float) -> np.ndarray:
-    """Explicit momentum update once the new density is known."""
-    p_next = gas.pressure(rho_next)
-    grad_p = cell_gradient(mesh, p_next)
-    u_k, u_l = gather_to_faces(mesh, state.u)
-    div_mom = flux_divergence(mesh, momentum_flux(
-        fluxes.mass_plus, fluxes.mass_minus, u_k, u_l, fluxes.viscous_scale))
-    numer = state.rho[:, None] * state.u - dt * (div_mom + grad_p / eps ** 2)
-    return numer / rho_next[:, None]
+    """Explicit momentum update once the new density is known, per component."""
+    grad_p = cell_gradient(mesh, gas.pressure(rho_next))
+    u_next = np.empty_like(state.u)
+    for c, u_c in enumerate(np.ascontiguousarray(state.u.T)):
+        u_k, u_l = gather_to_faces(mesh, u_c)
+        div_mom = flux_divergence(mesh, momentum_flux(
+            fluxes.mass_plus, fluxes.mass_minus, u_k, u_l, fluxes.viscous_scale))
+        u_next[:, c] = (state.rho * u_c - dt * (div_mom + grad_p[:, c] / eps ** 2)) / rho_next
+    return u_next
 
 
 def compute_dt(mesh: StructuredMesh, gas: GasLaw, state: State,
@@ -545,7 +546,6 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     if before is None:
         before = diagnostics.energy_report(mesh, gas, state.rho, state.u, params.eps)
     after = diagnostics.energy_report(mesh, gas, rho_next, u_next, params.eps)
-    vol = mesh.cell_volume
     diag = StepDiagnostics(
         step_index=new_state.step_index,
         time=new_state.time,
@@ -553,8 +553,8 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
         eta_used=eta,
         total_energy=after.total,
         total_entropy=after.entropy_total,
-        total_mass=vol * rho_next.sum(),
-        total_momentum=vol * (rho_next[:, None] * u_next).sum(axis=0),
+        total_mass=mesh.cell_volume * rho_next.sum(),
+        total_momentum=diagnostics.total_momentum(mesh, rho_next, u_next),
         kinetic_energy=after.kinetic,
         min_density=float(rho_next.min()),
         energy_decrement=before.total - after.total,

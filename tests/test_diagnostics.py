@@ -7,6 +7,7 @@ from machfv import (GasLaw, SchemeParams, State, audit_energy_balances,
                     build_mesh, energy_report, eoc, error_norms, flow_mach,
                     relative_energy, relative_energy_to_limit, step,
                     vortex_compressible_init)
+from machfv.diagnostics import total_momentum
 
 
 def test_energy_report_uniform_rest():
@@ -33,6 +34,33 @@ def test_energy_report_decomposition():
     assert rep.total == pytest.approx(rep.kinetic + rep.internal_scaled)
     assert rep.entropy_total == pytest.approx(rep.kinetic + rep.entropy_scaled)
     assert rep.entropy_scaled >= 0.0
+
+
+def test_velocity_reductions_equal_axis_sum_forms_bit_for_bit():
+    # |u|^2 added by components against the axis-1 reductions it replaced.
+    mesh = build_mesh(24, 20, 1.0, 0.9)
+    gas = GasLaw(1.4)
+    rng = np.random.default_rng(59)
+    rho = rng.uniform(0.5, 2.0, mesh.n_cells)
+    u = rng.normal(size=(mesh.n_cells, 2))
+    v = rng.normal(size=(mesh.n_cells, 2))
+    vol = mesh.cell_volume
+    rep = energy_report(mesh, gas, rho, u, eps=0.1)
+    assert rep.kinetic == float(vol * (0.5 * rho * (u ** 2).sum(axis=1)).sum())
+    bregman = gas.relative_internal_energy(rho, 1.0)
+    assert relative_energy(mesh, gas, rho, u, 1.0, v, 0.1) == float(
+        vol * (0.5 * rho * ((u - v) ** 2).sum(axis=1) + bregman / 0.1 ** 2).sum())
+    expected_mach = np.sqrt((u ** 2).sum(axis=1) / gas.pressure_derivative(rho))
+    assert flow_mach(gas, rho, u).tobytes() == expected_mach.tobytes()
+
+
+def test_total_momentum_sums_each_component():
+    mesh = build_mesh(24, 20, 1.0, 0.9)
+    rng = np.random.default_rng(61)
+    rho = rng.uniform(0.5, 2.0, mesh.n_cells)
+    u = rng.normal(size=(mesh.n_cells, 2))
+    expected = mesh.cell_volume * (rho[:, None] * u).sum(axis=0)
+    np.testing.assert_allclose(total_momentum(mesh, rho, u), expected, rtol=1e-12)
 
 
 def test_relative_energy_values():

@@ -71,8 +71,23 @@ def test_momentum_flux_values():
     fp = rng.uniform(0.0, 2.0, 50)
     fm = rng.uniform(-2.0, 0.0, 50)
     uu = rng.normal(size=(50, 2))
-    np.testing.assert_allclose(momentum_flux(fp, fm, uu, uu),
+    np.testing.assert_allclose(momentum_flux(fp[:, None], fm[:, None], uu, uu),
                                (fp + fm)[:, None] * uu, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_momentum_flux_is_elementwise_in_the_inputs_dtype(dtype):
+    # One component: a cell array as the K side against (2, n) face arrays.
+    rng = np.random.default_rng(67)
+    fp = rng.uniform(0.0, 2.0, (2, 30)).astype(dtype)
+    fm = rng.uniform(-2.0, 0.0, (2, 30)).astype(dtype)
+    u_k = rng.normal(size=30).astype(dtype)
+    u_l = rng.normal(size=(2, 30)).astype(dtype)
+    s = dtype(0.7)
+    g = momentum_flux(fp, fm, u_k, u_l, s)
+    assert g.shape == (2, 30) and g.dtype == dtype
+    for b, i in np.ndindex(g.shape):
+        assert g[b, i] == momentum_flux(fp[b, i], fm[b, i], u_k[i], u_l[b, i], s)
 
 
 def test_assemble_uniform_state_zero_fluxes(mesh44):
@@ -83,7 +98,8 @@ def test_assemble_uniform_state_zero_fluxes(mesh44):
                          gas.pressure(rho), eta=3.3, dt=0.01, eps=1.0)
     assert (fl.mass == 0.0).all()
     u_k, u_l = gather_to_faces(mesh44, u)
-    assert (momentum_flux(fl.mass_plus, fl.mass_minus, u_k, u_l) == 0.0).all()
+    assert (momentum_flux(fl.mass_plus[..., None], fl.mass_minus[..., None], u_k, u_l)
+            == 0.0).all()
     assert (fl.delta_u == 0.0).all()
 
 
@@ -108,7 +124,8 @@ def test_assemble_single_face_composition():
     expected_g = momentum_flux(fl.mass_plus[f], fl.mass_minus[f], u[k], u[l])
     u_k, u_l = gather_to_faces(mesh, u)
     np.testing.assert_allclose(
-        momentum_flux(fl.mass_plus, fl.mass_minus, u_k, u_l)[f], expected_g)
+        momentum_flux(fl.mass_plus[..., None], fl.mass_minus[..., None], u_k, u_l)[f],
+        expected_g)
 
 
 def test_assemble_upwind_consistency(mesh44):
@@ -138,7 +155,7 @@ def test_assemble_mass_flux_telescopes(mesh88):
     scale = mesh88.hx * np.abs(fl.mass).sum()  # sum of |face| |flux|
     assert abs(total) <= 1e-12 * scale
     u_k, u_l = gather_to_faces(mesh88, u)
-    momentum = momentum_flux(fl.mass_plus, fl.mass_minus, u_k, u_l)
+    momentum = momentum_flux(fl.mass_plus[..., None], fl.mass_minus[..., None], u_k, u_l)
     total_mom = mesh88.cell_volume * flux_divergence(mesh88, momentum).sum(axis=0)
     mom_scale = mesh88.hx * np.abs(momentum).sum()
     assert np.abs(total_mom).max() <= 1e-12 * mom_scale

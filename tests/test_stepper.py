@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 from machfv import (GasLaw, SchemeParams, SolverError, State, advance,
                     auto_eta, build_mesh, cell_gradient, compute_dt,
                     density_jacobian, density_residual, energy_report,
-                    enforce_conditions, solve_density, step, update_velocity,
+                    enforce_conditions, flux_divergence, gather_to_faces,
+                    solve_density, step, update_velocity,
                     vortex_compressible_init)
 from machfv import diagnostics, stepper
 from machfv.stepper import (_dt_third_cfl_cap, _gmres, _mass_flux_coefficients,
@@ -387,6 +388,28 @@ def test_update_velocity_conserves_momentum(mesh88):
     mom_new = mesh88.cell_volume * (rho_next[:, None] * u_next).sum(axis=0)
     scale = mesh88.cell_volume * (np.abs(state.rho[:, None] * state.u)).sum()
     assert np.abs(mom_new - mom_old).max() <= 1e-12 * max(scale, 1.0)
+
+
+def test_update_velocity_equals_broadcast_form_bit_for_bit():
+    # The per-component update against the (n_cells, 2) broadcast form it replaced.
+    mesh = build_mesh(24, 20, 1.0, 0.9)
+    rng = np.random.default_rng(53)
+    state = State(time=0.0, rho=rng.uniform(0.5, 2.0, mesh.n_cells),
+                  u=rng.normal(size=(mesh.n_cells, 2)))
+    rho_next = state.rho * rng.uniform(0.95, 1.05, mesh.n_cells)
+    gas, dt, eps = GasLaw(1.4), 0.003, 0.1
+    fluxes = assemble_fluxes(mesh, rho_next, face_average_normal(mesh, state.u),
+                             gas.pressure(rho_next), 4.0, dt, eps)
+    u_k, u_l = gather_to_faces(mesh, state.u)
+    mom = (fluxes.mass_plus[..., None] * u_k + fluxes.mass_minus[..., None] * u_l
+           - fluxes.viscous_scale * (u_l - u_k))
+    grad_p = cell_gradient(mesh, gas.pressure(rho_next))
+    numer = state.rho[:, None] * state.u - dt * (flux_divergence(mesh, mom)
+                                                 + grad_p / eps ** 2)
+    expected = numer / rho_next[:, None]
+    u_next = update_velocity(mesh, gas, state, rho_next, fluxes, dt, eps)
+    assert u_next.shape == expected.shape and u_next.flags.c_contiguous
+    assert u_next.tobytes() == expected.tobytes()
 
 
 def test_compute_dt_uniform_rest_hits_cap(mesh44):
