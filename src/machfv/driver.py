@@ -14,18 +14,14 @@ effective config, so outputs are traceable to their inputs; rows are
 formatted with shortest round-trip float representations, which makes
 repeated runs byte-identical.
 
-write_field_snapshot formats every field file.  run_case writes the step-0
-snapshot in process and hands each in-run field file to a pool of up to
-three forked worker processes (one per field of a snapshot, at most one per
-available core), started at the first in-run snapshot.  It waits for every
-file before it returns, raises a worker's exception with its own type, and
-leaves no worker running, whether it returns or raises.
+Field snapshots are binary: write_field_snapshot writes one uncompressed
+fields/stepNNNNNN.npz per snapshot, in process, holding rho, ux and uy as
+(ny, nx) arrays and the time and mesh as 0-d arrays.  np.savez stamps no
+time on its entries, so repeated runs write byte-identical files.
 """
 
 import configparser
 import hashlib
-import os
-from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
@@ -44,8 +40,6 @@ CASES = ("vortex", "well_prepared")
 _MAIN_PARAMS = ("gamma", "eps")
 INEQUALITY_SLACK = 1e-12
 CONSERVATION_TOL = 1e-12
-# Field files per snapshot (rho, ux, uy): the most snapshot workers used.
-SNAPSHOT_FIELDS = 3
 
 
 class ConfigError(ValueError):
@@ -260,19 +254,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_field_snapshot(path, mesh: StructuredMesh, values, time: float):
-    """Plain-text snapshot: header with mesh and time, row-major values."""
-    lines = [f"# nx={mesh.nx} ny={mesh.ny} lx={mesh.lx!r} ly={mesh.ly!r} time={time!r}"]
-    for row in cell_grid(mesh, np.asarray(values, dtype=float)).tolist():
-        lines.append(" ".join(map(repr, row)))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _snapshot_files(fdir, state):
-    """(path as str, values) of each field file of one snapshot."""
-    tag = f"step{state.step_index:06d}"
-    return [(str(fdir / f"{name}_{tag}.dat"), values) for name, values in
-            (("rho", state.rho), ("ux", state.u[:, 0]), ("uy", state.u[:, 1]))]
+def write_field_snapshot(path, mesh: StructuredMesh, state):
+    """Binary snapshot of `state`: rho, ux, uy as (ny, nx) arrays, time and mesh as 0-d."""
+    np.savez(path, rho=cell_grid(mesh, state.rho), ux=cell_grid(mesh, state.u[:, 0]),
+             uy=cell_grid(mesh, state.u[:, 1]), time=state.time, nx=mesh.nx,
+             ny=mesh.ny, lx=mesh.lx, ly=mesh.ly)
 
 
 def write_line_chart(path, title, xlabel, ylabel, series):
@@ -363,40 +349,22 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
     }
 
     out = Path(output_dir if output_dir is not None else cfg.output)
+    snapshots = write_outputs and cfg.emit_fields
+
+    def snapshot(state):
+        write_field_snapshot(out / "fields" / f"step{state.step_index:06d}.npz",
+                             mesh, state)
+
     if write_outputs:
         out.mkdir(parents=True, exist_ok=True)
         text = _config_text(cfg)
         (out / "config.ini").write_text(text)
         cfg_hash = _config_hash(text)
-        if cfg.emit_fields:
-            fdir = out / "fields"
-            fdir.mkdir(exist_ok=True)
-            for path, values in _snapshot_files(fdir, state0):
-                write_field_snapshot(path, mesh, values, state0.time)
+    if snapshots:
+        (out / "fields").mkdir(exist_ok=True)
+        snapshot(state0)
 
     rows = []
-    # In-run snapshots go to worker processes, one job per field file.  The
-    # pool starts at the first of them, so set-up does not pay for it.
-    pool, backlog, pending = None, 0, deque()
-
-    def emit_fields(state):
-        nonlocal pool, backlog
-        if pool is None:
-            # Imported here: runs without in-run snapshots need no pool.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            workers = min(SNAPSHOT_FIELDS, len(os.sched_getaffinity(0)))
-            # Forked workers start without re-importing numpy and machfv;
-            # they only format text and write files.
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))
-            # Queued jobs keep their step's arrays alive, so bound them.
-            backlog = 3 * workers
-        for path, values in _snapshot_files(fdir, state):
-            if len(pending) >= backlog:
-                pending.popleft().result()
-            pending.append(pool.submit(write_field_snapshot, path, mesh, values,
-                                       state.time))
 
     def on_step(before, after, diag):
         if assert_inequalities:
@@ -410,19 +378,12 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
             diag.conditions.eta_ok, diag.conditions.flux_cfl_ok,
             diag.conditions.dt_cfl_ok, ke_ratio,
         ])
-        if write_outputs and cfg.emit_fields and diag.step_index % cfg.output_every == 0:
-            emit_fields(after)
+        if snapshots and diag.step_index % cfg.output_every == 0:
+            snapshot(after)
 
-    try:
-        final_state, diags, states = advance(
-            mesh, state0, cfg.params, cfg.final_time,
-            collect_states=collect_states, on_step=on_step)
-        # A worker's exception is raised here, with its own type.
-        while pending:
-            pending.popleft().result()
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+    final_state, diags, states = advance(
+        mesh, state0, cfg.params, cfg.final_time,
+        collect_states=collect_states, on_step=on_step)
 
     if write_outputs:
         header = ("step,time,dt,total_energy,total_entropy,total_mass,"

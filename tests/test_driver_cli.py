@@ -1,6 +1,5 @@
 """Config parsing, run orchestration, file outputs, CLI exit codes."""
 
-import multiprocessing
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 
@@ -14,7 +13,7 @@ from machfv.driver import (ConfigError, ConvergenceConfig, InequalityViolation,
                            load_convergence_config, load_run_config,
                            restrict_to_coarse, run_case, write_field_snapshot,
                            write_line_chart)
-from machfv.stepper import SchemeParams, SolverError
+from machfv.stepper import SchemeParams, SolverError, State
 
 def write_config(tmp_path, text, name="config.ini"):
     path = tmp_path / name
@@ -155,7 +154,7 @@ def test_run_case_outputs(tmp_path):
     assert echo.nx == cfg.nx and echo.params.eps == cfg.params.eps
     # snapshots appear at step 0 and every third step thereafter
     steps = sorted(int(p.stem.split("step")[1])
-                   for p in (out / "fields").glob("rho_step*.dat"))
+                   for p in (out / "fields").glob("step*.npz"))
     expected = [0] + [s for s in range(1, len(result.diags) + 1) if s % 3 == 0]
     assert steps == expected
     # SVG charts parse as XML and contain polylines
@@ -183,31 +182,39 @@ def snapshot_run_config(**overrides):
     return RunConfig(**keys)
 
 
-def test_in_run_snapshots_match_in_process_writer(tmp_path):
+def test_in_run_snapshots_load_back_to_collected_states(tmp_path):
     out = tmp_path / "out"
     result = run_case(snapshot_run_config(), output_dir=out, collect_states=True)
-    assert multiprocessing.active_children() == []
-    expected = tmp_path / "expected"
-    expected.mkdir()
-    for state in result.states:
-        tag = f"step{state.step_index:06d}"
-        for name, values in (("rho", state.rho), ("ux", state.u[:, 0]),
-                             ("uy", state.u[:, 1])):
-            write_field_snapshot(expected / f"{name}_{tag}.dat", result.mesh,
-                                 values, state.time)
+    mesh = result.mesh
     written = sorted(p.name for p in (out / "fields").iterdir())
-    assert written == sorted(p.name for p in expected.iterdir())
-    assert len(written) == 3 * (len(result.diags) + 1)
-    for name in written:
-        assert (out / "fields" / name).read_bytes() == (expected / name).read_bytes(), name
+    assert written == [f"step{state.step_index:06d}.npz" for state in result.states]
+    assert len(written) == len(result.diags) + 1
+    for state in result.states:
+        with np.load(out / "fields" / f"step{state.step_index:06d}.npz") as snap:
+            np.testing.assert_array_equal(snap["rho"].ravel(), state.rho)
+            np.testing.assert_array_equal(snap["ux"].ravel(), state.u[:, 0])
+            np.testing.assert_array_equal(snap["uy"].ravel(), state.u[:, 1])
+            assert snap["time"] == state.time
+            assert (snap["nx"], snap["ny"]) == (mesh.nx, mesh.ny)
+            assert (snap["lx"], snap["ly"]) == (mesh.lx, mesh.ly)
+
+
+def test_repeated_runs_write_identical_field_trees(tmp_path):
+    cfg = snapshot_run_config()
+    trees = []
+    for name in ("a", "b"):
+        run_case(cfg, output_dir=tmp_path / name)
+        fdir = tmp_path / name / "fields"
+        trees.append({p.name: p.read_bytes() for p in sorted(fdir.iterdir())})
+    assert len(trees[0]) == 7
+    assert trees[0] == trees[1]
 
 
 def test_snapshot_write_error_reaches_the_caller(tmp_path):
     out = tmp_path / "out"
-    (out / "fields" / "rho_step000002.dat").mkdir(parents=True)
+    (out / "fields" / "step000002.npz").mkdir(parents=True)
     with pytest.raises(IsADirectoryError):
         run_case(snapshot_run_config(), output_dir=out)
-    assert multiprocessing.active_children() == []
 
 
 def test_inequality_violation_mid_run_surfaces_unchanged(tmp_path, monkeypatch, capsys):
@@ -222,9 +229,9 @@ def test_inequality_violation_mid_run_surfaces_unchanged(tmp_path, monkeypatch, 
         run_case(snapshot_run_config(), output_dir=tmp_path / "api",
                  assert_inequalities=True)
     assert excinfo.value is raised
-    assert multiprocessing.active_children() == []
-    # the snapshots before the failing step are all written
-    assert len(list((tmp_path / "api" / "fields").iterdir())) == 3 * 3
+    # the snapshots before the failing step are all written: steps 0-2
+    assert sorted(p.name for p in (tmp_path / "api" / "fields").iterdir()) == [
+        f"step{k:06d}.npz" for k in range(3)]
 
     cfg_path = write_config(tmp_path, good_run_ini(nx=16, ny=16, eps=0.1,
                                                    final_time=0.02, output_every=1,
@@ -233,32 +240,27 @@ def test_inequality_violation_mid_run_surfaces_unchanged(tmp_path, monkeypatch, 
                  "--assert-inequalities"])
     assert code == 4
     assert "step 3: energy increased" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
 
 
 def test_field_snapshot_roundtrip(tmp_path):
     mesh = build_mesh(4, 3, 1.0, 0.75)
-    values = np.arange(12, dtype=float) / 7.0
-    path = tmp_path / "field.dat"
-    write_field_snapshot(path, mesh, values, time=0.125)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "# nx=4 ny=3 lx=1.0 ly=0.75 time=0.125"
-    loaded = np.loadtxt(path).ravel()
-    np.testing.assert_array_equal(loaded, values)
-
-
-def test_field_snapshot_bytes_match_per_value_repr(tmp_path):
-    mesh = build_mesh(4, 3, 1.0, 0.75)
-    values = np.array([-0.5, 3.0, 1e-05, 1.2e+16,
-                       -2.5e-300, 0.1, 1.0 / 3.0, -7.0,
-                       0.0, 123456.789, 1e22, -1e-07])
-    path = tmp_path / "field.dat"
-    write_field_snapshot(path, mesh, values, time=0.125)
-    rows = [" ".join(repr(float(v)) for v in values[j * 4:(j + 1) * 4])
-            for j in range(3)]
-    expected = "# nx=4 ny=3 lx=1.0 ly=0.75 time=0.125\n" + "\n".join(rows) + "\n"
-    assert path.read_bytes() == expected.encode()
-    assert "1e-05" in rows[0] and "1.2e+16" in rows[0] and "3.0" in rows[0]
+    rho = 1.0 + np.arange(12, dtype=float) / 7.0
+    u = np.stack([np.arange(12) / 3.0, -np.arange(12) / 11.0], axis=1)
+    path = tmp_path / "field.npz"
+    write_field_snapshot(path, mesh, State(0.125, rho, u, step_index=5))
+    with np.load(path) as snap:
+        assert sorted(snap.files) == ["lx", "ly", "nx", "ny", "rho", "time", "ux", "uy"]
+        for name in ("rho", "ux", "uy"):
+            assert snap[name].shape == (3, 4) and snap[name].dtype == np.float64
+        for name in ("time", "lx", "ly"):
+            assert snap[name].shape == () and snap[name].dtype == np.float64
+        for name in ("nx", "ny"):
+            assert snap[name].shape == () and snap[name].dtype.kind == "i"
+        np.testing.assert_array_equal(snap["rho"], rho.reshape(3, 4))
+        np.testing.assert_array_equal(snap["ux"], u[:, 0].reshape(3, 4))
+        np.testing.assert_array_equal(snap["uy"], u[:, 1].reshape(3, 4))
+        assert (snap["time"], snap["nx"], snap["ny"], snap["lx"], snap["ly"]) == \
+            (0.125, 4, 3, 1.0, 0.75)
 
 
 def test_well_prepared_case_runs(tmp_path):
