@@ -19,9 +19,9 @@ from .eos import GasLaw, PositivityError
 from .flux import (FaceFluxes, assemble_fluxes, stabilisation_velocity,
                    split_normal_velocity, mass_flux, momentum_flux)
 from .stepper import (State, SchemeParams, StepDiagnostics, ConditionReport,
-                      SolverError, auto_eta, density_residual, density_jacobian,
-                      solve_density, update_velocity, compute_dt,
-                      enforce_conditions, step, advance)
+                      SolverError, auto_eta, density_residual, solve_density,
+                      update_velocity, compute_dt, enforce_conditions, step,
+                      advance)
 from .diagnostics import (EnergyReport, energy_report, relative_energy,
                           relative_energy_to_limit, flow_mach, ErrorReport,
                           error_norms, eoc, EnergyAudit, audit_energy_balances)

@@ -357,6 +357,11 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
 
     if write_outputs:
         out.mkdir(parents=True, exist_ok=True)
+        # An earlier run into this directory must not leave snapshots or
+        # charts beside this run's config.ini.
+        for stale in [*out.glob("fields/step*.npz"), out / "energy.svg",
+                      out / "ke_ratio.svg"]:
+            stale.unlink(missing_ok=True)
         text = _config_text(cfg)
         (out / "config.ini").write_text(text)
         cfg_hash = _config_hash(text)

@@ -175,24 +175,6 @@ def flux_divergence(mesh: StructuredMesh, flux) -> np.ndarray:
     return _cell_sums(tx, ty, tx, ty, np.subtract)
 
 
-def flux_divergence_matrix(mesh: StructuredMesh, coef_k, coef_l):
-    """Sparse CSR matrix of q -> flux_divergence(coef_k q_K + coef_l q_L).
-
-    Five entries per row: the diagonal and the four neighbours.  Serves as
-    the assembled oracle of the matrix-free operators, so scipy is imported
-    here rather than with the module.
-    """
-    import scipy.sparse as sp
-
-    k, l, w, coef_k, coef_l = (a.ravel() for a in np.broadcast_arrays(
-        *gather_to_faces(mesh, np.arange(mesh.n_cells)),
-        np.array(face_weight(mesh))[:, None], coef_k, coef_l))
-    rows = np.concatenate([k, k, l, l])
-    cols = np.concatenate([k, l, k, l])
-    vals = np.concatenate([w * coef_k, w * coef_l, -w * coef_k, -w * coef_l])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_cells,) * 2).tocsr()
-
-
 def mean_flux_divergence_inverse(mesh: StructuredMesh, coef_k, coef_l, shift: float):
     """Inverse of q -> shift q + flux_divergence(a_k q_K + a_l q_L) by FFT.
 

@@ -15,10 +15,8 @@ the mass fluxes, a third-CFL on the cell boundary measure) keep the discrete
 energy and entropy functionals non-increasing; violated conditions trigger
 eta doubling (auto mode, at most 3 retries) and dt halving (at most 8).
 
-A step needs numpy only.  scipy serves the assembled CSR form of the
-Jacobian, ``density_jacobian``, which the tests check the solver against; it
-is imported on first use, as are the module attributes ``sp`` and ``spla``
-(``scipy.sparse`` and ``scipy.sparse.linalg``).
+A step needs numpy only.  The assembled scipy CSR form of the Newton
+operator, which the tests check the solver against, is tests/csr_oracle.py.
 """
 
 import importlib
@@ -31,8 +29,8 @@ from .eos import GasLaw, PositivityError
 from .flux import FaceFluxes, assemble_fluxes, momentum_flux
 from .mesh import (StructuredMesh, cell_gradient, face_average,
                    face_average_normal, face_weight, flux_divergence,
-                   flux_divergence_matrix, gather_to_faces,
-                   mean_flux_divergence_inverse, scatter_to_cells)
+                   gather_to_faces, mean_flux_divergence_inverse,
+                   scatter_to_cells)
 
 MAX_ETA_RETRIES = 3
 MAX_DT_HALVINGS = 8
@@ -42,13 +40,12 @@ GMRES_RESTART = 20
 GMRES_MAX_RESTARTS = 5
 SPACE_DIM = 2
 
-_SCIPY_ATTRS = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
-
 
 def __getattr__(name):
-    # scipy loads on first access only, so importing machfv stays numpy-only.
-    if name in _SCIPY_ATTRS:
-        return importlib.import_module(_SCIPY_ATTRS[name])
+    # ``spla`` serves only perfbench/tracer.py, until ROADMAP item 1
+    # retargets the tracer; scipy loads on first access, not on import.
+    if name == "spla":
+        return importlib.import_module("scipy.sparse.linalg")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -298,24 +295,6 @@ def _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs, atol):
     return _gmres(apply, precond, rhs, atol)
 
 
-def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
-                     dt: float, params: SchemeParams, eta: float):
-    """Analytic semi-smooth Jacobian of density_residual (sparse CSR).
-
-    The solver applies the same operator matrix-free; this assembled form
-    serves as its independent check.
-    """
-    import scipy.sparse as sp
-
-    gas = params.gas()
-    _, fluxes = _residual_and_fluxes(mesh, gas, rho_next, state.rho,
-                                     face_average_normal(mesh, state.u), dt,
-                                     eta, params.eps, params.viscous_scale)
-    d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho_next, fluxes, dt, eta, params.eps)
-    return (flux_divergence_matrix(mesh, d_dk, d_dl)
-            + sp.identity(mesh.n_cells, format="csr") / dt)
-
-
 def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
                   params: SchemeParams, eta: float, u_normal: np.ndarray | None = None):
     """Solve the implicit mass balance for the end-of-step density.
@@ -519,8 +498,10 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
                 result = _attempt_step(mesh, gas, state, params, dt, attempt_eta,
                                        u_normal)
             except (SolverError, PositivityError) as err:
+                # An earlier eta retry's report is stale: this error ended
+                # the attempt.
                 failure = str(err)
-                result = None
+                result = report = None
                 break
             report = result[4]
             if report.eta_ok or params.eta_mode != "auto" or retry == MAX_ETA_RETRIES:
@@ -569,13 +550,12 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
 
 
 def advance(mesh: StructuredMesh, state: State, params: SchemeParams,
-            final_time: float, collect_states: bool = False,
-            keep_fluxes: bool = False, on_step=None):
+            final_time: float, collect_states: bool = False, on_step=None):
     """March from state.time to final_time, clipping the last step.
 
     Returns (final_state, diagnostics_list, states_or_None).  ``on_step`` is
     called as on_step(state_before, state_after, diag) after every accepted
-    step and may strip diag.fluxes to bound memory.
+    step.
     """
     if not final_time > state.time:
         raise ValueError(f"final_time {final_time} must exceed state.time {state.time}")
@@ -585,8 +565,7 @@ def advance(mesh: StructuredMesh, state: State, params: SchemeParams,
     report = None
     while state.time < final_time - margin:
         new_state, diag = step(mesh, state, params,
-                               dt_limit=final_time - state.time,
-                               keep_fluxes=keep_fluxes, before=report)
+                               dt_limit=final_time - state.time, before=report)
         report = diag.energy
         if on_step is not None:
             on_step(state, new_state, diag)

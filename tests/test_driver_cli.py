@@ -217,6 +217,30 @@ def test_snapshot_write_error_reaches_the_caller(tmp_path):
         run_case(snapshot_run_config(), output_dir=out)
 
 
+def test_rerun_into_one_directory_removes_the_earlier_runs_outputs(tmp_path):
+    # 8^2 vortex to t = 0.01 takes 2 steps: snapshots at steps 0-2 and both
+    # charts, then a rerun with output_every = 3 and no charts
+    out = tmp_path / "out"
+    run_case(load_run_config(write_config(tmp_path, good_run_ini(output_every=1))),
+             output_dir=out)
+    assert sorted(p.name for p in (out / "fields").iterdir()) == [
+        f"step{k:06d}.npz" for k in range(3)]
+    own = [out / "notes.txt", out / "fields" / "notes.txt"]
+    for path in own:
+        path.write_text("kept")
+    cfg = load_run_config(write_config(tmp_path, good_run_ini(emit_svg="false")))
+    result = run_case(cfg, output_dir=out)
+    assert len(result.diags) == 2
+    assert sorted(p.name for p in (out / "fields").iterdir()) == [
+        "notes.txt", "step000000.npz"]
+    assert not (out / "energy.svg").exists()
+    assert not (out / "ke_ratio.svg").exists()
+    echo = load_run_config(out / "config.ini")
+    assert echo.output_every == 3 and echo.emit_svg is False
+    # files the run does not write itself are left alone
+    assert all(path.read_text() == "kept" for path in own)
+
+
 def test_inequality_violation_mid_run_surfaces_unchanged(tmp_path, monkeypatch, capsys):
     raised = InequalityViolation("step 3: energy increased")
 

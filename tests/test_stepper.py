@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from machfv import (GasLaw, SchemeParams, SolverError, State, advance,
                     auto_eta, build_mesh, cell_gradient, compute_dt,
-                    density_jacobian, density_residual, energy_report,
+                    density_residual, energy_report,
                     enforce_conditions, flux_divergence, gather_to_faces,
                     solve_density, step, update_velocity,
                     vortex_compressible_init)
@@ -17,6 +17,7 @@ from machfv.stepper import (_dt_third_cfl_cap, _gmres, _mass_flux_coefficients,
                             _solve_mass_balance)
 from machfv import assemble_fluxes, face_average_normal
 
+from csr_oracle import density_jacobian
 from oracles import dense_newton, loop_residual
 
 
@@ -502,6 +503,30 @@ def test_step_recovers_from_failed_solve_by_halving_dt():
     _, diag = step(mesh, state, params)
     assert diag.conditions.all_ok
     assert diag.dt_used == dt_controller / 32.0
+
+
+def test_step_rejection_names_the_error_that_ended_the_last_attempt(monkeypatch):
+    # each dt tries eta once, gets eta_ok=False, doubles eta and then fails
+    # in the solver: the final message must carry that solver error, not the
+    # stale condition report of the retry before it
+    mesh, params, state, _, _ = vortex_first_step(16, 1.0)
+    bad_eta = stepper.ConditionReport(eta_ok=False, flux_cfl_ok=True,
+                                      dt_cfl_ok=True, eta_margin=-1.0,
+                                      flux_cfl_margin=0.1, dt_cfl_margin=0.1)
+    attempts = []
+
+    def alternate(mesh, gas, state, params, dt, eta, u_normal=None):
+        attempts.append(dt)
+        if len(attempts) % 2:
+            return state.rho, 1, 0.0, None, bad_eta
+        raise SolverError("forced solve failure", 1.0)
+
+    monkeypatch.setattr(stepper, "_attempt_step", alternate)
+    with pytest.raises(SolverError) as excinfo:
+        step(mesh, state, params)
+    assert len(attempts) == 2 * (stepper.MAX_DT_HALVINGS + 1)
+    assert "forced solve failure" in str(excinfo.value)
+    assert "stability conditions" not in str(excinfo.value)
 
 
 def test_short_final_step_keeps_density_deviation():
