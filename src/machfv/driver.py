@@ -358,10 +358,12 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
     if write_outputs:
         out.mkdir(parents=True, exist_ok=True)
         # An earlier run into this directory must not leave snapshots or
-        # charts beside this run's config.ini.
-        for stale in [*out.glob("fields/step*.npz"), out / "energy.svg",
-                      out / "ke_ratio.svg"]:
-            stale.unlink(missing_ok=True)
+        # charts beside this run's config.ini.  Only regular files go: a
+        # directory in the way fails at the write that needs its name.
+        for stale in [*out.glob("fields/step[0-9][0-9][0-9][0-9][0-9][0-9].npz"),
+                      out / "energy.svg", out / "ke_ratio.svg"]:
+            if stale.is_file():
+                stale.unlink()
         text = _config_text(cfg)
         (out / "config.ini").write_text(text)
         cfg_hash = _config_hash(text)

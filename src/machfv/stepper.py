@@ -507,7 +507,7 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
             if report.eta_ok or params.eta_mode != "auto" or retry == MAX_ETA_RETRIES:
                 break
             attempt_eta *= 2.0
-        if result is not None and report is not None and report.all_ok:
+        if report is not None and report.all_ok:
             accepted = result
             eta = attempt_eta
             break

@@ -215,6 +215,11 @@ def test_snapshot_write_error_reaches_the_caller(tmp_path):
     (out / "fields" / "step000002.npz").mkdir(parents=True)
     with pytest.raises(IsADirectoryError):
         run_case(snapshot_run_config(), output_dir=out)
+    # the error comes from the write at step 2, after the earlier outputs
+    assert (out / "config.ini").is_file()
+    assert sorted(p.name for p in (out / "fields").iterdir()) == [
+        f"step{k:06d}.npz" for k in range(3)]
+    assert (out / "fields" / "step000002.npz").is_dir()
 
 
 def test_rerun_into_one_directory_removes_the_earlier_runs_outputs(tmp_path):
@@ -225,14 +230,15 @@ def test_rerun_into_one_directory_removes_the_earlier_runs_outputs(tmp_path):
              output_dir=out)
     assert sorted(p.name for p in (out / "fields").iterdir()) == [
         f"step{k:06d}.npz" for k in range(3)]
-    own = [out / "notes.txt", out / "fields" / "notes.txt"]
+    own = [out / "notes.txt", out / "fields" / "notes.txt",
+           out / "fields" / "step_reference.npz"]
     for path in own:
         path.write_text("kept")
     cfg = load_run_config(write_config(tmp_path, good_run_ini(emit_svg="false")))
     result = run_case(cfg, output_dir=out)
     assert len(result.diags) == 2
     assert sorted(p.name for p in (out / "fields").iterdir()) == [
-        "notes.txt", "step000000.npz"]
+        "notes.txt", "step000000.npz", "step_reference.npz"]
     assert not (out / "energy.svg").exists()
     assert not (out / "ke_ratio.svg").exists()
     echo = load_run_config(out / "config.ini")
