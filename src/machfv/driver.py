@@ -111,7 +111,17 @@ class ConvergenceConfig:
                 raise ConfigError(f"[convergence] grids must be powers of two >= 4, got {n}")
         if any(b <= a for a, b in zip(self.grids, self.grids[1:])):
             raise ConfigError(f"[convergence] grids must be strictly increasing, got {self.grids}")
-        if self.mode == "fixed":
+        if self.mode == "coupled":
+            # A coupled study runs each grid at eps = h and no reference grid.
+            unused = {"eps": (self.params.eps, SchemeParams.eps),
+                      "reference": (self.reference, ConvergenceConfig.reference)}
+            for name, (value, default) in unused.items():
+                if value != default:
+                    raise ConfigError(
+                        f"[convergence] {name} = {value!r} has no effect in coupled "
+                        f"mode, which runs each grid at eps = h and no reference "
+                        f"grid; leave {name} unset")
+        else:
             if self.reference <= max(self.grids):
                 raise ConfigError(
                     f"[convergence] reference grid {self.reference} must be finer "
@@ -152,7 +162,6 @@ def _to_bool(raw: str) -> bool:
 _CONVERTERS = {
     int: (int, "an integer"),
     float: (float, "a number"),
-    float | None: (float, "a number"),
     str: (str, "a string"),
     bool: (_to_bool, "a boolean"),
     tuple[int, ...]: (lambda raw: tuple(int(part) for part in raw.replace(",", " ").split()),
@@ -214,14 +223,13 @@ def load_convergence_config(path) -> ConvergenceConfig:
 
 
 def _config_text(cfg) -> str:
-    """The config as INI text that loads back to it; None values are left out."""
+    """The config as INI text that loads back to it."""
     lines = {cfg.section: "", "scheme": ""}
     for section, f, in_params in _schema(type(cfg)):
         value = getattr(cfg.params if in_params else cfg, f.name)
         if isinstance(value, (tuple, list)):
             value = ", ".join(map(str, value))
-        if value is not None:
-            lines[section] += f"{f.name} = {value}\n"
+        lines[section] += f"{f.name} = {value}\n"
     return "\n".join(f"[{section}]\n{text}" for section, text in lines.items())
 
 

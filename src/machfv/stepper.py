@@ -13,7 +13,7 @@ operator a stiff pressure Laplacian at low Mach).  A time-step controller and
 three per-step stability conditions (stabilisation strength, a quarter-CFL on
 the mass fluxes, a third-CFL on the cell boundary measure) keep the discrete
 energy and entropy functionals non-increasing; violated conditions trigger
-eta doubling (auto mode, at most 3 retries) and dt halving (at most 8).
+eta doubling (at most 3 retries) and dt halving (at most 8).
 
 A step needs numpy only.  The assembled scipy CSR form of the Newton
 operator, which the tests check the solver against, is tests/csr_oracle.py.
@@ -32,6 +32,8 @@ from .mesh import (StructuredMesh, cell_gradient, face_average,
                    gather_to_faces, mean_flux_divergence_inverse,
                    scatter_to_cells)
 
+# Margin of the controller's eta over the stability bound 3 max {{1/rho}}.
+ETA_SAFETY = 1.1
 MAX_ETA_RETRIES = 3
 MAX_DT_HALVINGS = 8
 MAX_LINESEARCH_HALVINGS = 20
@@ -84,9 +86,6 @@ class SchemeParams:
 
     gamma: float = 2.0
     eps: float = 1.0
-    eta_mode: str = "auto"
-    eta_value: float | None = None
-    eta_safety: float = 1.1
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
     dt_max: float = 0.1
@@ -99,13 +98,6 @@ class SchemeParams:
             raise ValueError(f"gamma must be > 1, got {self.gamma}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.eta_mode not in ("auto", "fixed"):
-            raise ValueError(f"eta_mode must be 'auto' or 'fixed', got {self.eta_mode!r}")
-        if self.eta_mode == "fixed":
-            if self.eta_value is None or not self.eta_value > 0.0:
-                raise ValueError("fixed eta_mode needs a positive eta_value")
-        if not self.eta_safety >= 1.0:
-            raise ValueError(f"eta_safety must be >= 1, got {self.eta_safety}")
         if not 0.0 < self.beta < 1.0 / 3.0:
             raise ValueError(f"beta must lie in (0, 1/3), got {self.beta}")
         if not 0.0 < self.cfl_safety <= 1.0:
@@ -165,9 +157,9 @@ class StepDiagnostics:
     fluxes: FaceFluxes | None = None
 
 
-def auto_eta(mesh: StructuredMesh, rho: np.ndarray, safety: float) -> float:
-    """Smallest stabilisation strength with margin: safety * 3 * max {{1/rho}}."""
-    return float(safety * (3.0 * SPACE_DIM / 2.0) * face_average(mesh, 1.0 / rho).max())
+def auto_eta(mesh: StructuredMesh, rho: np.ndarray) -> float:
+    """Smallest stabilisation strength with margin: ETA_SAFETY * 3 * max {{1/rho}}."""
+    return float(ETA_SAFETY * (3.0 * SPACE_DIM / 2.0) * face_average(mesh, 1.0 / rho).max())
 
 
 def _residual_and_fluxes(mesh, gas, rho_next, rho_old, u_normal, dt, eta, eps, s):
@@ -412,7 +404,7 @@ def _dt_third_cfl_cap(mesh: StructuredMesh, rho: np.ndarray,
     return float(params.cfl_safety * (1.0 / 3.0 - params.beta) * rho.min() / geom)
 
 
-def enforce_conditions(mesh: StructuredMesh, gas: GasLaw, rho_old: np.ndarray,
+def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
                        rho_next: np.ndarray, fluxes: FaceFluxes, dt: float,
                        params: SchemeParams, eta: float) -> ConditionReport:
     """Evaluate the three stability conditions for an accepted step.
@@ -441,7 +433,7 @@ def enforce_conditions(mesh: StructuredMesh, gas: GasLaw, rho_old: np.ndarray,
     )
 
 
-def _attempt_step(mesh, gas, state, params, dt, eta, u_normal=None):
+def _attempt_step(mesh, gas, state, params, dt, eta, u_normal):
     rho_star, iters, resnorm, fluxes = solve_density(mesh, gas, state, dt, params, eta,
                                                      u_normal)
     # Final update in conservative form: total mass then telescopes exactly.
@@ -449,7 +441,7 @@ def _attempt_step(mesh, gas, state, params, dt, eta, u_normal=None):
     if not rho_next.min() > 0.0:
         raise SolverError("conservative density update lost positivity or finiteness",
                           resnorm)
-    report = enforce_conditions(mesh, gas, state.rho, rho_next, fluxes, dt, params, eta)
+    report = enforce_conditions(mesh, state.rho, rho_next, fluxes, dt, params, eta)
     return rho_next, iters, resnorm, fluxes, report
 
 
@@ -467,14 +459,11 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     step takes dt_limit / 2, so the last two steps share the remainder: a
     sliver step is too short for the dt-scaled stabilisation to hold the
     density at 1 + O(eps^2).
-    Condition violations double eta (auto mode) and then halve dt; a step
-    that still violates after MAX_DT_HALVINGS halvings raises SolverError.
+    Condition violations double eta and then halve dt; a step that still
+    violates after MAX_DT_HALVINGS halvings raises SolverError.
     """
     gas = params.gas()
-    if params.eta_mode == "fixed":
-        eta = params.eta_value
-    else:
-        eta = auto_eta(mesh, state.rho, params.eta_safety)
+    eta = auto_eta(mesh, state.rho)
 
     # The start-of-step normal velocity serves the controller and every
     # residual of every attempt.
@@ -504,7 +493,7 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
                 result = report = None
                 break
             report = result[4]
-            if report.eta_ok or params.eta_mode != "auto" or retry == MAX_ETA_RETRIES:
+            if report.eta_ok or retry == MAX_ETA_RETRIES:
                 break
             attempt_eta *= 2.0
         if report is not None and report.all_ok:

@@ -296,8 +296,7 @@ def test_criterion_10_dense_oracle_agreement():
         rho = rng.uniform(0.5, 2.0, mesh.n_cells)
         u = rng.uniform(-1.0, 1.0, (mesh.n_cells, 2))
         state = State(time=0.0, rho=rho, u=u)
-        params = SchemeParams(gamma=gamma, eps=eps, eta_mode="fixed",
-                              eta_value=eta, newton_tol=1e-12)
+        params = SchemeParams(gamma=gamma, eps=eps, newton_tol=1e-12)
         mine, _, _, _ = solve_density(mesh, params.gas(), state, dt, params, eta)
         reference, _, _ = dense_newton(rho, u, 4, 4, 1.0, 1.0, gamma, eps, eta, dt)
         worst = max(worst, float(np.abs(mine - reference).max()))

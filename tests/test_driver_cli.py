@@ -1,12 +1,12 @@
 """Config parsing, run orchestration, file outputs, CLI exit codes."""
 
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from machfv import build_mesh
+from machfv import build_mesh, driver
 from machfv.cli import main
 from machfv.driver import (ConfigError, ConvergenceConfig, InequalityViolation,
                            RunConfig, _config_text, convergence_study, initial_state,
@@ -51,6 +51,12 @@ def test_load_run_config_errors(tmp_path):
     with pytest.raises(ConfigError, match=r"unknown keys in \[scheme\]: picard_relax"):
         load_run_config(write_config(
             tmp_path, good_run_ini() + "\n[scheme]\npicard_relax = 0.5\n"))
+    # the controller sets eta: there is no fixed-eta mode to configure
+    for key, value in (("eta_mode", "fixed"), ("eta_value", 7.5), ("eta_safety", 1.5)):
+        path = write_config(tmp_path, good_run_ini() + f"\n[scheme]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"unknown keys in \[scheme\]: {key}$"):
+            load_run_config(path)
+        assert main(["run", "--config", str(path)]) == 2
     with pytest.raises(ConfigError, match="missing \\[run\\]"):
         load_run_config(write_config(tmp_path, "[other]\nx = 1\n"))
     with pytest.raises(ConfigError, match="case"):
@@ -94,6 +100,26 @@ def test_load_convergence_config_errors(tmp_path):
         load_convergence_config(write_config(tmp_path, conv_ini(mode="spacetime")))
 
 
+def test_coupled_study_refuses_eps_and_reference(tmp_path):
+    # a coupled study runs each grid at eps = h and no reference grid, so a
+    # file that sets either would be echoed but never used
+    base = "[convergence]\nmode = coupled\ngrids = 4, 8\nfinal_time = 0.01\n"
+    for line in ("eps = 0.5", "reference = 128"):
+        path = write_config(tmp_path, base + line + "\n", name="coupled.ini")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=rf"\[convergence\] {key} = .* coupled mode"):
+            load_convergence_config(path)
+        assert main(["convergence", "--config", str(path),
+                     "--output", str(tmp_path / "never")]) == 2
+    assert not (tmp_path / "never").exists()
+    # the defaults, which the config.ini echo writes out, load back
+    defaults = load_convergence_config(write_config(
+        tmp_path, base + "eps = 1.0\nreference = 64\n", name="defaults.ini"))
+    assert defaults == load_convergence_config(write_config(tmp_path, base))
+    echo = write_config(tmp_path, _config_text(defaults), name="echo.ini")
+    assert load_convergence_config(echo) == defaults
+
+
 @pytest.mark.parametrize("build", [
     lambda: RunConfig(output_every=0),
     lambda: RunConfig(final_time=0.0),
@@ -102,16 +128,17 @@ def test_load_convergence_config_errors(tmp_path):
     lambda: ConvergenceConfig(grids=()),
     lambda: ConvergenceConfig(grids=(8, 12)),
     lambda: ConvergenceConfig(mode="fixed", grids=(8,), reference=8),
+    lambda: ConvergenceConfig(mode="coupled", params=SchemeParams(eps=0.5)),
+    lambda: ConvergenceConfig(mode="coupled", reference=128),
 ], ids=["output_every", "final_time", "case", "mode", "no_grids", "grid_power",
-        "reference"])
+        "reference", "coupled_eps", "coupled_reference"])
 def test_api_refuses_what_the_loader_refuses(build):
     with pytest.raises(ConfigError):
         build()
 
 
 def test_every_key_round_trips_through_the_echo(tmp_path):
-    params = SchemeParams(gamma=1.4, eps=0.125, eta_mode="fixed", eta_value=7.5,
-                          eta_safety=1.5, newton_tol=1e-9, newton_max_iter=20,
+    params = SchemeParams(gamma=1.4, eps=0.125, newton_tol=1e-9, newton_max_iter=20,
                           dt_max=0.05, cfl_safety=0.8, beta=0.1,
                           viscous_scale=2.0)
     configs = {
@@ -270,6 +297,50 @@ def test_inequality_violation_mid_run_surfaces_unchanged(tmp_path, monkeypatch, 
                  "--assert-inequalities"])
     assert code == 4
     assert "step 3: energy increased" in capsys.readouterr().err
+
+
+def first_step_and_baseline():
+    """The real (diag, baseline) that the inequality guard checks at step 1."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "_check_step_inequalities",
+                      lambda diag, baseline: seen.append((diag, baseline)))
+        run_case(snapshot_run_config(final_time=0.005), write_outputs=False,
+                 assert_inequalities=True)
+    return seen[0]
+
+
+@pytest.mark.parametrize("violate, message", [
+    (lambda d, b: dict(energy_decrement=-1e-9 * b["energy0"]), "energy increased by"),
+    (lambda d, b: dict(entropy_decrement=-1e-9 * b["energy0"]), "entropy increased by"),
+    (lambda d, b: dict(min_density=0.0), r"density positivity lost \(min 0.0\)"),
+    (lambda d, b: dict(min_density=float("nan")), r"density positivity lost \(min nan\)"),
+    (lambda d, b: dict(total_mass=b["mass0"] * (1.0 + 1e-9)), "total mass drifted"),
+    (lambda d, b: dict(total_momentum=d.total_momentum
+                       + [0.0, 1e-9 * b["momentum_scale"]]), "total momentum drifted"),
+    (lambda d, b: dict(conditions=replace(d.conditions, flux_cfl_ok=False)),
+     r"stability conditions violated \(True, False, True\)"),
+], ids=["energy", "entropy", "positivity", "positivity_nan", "mass", "momentum",
+        "conditions"])
+def test_inequality_guard_names_each_violation(violate, message):
+    diag, baseline = first_step_and_baseline()
+    assert diag.step_index == 1
+    driver._check_step_inequalities(diag, baseline)  # the real step passes
+    bad = replace(diag, **violate(diag, baseline))
+    with pytest.raises(InequalityViolation, match=rf"^step 1: {message}"):
+        driver._check_step_inequalities(bad, baseline)
+
+
+def test_inequality_guard_allows_round_off_and_lists_every_problem():
+    diag, baseline = first_step_and_baseline()
+    slack = driver.INEQUALITY_SLACK * baseline["energy0"]
+    driver._check_step_inequalities(
+        replace(diag, energy_decrement=-0.5 * slack, entropy_decrement=-0.5 * slack),
+        baseline)
+    bad = replace(diag, energy_decrement=-2.0 * slack, min_density=-1.0)
+    with pytest.raises(InequalityViolation,
+                       match=r"^step 1: energy increased by .*; density positivity lost"):
+        driver._check_step_inequalities(bad, baseline)
 
 
 def test_field_snapshot_roundtrip(tmp_path):

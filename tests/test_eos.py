@@ -79,6 +79,27 @@ def test_positivity_guard_names_offending_cell():
         gas.relative_internal_energy(bad, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_positivity_guard_refuses_non_finite_values(bad):
+    # the first non-finite cell is named, not a later NaN
+    gas = GasLaw(2.0)
+    values = np.array([1.0, bad, 0.5, np.nan])
+    for fn in (gas.pressure, gas.pressure_derivative, gas.internal_energy):
+        with pytest.raises(PositivityError, match="^density is not finite at cell 1$"):
+            fn(values)
+    with pytest.raises(PositivityError, match="^reference density is not finite"):
+        gas.relative_internal_energy(np.ones(4), values)
+
+
+def test_positivity_guard_refuses_empty_input():
+    gas = GasLaw(2.0)
+    for fn in (gas.pressure, gas.pressure_derivative, gas.internal_energy):
+        with pytest.raises(ValueError, match="^density array is empty$"):
+            fn(np.array([]))
+    with pytest.raises(ValueError, match="^reference density array is empty$"):
+        gas.relative_internal_energy(np.ones(2), [])
+
+
 @pytest.mark.parametrize("container", [list, tuple])
 def test_sequence_input_matches_array(container):
     gas = GasLaw(1.4)

@@ -42,8 +42,6 @@ def test_scheme_params_validation():
     with pytest.raises(ValueError):
         SchemeParams(beta=0.4)
     with pytest.raises(ValueError):
-        SchemeParams(eta_mode="fixed")  # needs eta_value
-    with pytest.raises(ValueError):
         SchemeParams(cfl_safety=0.0)
 
 
@@ -101,7 +99,7 @@ def vortex_first_step(n, eps, ny=None, lx=1.0, **overrides):
     mesh = build_mesh(n, n if ny is None else ny, lx, 1.0)
     params = SchemeParams(gamma=2.0, eps=eps, **overrides)
     state = vortex_compressible_init(mesh, params.gamma, eps)
-    eta = auto_eta(mesh, state.rho, params.eta_safety)
+    eta = auto_eta(mesh, state.rho)
     dt = min(compute_dt(mesh, params.gas(), state, params, eta),
              _dt_third_cfl_cap(mesh, state.rho, params))
     return mesh, params, state, eta, dt
@@ -208,6 +206,16 @@ def test_gmres_preconditions_b_once_per_solve(monkeypatch):
     assert len(calls) == iters + 1
 
 
+def test_gmres_stops_at_an_arnoldi_breakdown():
+    # b is an eigenvector, so the first Krylov vector spans the solution and
+    # the Arnoldi step leaves a zero remainder, which must not be normalised
+    b = 2.0 * np.eye(5)[3]
+    with np.errstate(divide="raise", invalid="raise"):
+        x, iters = _gmres(lambda v: 4.0 * v, identity, b, 0.0)
+    assert iters == 1
+    np.testing.assert_array_equal(x, b / 4.0)
+
+
 def test_gmres_zero_rhs_returns_zeros_without_iterating():
     def never(v):
         raise AssertionError("no operator application expected")
@@ -230,7 +238,7 @@ def test_solve_density_matches_dense_oracle_on_vortex():
     mesh = build_mesh(16, 16, 1.0, 1.0)
     params = SchemeParams(gamma=2.0, eps=1.0, newton_tol=1e-12)
     state = vortex_compressible_init(mesh, params.gamma, params.eps)
-    eta = auto_eta(mesh, state.rho, params.eta_safety)
+    eta = auto_eta(mesh, state.rho)
     dt = compute_dt(mesh, params.gas(), state, params, eta)
     rho, _, norm, _ = solve_density(mesh, params.gas(), state, dt, params, eta)
     assert norm <= 1e-10
@@ -338,7 +346,8 @@ def test_attempt_step_rejects_non_finite_conservative_update(monkeypatch):
 
     monkeypatch.setattr(stepper, "solve_density", nan_flux)
     with pytest.raises(SolverError, match="positivity or finiteness"):
-        stepper._attempt_step(mesh, params.gas(), state, params, dt, eta)
+        stepper._attempt_step(mesh, params.gas(), state, params, dt, eta,
+                              face_average_normal(mesh, state.u))
 
 
 def test_update_velocity_uniform_is_identity(mesh44):
@@ -438,12 +447,12 @@ def test_compute_dt_monotone_in_eta():
 
 
 def test_auto_eta_uniform_unit_density(mesh44):
-    assert auto_eta(mesh44, np.ones(mesh44.n_cells), 1.1) == pytest.approx(3.3)
+    assert auto_eta(mesh44, np.ones(mesh44.n_cells)) == pytest.approx(3.3)
     # eta must dominate 3 * max face average of 1/rho
     rng = np.random.default_rng(53)
     rho = rng.uniform(0.5, 2.0, mesh44.n_cells)
     from machfv import face_average
-    assert auto_eta(mesh44, rho, 1.1) > 3.0 * face_average(mesh44, 1.0 / rho).max()
+    assert auto_eta(mesh44, rho) > 3.0 * face_average(mesh44, 1.0 / rho).max()
 
 
 def test_enforce_conditions_dt_threshold():
@@ -455,15 +464,15 @@ def test_enforce_conditions_dt_threshold():
     fluxes = assemble_fluxes(mesh, rho, face_average_normal(mesh, u), gas.pressure(rho),
                              3.3, 0.001, 1.0)
     dt_crit = (1.0 / 3.0 - params.beta) * mesh.hx / 4.0
-    ok = enforce_conditions(mesh, gas, rho, rho, fluxes, 0.99 * dt_crit,
+    ok = enforce_conditions(mesh, rho, rho, fluxes, 0.99 * dt_crit,
                             params, eta=3.3)
-    bad = enforce_conditions(mesh, gas, rho, rho, fluxes, 1.01 * dt_crit,
+    bad = enforce_conditions(mesh, rho, rho, fluxes, 1.01 * dt_crit,
                              params, eta=3.3)
     assert ok.dt_cfl_ok and not bad.dt_cfl_ok
     # uniform state: zero fluxes satisfy the flux CFL for any dt
     assert ok.flux_cfl_ok and bad.flux_cfl_ok
     # eta threshold: with rho = 1 the bound is eta > 3
-    assert enforce_conditions(mesh, gas, rho, rho, fluxes, 0.001, params,
+    assert enforce_conditions(mesh, rho, rho, fluxes, 0.001, params,
                               eta=2.9).eta_ok is False
     assert ok.eta_ok
 
@@ -515,7 +524,7 @@ def test_step_rejection_names_the_error_that_ended_the_last_attempt(monkeypatch)
                                       flux_cfl_margin=0.1, dt_cfl_margin=0.1)
     attempts = []
 
-    def alternate(mesh, gas, state, params, dt, eta, u_normal=None):
+    def alternate(mesh, gas, state, params, dt, eta, u_normal):
         attempts.append(dt)
         if len(attempts) % 2:
             return state.rho, 1, 0.0, None, bad_eta
@@ -527,6 +536,30 @@ def test_step_rejection_names_the_error_that_ended_the_last_attempt(monkeypatch)
     assert len(attempts) == 2 * (stepper.MAX_DT_HALVINGS + 1)
     assert "forced solve failure" in str(excinfo.value)
     assert "stability conditions" not in str(excinfo.value)
+
+
+def test_step_rejection_names_the_violated_conditions(monkeypatch):
+    # every attempt solves but fails the flux CFL: eta is not retried, dt is
+    # halved MAX_DT_HALVINGS times, and the message names the failed flags
+    mesh, params, state, _, _ = vortex_first_step(16, 1.0)
+    bad_flux = stepper.ConditionReport(eta_ok=True, flux_cfl_ok=False,
+                                       dt_cfl_ok=True, eta_margin=0.1,
+                                       flux_cfl_margin=-0.1, dt_cfl_margin=0.1)
+    attempts = []
+
+    def flux_cfl_fails(mesh, gas, state, params, dt, eta, u_normal):
+        attempts.append((dt, eta))
+        return state.rho, 1, 0.0, None, bad_flux
+
+    monkeypatch.setattr(stepper, "_attempt_step", flux_cfl_fails)
+    with pytest.raises(SolverError, match=(
+            r"step rejected after 8 dt halvings: stability conditions violated "
+            r"\(eta_ok=True, flux_cfl_ok=False, dt_cfl_ok=True\)$")):
+        step(mesh, state, params)
+    assert len(attempts) == stepper.MAX_DT_HALVINGS + 1
+    dts, etas = zip(*attempts)
+    assert len(set(etas)) == 1
+    assert all(later == 0.5 * earlier for earlier, later in zip(dts, dts[1:]))
 
 
 def test_short_final_step_keeps_density_deviation():
