@@ -5,7 +5,7 @@ Two subcommands:
 * ``machfv run --config run.ini [--output DIR] [--assert-inequalities]``
   advances a single case and writes diagnostics.csv (plus optional field
   snapshots and SVG charts) into the output directory.
-* ``machfv convergence --config conv.ini [--output DIR] [--threads N]``
+* ``machfv convergence --config conv.ini [--output DIR]``
   runs a grid sequence and writes convergence.csv with EOC columns.
 
 Exit codes: 0 success, 2 invalid config, 3 solver failure (nonlinear solve
@@ -45,8 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv_p.add_argument("--config", required=True,
                         help="INI file with a [convergence] section")
     conv_p.add_argument("--output", default=None, help="output directory (overrides config)")
-    conv_p.add_argument("--threads", type=int, default=1,
-                        help="run grids in parallel worker processes")
     return parser
 
 
@@ -63,7 +61,7 @@ def main(argv=None) -> int:
                   f"outputs in {result.output_dir}")
         else:
             cfg = load_convergence_config(args.config)
-            rows = convergence_study(cfg, output_dir=args.output, threads=args.threads)
+            rows = convergence_study(cfg, output_dir=args.output)
             for row in rows:
                 print(f"n={row['n']:5d} h={row['h']:.5g} eps={row['eps']:.5g} "
                       + " ".join(f"{k}={v:.4e}" for k, v in row.items()

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .eos import GasLaw
-from .flux import momentum_flux
+from .flux import VISCOUS_SCALE, momentum_flux
 from .mesh import (StructuredMesh, cell_gradient, face_gradient_normal, face_jump,
                    flux_divergence, gather_to_faces, scatter_to_cells)
 
@@ -196,7 +196,7 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
     g = ld(gas.gamma)
     dtl = ld(dt)
     eps2 = ld(eps) ** 2
-    s = ld(fluxes.viscous_scale)
+    s = ld(VISCOUS_SCALE)
     vol = ld(mesh.cell_volume)
 
     rho_n = before.rho.astype(ld)
@@ -217,7 +217,7 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
     u_hat = np.empty_like(u_n)
     for c, u_c in enumerate(u_comps):
         div_mom = flux_divergence(mesh, momentum_flux(
-            mass_plus, mass_minus, *gather_to_faces(mesh, u_c), s))
+            mass_plus, mass_minus, *gather_to_faces(mesh, u_c)))
         u_hat[:, c] = (rho_n * u_c - dtl * (div_mom + grad_p[:, c] / eps2)) / rho_hat
 
     def potential(z):

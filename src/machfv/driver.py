@@ -61,6 +61,15 @@ def _check_case(section: str, case: str, eps: float):
             f"density 1 + eps^2 g, with max|g| = 1, is not positive at eps >= 1")
 
 
+def _check_extents(cfg):
+    """Reject a domain length or final time that is not positive and finite."""
+    for name in ("lx", "ly", "final_time"):
+        value = getattr(cfg, name)
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"[{cfg.section}] {name} must be positive and finite, "
+                              f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One case run; fields are the keys of a [run] file, in file order."""
@@ -80,8 +89,9 @@ class RunConfig:
 
     def __post_init__(self):
         _check_case("run", self.case, self.params.eps)
-        if not self.final_time > 0.0:
-            raise ConfigError(f"[run] final_time must be positive, got {self.final_time}")
+        if self.nx < 3 or self.ny < 3:
+            raise ConfigError(f"[run] nx and ny must be >= 3, got {self.nx} x {self.ny}")
+        _check_extents(self)
         if self.output_every < 1:
             raise ConfigError(f"[run] output_every must be >= 1, got {self.output_every}")
 
@@ -102,6 +112,7 @@ class ConvergenceConfig:
     output: str = "machfv_convergence"
 
     def __post_init__(self):
+        _check_extents(self)
         if self.mode not in ("coupled", "fixed"):
             raise ConfigError(f"[convergence] mode must be 'coupled' or 'fixed', got {self.mode!r}")
         if len(self.grids) < 1:
@@ -128,8 +139,6 @@ class ConvergenceConfig:
                     f"than every study grid {self.grids}")
             if (self.reference & (self.reference - 1)) != 0:
                 raise ConfigError(f"[convergence] reference must be a power of two, got {self.reference}")
-        if not self.final_time > 0.0:
-            raise ConfigError(f"[convergence] final_time must be positive, got {self.final_time}")
         # Coupled studies run at eps = h, the largest on the first grid.
         _check_case("convergence", self.case, self.params.eps if self.mode == "fixed"
                     else self.lx / self.grids[0])
@@ -437,8 +446,7 @@ def restrict_to_coarse(fine_values: np.ndarray, fine_mesh: StructuredMesh,
     return grid.reshape(coarse_mesh.ny, ry, coarse_mesh.nx, rx).mean(axis=(1, 3)).ravel()
 
 
-def _coupled_grid_job(args):
-    cfg, n, out_sub = args
+def _coupled_grid_errors(cfg, n, out_sub):
     h = cfg.lx / n
     run_cfg = RunConfig(
         case=cfg.case, nx=n, ny=n, lx=cfg.lx, ly=cfg.ly,
@@ -449,26 +457,24 @@ def _coupled_grid_job(args):
     v_exact, _ = vortex_incompressible_exact(result.mesh)
     report = error_norms(result.mesh, run_cfg.params.gas(), result.states,
                          v_exact, run_cfg.params.eps)
-    return n, report.as_dict()
+    return report.as_dict()
 
 
-def _fixed_grid_job(args):
-    cfg, n, out_sub = args
+def _fixed_grid_fields(cfg, n, out_sub):
     run_cfg = RunConfig(
         case=cfg.case, nx=n, ny=n, lx=cfg.lx, ly=cfg.ly,
         final_time=cfg.final_time, params=cfg.params,
         output=str(out_sub), emit_fields=False, emit_svg=False)
     result = run_case(run_cfg)
     st = result.final_state
-    return n, {"rho": st.rho, "mom_x": st.rho * st.u[:, 0],
-               "mom_y": st.rho * st.u[:, 1]}
+    return {"rho": st.rho, "mom_x": st.rho * st.u[:, 0], "mom_y": st.rho * st.u[:, 1]}
 
 
 def _l2_diff(mesh, a, b):
     return float(np.sqrt(mesh.cell_volume * ((np.asarray(a) - np.asarray(b)) ** 2).sum()))
 
 
-def convergence_study(cfg: ConvergenceConfig, output_dir=None, threads: int = 1):
+def convergence_study(cfg: ConvergenceConfig, output_dir=None):
     """Run the configured grid sequence and tabulate errors with EOC columns.
 
     mode "coupled" ties eps = h and measures errors against the projected
@@ -483,19 +489,17 @@ def convergence_study(cfg: ConvergenceConfig, output_dir=None, threads: int = 1)
     cfg_hash = _config_hash(text)
 
     if cfg.mode == "coupled":
-        jobs = [(cfg, n, out / f"grid_{n:04d}") for n in cfg.grids]
-        results = _run_jobs(_coupled_grid_job, jobs, threads)
         columns = ["rel_energy_sup", "rho_l2l2", "rho_supl2", "u_l2l2", "u_supl2"]
         rows = []
-        for n, errs in results:
+        for n in cfg.grids:
+            errs = _coupled_grid_errors(cfg, n, out / f"grid_{n:04d}")
             row = {"n": n, "h": cfg.lx / n, "eps": cfg.lx / n}
             row.update({c: errs[c] for c in columns})
             rows.append(row)
     else:
-        ref_job = (cfg, cfg.reference, out / f"reference_{cfg.reference:04d}")
-        jobs = [(cfg, n, out / f"grid_{n:04d}") for n in cfg.grids]
-        results = _run_jobs(_fixed_grid_job, jobs + [ref_job], threads)
-        fields = dict(results)
+        runs = [(n, out / f"grid_{n:04d}") for n in cfg.grids]
+        runs.append((cfg.reference, out / f"reference_{cfg.reference:04d}"))
+        fields = {n: _fixed_grid_fields(cfg, n, out_sub) for n, out_sub in runs}
         ref_fields = fields.pop(cfg.reference)
         ref_mesh = build_mesh(cfg.reference, cfg.reference, cfg.lx, cfg.ly)
         columns = ["rho", "mom_x", "mom_y"]
@@ -528,12 +532,3 @@ def convergence_study(cfg: ConvergenceConfig, output_dir=None, threads: int = 1)
         lines.append(",".join(cells))
     (out / "convergence.csv").write_text("\n".join(lines) + "\n")
     return rows
-
-
-def _run_jobs(fn, jobs, threads):
-    if threads > 1:
-        # Imported here: serial runs need no process pool machinery.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]

@@ -5,7 +5,7 @@ velocity minus a pressure-stabilisation correction delta_u proportional to
 the face gradient of the new pressure.  Its positive and negative parts are
 split so that the mass flux upwinds the new density and the momentum flux
 upwinds the current velocity; both carry an extra jump penalty (the
-"viscous" part, scale 1 by default).
+"viscous" part, of fixed scale VISCOUS_SCALE).
 
 All per-face quantities are stored with the K-side sign of the face; the
 value seen from the other cell is the negation, which is what makes the
@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import StructuredMesh, face_gradient_normal, gather_to_faces
+
+# The jump-penalty scale s of the mass and momentum fluxes.
+VISCOUS_SCALE = 1.0
 
 
 @dataclass
@@ -37,7 +40,6 @@ class FaceFluxes:
     w_plus: np.ndarray
     w_minus: np.ndarray
     delta_u: np.ndarray
-    viscous_scale: float
 
 
 def stabilisation_velocity(mesh: StructuredMesh, p: np.ndarray, eta: float,
@@ -57,26 +59,25 @@ def split_normal_velocity(u_avg_n, delta_u_n):
     return w_plus, w_minus
 
 
-def mass_flux(rho_k, rho_l, w_plus, w_minus, viscous_scale: float = 1.0):
+def mass_flux(rho_k, rho_l, w_plus, w_minus):
     """Stabilised upwind mass flux and its signed parts.
 
     Returns (mass, mass_plus, mass_minus) with mass_plus = rho_K (w_plus + s)
-    and mass_minus = rho_L (w_minus - s); the jump penalty -s [[rho]] is
-    already folded into the two parts.
+    and mass_minus = rho_L (w_minus - s), s = VISCOUS_SCALE; the jump penalty
+    -s [[rho]] is already folded into the two parts.
     """
-    mass_plus = np.asarray(rho_k) * (np.asarray(w_plus) + viscous_scale)
-    mass_minus = np.asarray(rho_l) * (np.asarray(w_minus) - viscous_scale)
+    mass_plus = np.asarray(rho_k) * (np.asarray(w_plus) + VISCOUS_SCALE)
+    mass_minus = np.asarray(rho_l) * (np.asarray(w_minus) - VISCOUS_SCALE)
     return mass_plus + mass_minus, mass_plus, mass_minus
 
 
-def momentum_flux(mass_plus, mass_minus, u_k, u_l, viscous_scale: float = 1.0):
+def momentum_flux(mass_plus, mass_minus, u_k, u_l):
     """Momentum flux F+ u_K + F- u_L - s [[u]] of one velocity component, elementwise."""
-    return mass_plus * u_k + mass_minus * u_l - viscous_scale * (u_l - u_k)
+    return mass_plus * u_k + mass_minus * u_l - VISCOUS_SCALE * (u_l - u_k)
 
 
 def assemble_fluxes(mesh: StructuredMesh, rho_next: np.ndarray, u_normal: np.ndarray,
-                    p_next: np.ndarray, eta: float, dt: float, eps: float,
-                    viscous_scale: float = 1.0) -> FaceFluxes:
+                    p_next: np.ndarray, eta: float, dt: float, eps: float) -> FaceFluxes:
     """Assemble the mass fluxes for one step.
 
     rho_next and p_next = pressure(rho_next) are the end-of-step fields the
@@ -86,8 +87,7 @@ def assemble_fluxes(mesh: StructuredMesh, rho_next: np.ndarray, u_normal: np.nda
     delta_u = stabilisation_velocity(mesh, p_next, eta, dt, eps)
     w_plus, w_minus = split_normal_velocity(u_normal, delta_u)
     rho_k, rho_l = gather_to_faces(mesh, rho_next)
-    mass, mass_plus, mass_minus = mass_flux(rho_k, rho_l, w_plus, w_minus,
-                                            viscous_scale)
+    mass, mass_plus, mass_minus = mass_flux(rho_k, rho_l, w_plus, w_minus)
     return FaceFluxes(
         mass=mass, mass_plus=mass_plus, mass_minus=mass_minus,
-        w_plus=w_plus, w_minus=w_minus, delta_u=delta_u, viscous_scale=viscous_scale)
+        w_plus=w_plus, w_minus=w_minus, delta_u=delta_u)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import diagnostics
 from .eos import GasLaw, PositivityError
-from .flux import FaceFluxes, assemble_fluxes, momentum_flux
+from .flux import VISCOUS_SCALE, FaceFluxes, assemble_fluxes, momentum_flux
 from .mesh import (StructuredMesh, cell_gradient, face_average,
                    face_average_normal, face_weight, flux_divergence,
                    gather_to_faces, mean_flux_divergence_inverse,
@@ -34,6 +34,11 @@ from .mesh import (StructuredMesh, cell_gradient, face_average,
 
 # Margin of the controller's eta over the stability bound 3 max {{1/rho}}.
 ETA_SAFETY = 1.1
+# Safety factor of the controller's CFL surrogates, the margin beta in
+# (0, 1/3) of the third-CFL condition, and the cap on the controller's dt.
+CFL_SAFETY = 0.9
+BETA = 0.05
+DT_MAX = 0.1
 MAX_ETA_RETRIES = 3
 MAX_DT_HALVINGS = 8
 MAX_LINESEARCH_HALVINGS = 20
@@ -82,30 +87,22 @@ class State:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Scheme parameters; defaults give the stable auto-tuned configuration."""
+    """Gas law, Mach parameter and Newton solve of a run."""
 
     gamma: float = 2.0
     eps: float = 1.0
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    dt_max: float = 0.1
-    cfl_safety: float = 0.9
-    beta: float = 0.05
-    viscous_scale: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must be > 1, got {self.gamma}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not 0.0 < self.beta < 1.0 / 3.0:
-            raise ValueError(f"beta must lie in (0, 1/3), got {self.beta}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if not self.dt_max > 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
-        if not self.newton_tol > 0.0 or self.newton_max_iter < 1:
-            raise ValueError("newton_tol must be positive and newton_max_iter >= 1")
+        if not 1.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be > 1 and finite, got {self.gamma}")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
+        if self.newton_max_iter < 1:
+            raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
     def gas(self) -> GasLaw:
         return GasLaw(self.gamma)
@@ -162,9 +159,9 @@ def auto_eta(mesh: StructuredMesh, rho: np.ndarray) -> float:
     return float(ETA_SAFETY * (3.0 * SPACE_DIM / 2.0) * face_average(mesh, 1.0 / rho).max())
 
 
-def _residual_and_fluxes(mesh, gas, rho_next, rho_old, u_normal, dt, eta, eps, s):
+def _residual_and_fluxes(mesh, gas, rho_next, rho_old, u_normal, dt, eta, eps):
     p_next = gas.pressure(rho_next)
-    fluxes = assemble_fluxes(mesh, rho_next, u_normal, p_next, eta, dt, eps, s)
+    fluxes = assemble_fluxes(mesh, rho_next, u_normal, p_next, eta, dt, eps)
     res = (rho_next - rho_old) / dt + flux_divergence(mesh, fluxes.mass)
     return res, fluxes
 
@@ -174,7 +171,7 @@ def density_residual(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
     """Residual of the implicit mass balance at the candidate density."""
     return _residual_and_fluxes(mesh, params.gas(), rho_next, state.rho,
                                 face_average_normal(mesh, state.u), dt, eta,
-                                params.eps, params.viscous_scale)[0]
+                                params.eps)[0]
 
 
 def _mass_flux_coefficients(mesh, gas, rho, fluxes, dt, eta, eps):
@@ -185,14 +182,13 @@ def _mass_flux_coefficients(mesh, gas, rho, fluxes, dt, eta, eps):
     delta_u = 0 the flux is smooth only because rho_K = rho_L there, and
     either side is the derivative.
     """
-    s = fluxes.viscous_scale
     # The stabilisation coefficient per block, broadcast over each block.
     c_face = (eta * dt / eps ** 2) * np.array(face_weight(mesh))[:, None]
     rho_k, rho_l = gather_to_faces(mesh, rho)
     upwind_rho = np.where(fluxes.delta_u > 0.0, rho_l, rho_k)
     pprime_k, pprime_l = gather_to_faces(mesh, gas.pressure_derivative(rho))
-    d_dk = fluxes.w_plus + s + c_face * pprime_k * upwind_rho
-    d_dl = fluxes.w_minus - s - c_face * pprime_l * upwind_rho
+    d_dk = fluxes.w_plus + VISCOUS_SCALE + c_face * pprime_k * upwind_rho
+    d_dl = fluxes.w_minus - VISCOUS_SCALE - c_face * pprime_l * upwind_rho
     return d_dk, d_dl
 
 
@@ -303,7 +299,6 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     if u_normal is None:
         u_normal = face_average_normal(mesh, state.u)
     eps = params.eps
-    s = params.viscous_scale
 
     # The residual cannot be verified below its double-precision evaluation
     # noise.  The stabilisation velocity amplifies pressure round-off by
@@ -316,13 +311,13 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     u_scale = float(np.abs(state.u).max())
     fp_eps = np.finfo(float).eps
     noise = fp_eps * (rho_scale / dt + 4.0 * cmax * rho_scale
-                      * (u_scale + s + 2.0 * kappa * p_scale))
+                      * (u_scale + VISCOUS_SCALE + 2.0 * kappa * p_scale))
     tol = params.newton_tol * max(1.0, rho_scale) + 10.0 * noise
     # An inexact direction is caught by the residual check and line search.
     lin_tol = 0.1 * tol
 
     rho = rho_old.copy()
-    res, fluxes = _residual_and_fluxes(mesh, gas, rho, rho_old, u_normal, dt, eta, eps, s)
+    res, fluxes = _residual_and_fluxes(mesh, gas, rho, rho_old, u_normal, dt, eta, eps)
     norm = np.abs(res).max()
 
     iters = 0
@@ -335,7 +330,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
             cand = rho + alpha * delta
             if cand.min() > 0.0:
                 cres, cflux = _residual_and_fluxes(mesh, gas, cand, rho_old,
-                                                   u_normal, dt, eta, eps, s)
+                                                   u_normal, dt, eta, eps)
                 cnorm = np.abs(cres).max()
                 if cnorm <= (1.0 - 1e-4 * alpha) * norm or cnorm <= tol:
                     rho, res, fluxes, norm = cand, cres, cflux, cnorm
@@ -362,7 +357,7 @@ def update_velocity(mesh: StructuredMesh, gas: GasLaw, state: State,
     for c, u_c in enumerate(np.ascontiguousarray(state.u.T)):
         u_k, u_l = gather_to_faces(mesh, u_c)
         div_mom = flux_divergence(mesh, momentum_flux(
-            fluxes.mass_plus, fluxes.mass_minus, u_k, u_l, fluxes.viscous_scale))
+            fluxes.mass_plus, fluxes.mass_minus, u_k, u_l))
         u_next[:, c] = (state.rho * u_c - dt * (div_mom + grad_p[:, c] / eps ** 2)) / rho_next
     return u_next
 
@@ -372,12 +367,12 @@ def compute_dt(mesh: StructuredMesh, gas: GasLaw, state: State,
                u_normal: np.ndarray | None = None) -> float:
     """Explicit surrogate of the sufficient flux-CFL bound.
 
-    dt = cfl_safety * (beta_face / 4) * min{1, rho_min/rho_max on the face}
+    dt = CFL_SAFETY * (beta_face / 4) * min{1, rho_min/rho_max on the face}
     / D_face minimised over faces, where D_face collects the advective
     speed, the relative density jump and the stabilisation speed
     sqrt((eta/eps^2) |[[p]]|), all at step n; ``u_normal`` is
     face_average_normal(mesh, state.u) when known.  Faces with D_face = 0
-    impose no restriction; the result is capped at dt_max.
+    impose no restriction; the result is capped at DT_MAX.
     """
     rho_k, rho_l = gather_to_faces(mesh, state.rho)
     p_k, p_l = gather_to_faces(mesh, gas.pressure(state.rho))
@@ -392,26 +387,25 @@ def compute_dt(mesh: StructuredMesh, gas: GasLaw, state: State,
     beta_face = mesh.cell_volume / mesh.boundary_measure
     ratio = np.minimum(1.0, face_min / face_max)
     with np.errstate(divide="ignore"):  # d_face = 0 gives inf: no restriction
-        dt_faces = params.cfl_safety * 0.25 * beta_face * ratio / d_face
-    return float(min(params.dt_max, dt_faces.min()))
+        dt_faces = CFL_SAFETY * 0.25 * beta_face * ratio / d_face
+    return float(min(DT_MAX, dt_faces.min()))
 
 
-def _dt_third_cfl_cap(mesh: StructuredMesh, rho: np.ndarray,
-                      params: SchemeParams) -> float:
+def _dt_third_cfl_cap(mesh: StructuredMesh, rho: np.ndarray) -> float:
     # Explicit step-n surrogate of the third-CFL condition; the post-solve
     # check still guards the implicit density.
     geom = mesh.boundary_measure / mesh.cell_volume
-    return float(params.cfl_safety * (1.0 / 3.0 - params.beta) * rho.min() / geom)
+    return float(CFL_SAFETY * (1.0 / 3.0 - BETA) * rho.min() / geom)
 
 
 def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
                        rho_next: np.ndarray, fluxes: FaceFluxes, dt: float,
-                       params: SchemeParams, eta: float) -> ConditionReport:
+                       eta: float) -> ConditionReport:
     """Evaluate the three stability conditions for an accepted step.
 
     (1) eta > 3 * {{1/rho_next}} on every face (strict);
     (2) 1/4 - (dt/rho_old_K) sum |mass flux| * |face|/|K| >= 0 in every cell;
-    (3) 1/3 - (dt/rho_next_K) |dK|/|K| > beta in every cell (strict).
+    (3) 1/3 - (dt/rho_next_K) |dK|/|K| > BETA in every cell (strict).
     """
     inv_avg = face_average(mesh, 1.0 / rho_next)
     eta_margin = eta - (3.0 * SPACE_DIM / 2.0) * inv_avg.max()
@@ -421,7 +415,7 @@ def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
     flux_margin = (0.25 - (dt / rho_old) * abs_flux).min()
 
     geom = mesh.boundary_measure / mesh.cell_volume
-    dt_margin = (1.0 / 3.0 - (dt / rho_next) * geom).min() - params.beta
+    dt_margin = (1.0 / 3.0 - (dt / rho_next) * geom).min() - BETA
 
     return ConditionReport(
         eta_ok=bool(eta_margin > 0.0),
@@ -441,7 +435,7 @@ def _attempt_step(mesh, gas, state, params, dt, eta, u_normal):
     if not rho_next.min() > 0.0:
         raise SolverError("conservative density update lost positivity or finiteness",
                           resnorm)
-    report = enforce_conditions(mesh, state.rho, rho_next, fluxes, dt, params, eta)
+    report = enforce_conditions(mesh, state.rho, rho_next, fluxes, dt, eta)
     return rho_next, iters, resnorm, fluxes, report
 
 
@@ -469,7 +463,7 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     # residual of every attempt.
     u_normal = face_average_normal(mesh, state.u)
     dt = compute_dt(mesh, gas, state, params, eta, u_normal=u_normal)
-    dt = min(dt, _dt_third_cfl_cap(mesh, state.rho, params))
+    dt = min(dt, _dt_third_cfl_cap(mesh, state.rho))
     if dt_limit is not None:
         if dt < dt_limit < 2.0 * dt:
             dt = 0.5 * dt_limit
@@ -546,8 +540,9 @@ def advance(mesh: StructuredMesh, state: State, params: SchemeParams,
     called as on_step(state_before, state_after, diag) after every accepted
     step.
     """
-    if not final_time > state.time:
-        raise ValueError(f"final_time {final_time} must exceed state.time {state.time}")
+    if not state.time < final_time < np.inf:
+        raise ValueError(f"final_time {final_time} must be finite and exceed "
+                         f"state.time {state.time}")
     diags = []
     states = [state] if collect_states else None
     margin = 1e-12 * max(1.0, abs(final_time))

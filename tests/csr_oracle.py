@@ -35,7 +35,7 @@ def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
     gas = params.gas()
     _, fluxes = _residual_and_fluxes(mesh, gas, rho_next, state.rho,
                                      face_average_normal(mesh, state.u), dt,
-                                     eta, params.eps, params.viscous_scale)
+                                     eta, params.eps)
     d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho_next, fluxes, dt, eta, params.eps)
     return (flux_divergence_matrix(mesh, d_dk, d_dl)
             + sp.identity(mesh.n_cells, format="csr") / dt)

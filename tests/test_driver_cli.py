@@ -51,8 +51,10 @@ def test_load_run_config_errors(tmp_path):
     with pytest.raises(ConfigError, match=r"unknown keys in \[scheme\]: picard_relax"):
         load_run_config(write_config(
             tmp_path, good_run_ini() + "\n[scheme]\npicard_relax = 0.5\n"))
-    # the controller sets eta: there is no fixed-eta mode to configure
-    for key, value in (("eta_mode", "fixed"), ("eta_value", 7.5), ("eta_safety", 1.5)):
+    # the controller sets eta, and the scheme's constants are not settings
+    for key, value in (("eta_mode", "fixed"), ("eta_value", 7.5), ("eta_safety", 1.5),
+                       ("dt_max", 0.05), ("cfl_safety", 0.8), ("beta", 0.1),
+                       ("viscous_scale", 2.0)):
         path = write_config(tmp_path, good_run_ini() + f"\n[scheme]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=rf"unknown keys in \[scheme\]: {key}$"):
             load_run_config(path)
@@ -137,10 +139,42 @@ def test_api_refuses_what_the_loader_refuses(build):
         build()
 
 
+@pytest.mark.parametrize("section, key, value, build", [
+    ("run", "nx", 2, lambda: RunConfig(nx=2)),
+    ("run", "ny", 2, lambda: RunConfig(ny=2)),
+    ("run", "lx", 0, lambda: RunConfig(lx=0.0)),
+    ("run", "lx", -1, lambda: RunConfig(lx=-1.0)),
+    ("run", "lx", "inf", lambda: RunConfig(lx=np.inf)),
+    ("run", "ly", "nan", lambda: RunConfig(ly=np.nan)),
+    ("run", "final_time", "inf", lambda: RunConfig(final_time=np.inf)),
+    ("run", "eps", "inf", lambda: SchemeParams(eps=np.inf)),
+    ("run", "gamma", "inf", lambda: SchemeParams(gamma=np.inf)),
+    ("scheme", "newton_tol", "inf", lambda: SchemeParams(newton_tol=np.inf)),
+    ("convergence", "lx", 0, lambda: ConvergenceConfig(lx=0.0)),
+    ("convergence", "final_time", "inf", lambda: ConvergenceConfig(final_time=np.inf)),
+])
+def test_out_of_range_values_are_refused_at_the_config_boundary(
+        tmp_path, capsys, section, key, value, build):
+    # each once failed late (a traceback, a solver failure) or not at all
+    # (final_time = inf ran 0 steps; newton_tol = inf skipped the implicit solve)
+    with pytest.raises(ValueError, match=key):  # ConfigError is a ValueError
+        build()
+    if section == "convergence":
+        command = "convergence"
+        text = f"[convergence]\nmode = coupled\ngrids = 4, 8\n{key} = {value}\n"
+    else:
+        command = "run"
+        text = good_run_ini(**{key: value}) if section == "run" else (
+            good_run_ini() + f"\n[scheme]\n{key} = {value}\n")
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_key_round_trips_through_the_echo(tmp_path):
-    params = SchemeParams(gamma=1.4, eps=0.125, newton_tol=1e-9, newton_max_iter=20,
-                          dt_max=0.05, cfl_safety=0.8, beta=0.1,
-                          viscous_scale=2.0)
+    params = SchemeParams(gamma=1.4, eps=0.125, newton_tol=1e-9, newton_max_iter=20)
     configs = {
         load_run_config: RunConfig(
             case="well_prepared", nx=12, ny=10, lx=2.0, ly=1.5, params=params,
@@ -437,14 +471,16 @@ def test_convergence_study_fixed_reports_the_scheme_eps(tmp_path):
     assert echo.params.eps == 0.5
 
 
-def test_convergence_study_parallel_matches_serial(tmp_path):
+def test_convergence_runs_its_grids_serially_with_no_threads_option(tmp_path, capsys):
     cfg = ConvergenceConfig(mode="coupled", grids=(4, 8), final_time=0.01)
-    serial = convergence_study(cfg, output_dir=tmp_path / "s", threads=1)
-    parallel = convergence_study(cfg, output_dir=tmp_path / "p", threads=2)
-    for row_s, row_p in zip(serial, parallel):
-        assert row_s == row_p
-    assert (tmp_path / "s" / "convergence.csv").read_bytes() == \
-        (tmp_path / "p" / "convergence.csv").read_bytes()
+    with pytest.raises(TypeError):
+        convergence_study(cfg, output_dir=tmp_path / "conv", threads=2)
+    path = write_config(tmp_path, _config_text(cfg), name="conv.ini")
+    with pytest.raises(SystemExit) as exit_:
+        main(["convergence", "--config", str(path), "--threads", "2"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "conv").exists()
 
 
 def test_write_line_chart_degenerate_series(tmp_path):

@@ -83,11 +83,10 @@ def test_momentum_flux_is_elementwise_in_the_inputs_dtype(dtype):
     fm = rng.uniform(-2.0, 0.0, (2, 30)).astype(dtype)
     u_k = rng.normal(size=30).astype(dtype)
     u_l = rng.normal(size=(2, 30)).astype(dtype)
-    s = dtype(0.7)
-    g = momentum_flux(fp, fm, u_k, u_l, s)
+    g = momentum_flux(fp, fm, u_k, u_l)
     assert g.shape == (2, 30) and g.dtype == dtype
     for b, i in np.ndindex(g.shape):
-        assert g[b, i] == momentum_flux(fp[b, i], fm[b, i], u_k[i], u_l[b, i], s)
+        assert g[b, i] == momentum_flux(fp[b, i], fm[b, i], u_k[i], u_l[b, i])
 
 
 def test_assemble_uniform_state_zero_fluxes(mesh44):

@@ -1,6 +1,7 @@
 """Semi-implicit step tests: residual, solver, velocity update, conditions."""
 
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from machfv import (GasLaw, SchemeParams, SolverError, State, advance,
                     solve_density, step, update_velocity,
                     vortex_compressible_init)
 from machfv import diagnostics, stepper
-from machfv.stepper import (_dt_third_cfl_cap, _gmres, _mass_flux_coefficients,
-                            _solve_mass_balance)
+from machfv.flux import VISCOUS_SCALE
+from machfv.stepper import (BETA, CFL_SAFETY, DT_MAX, _dt_third_cfl_cap, _gmres,
+                            _mass_flux_coefficients, _solve_mass_balance)
 from machfv import assemble_fluxes, face_average_normal
 
 from csr_oracle import density_jacobian
@@ -37,12 +39,15 @@ def test_state_validation(mesh44):
 
 
 def test_scheme_params_validation():
-    with pytest.raises(ValueError):
-        SchemeParams(gamma=1.0)
-    with pytest.raises(ValueError):
-        SchemeParams(beta=0.4)
-    with pytest.raises(ValueError):
-        SchemeParams(cfl_safety=0.0)
+    # the controller's constants are not parameters: four fields remain
+    assert [f.name for f in fields(SchemeParams)] == [
+        "gamma", "eps", "newton_tol", "newton_max_iter"]
+    assert 0.0 < BETA < 1.0 / 3.0 and 0.0 < CFL_SAFETY <= 1.0 and DT_MAX > 0.0
+    for bad in (dict(gamma=1.0), dict(gamma=np.inf), dict(gamma=np.nan),
+                dict(eps=0.0), dict(eps=np.inf), dict(newton_tol=0.0),
+                dict(newton_tol=np.inf), dict(newton_max_iter=0)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SchemeParams(**bad)
 
 
 def test_uniform_state_residual_is_zero(mesh44):
@@ -101,7 +106,7 @@ def vortex_first_step(n, eps, ny=None, lx=1.0, **overrides):
     state = vortex_compressible_init(mesh, params.gamma, eps)
     eta = auto_eta(mesh, state.rho)
     dt = min(compute_dt(mesh, params.gas(), state, params, eta),
-             _dt_third_cfl_cap(mesh, state.rho, params))
+             _dt_third_cfl_cap(mesh, state.rho))
     return mesh, params, state, eta, dt
 
 
@@ -135,8 +140,7 @@ def test_preconditioned_gmres_matches_direct_solve_on_vortex(nx, ny, lx, eps):
     res = density_residual(mesh, state.rho, state, dt, params, eta)
     gas = params.gas()
     fluxes = assemble_fluxes(mesh, state.rho, face_average_normal(mesh, state.u),
-                             gas.pressure(state.rho),
-                             eta, dt, eps, params.viscous_scale)
+                             gas.pressure(state.rho), eta, dt, eps)
     d_dk, d_dl = _mass_flux_coefficients(mesh, gas, state.rho, fluxes, dt, eta,
                                          eps)
     delta, iters = _solve_mass_balance(mesh, dt, d_dk, d_dl, -res,
@@ -412,7 +416,7 @@ def test_update_velocity_equals_broadcast_form_bit_for_bit():
                              gas.pressure(rho_next), 4.0, dt, eps)
     u_k, u_l = gather_to_faces(mesh, state.u)
     mom = (fluxes.mass_plus[..., None] * u_k + fluxes.mass_minus[..., None] * u_l
-           - fluxes.viscous_scale * (u_l - u_k))
+           - VISCOUS_SCALE * (u_l - u_k))
     grad_p = cell_gradient(mesh, gas.pressure(rho_next))
     numer = state.rho[:, None] * state.u - dt * (flux_divergence(mesh, mom)
                                                  + grad_p / eps ** 2)
@@ -424,17 +428,19 @@ def test_update_velocity_equals_broadcast_form_bit_for_bit():
 
 def test_compute_dt_uniform_rest_hits_cap(mesh44):
     state = uniform_state(mesh44, u0=(0.0, 0.0))
-    params = SchemeParams(dt_max=0.07)
+    params = SchemeParams()
     dt = compute_dt(mesh44, params.gas(), state, params, eta=3.3)
-    assert dt == 0.07
+    assert dt == DT_MAX
 
 
 def test_compute_dt_unit_advection_gives_h_over_16():
+    # h/16 before the safety factor, well under the DT_MAX cap
     mesh = build_mesh(16, 16, 1.0, 1.0)
     state = uniform_state(mesh, rho0=1.0, u0=(1.0, 0.0))
-    params = SchemeParams(cfl_safety=1.0, dt_max=1.0)
+    params = SchemeParams()
     dt = compute_dt(mesh, params.gas(), state, params, eta=3.3)
-    assert dt == pytest.approx(mesh.hx / 16.0, rel=1e-14)
+    assert dt == pytest.approx(CFL_SAFETY * mesh.hx / 16.0, rel=1e-14)
+    assert dt < DT_MAX
 
 
 def test_compute_dt_monotone_in_eta():
@@ -457,23 +463,19 @@ def test_auto_eta_uniform_unit_density(mesh44):
 
 def test_enforce_conditions_dt_threshold():
     mesh = build_mesh(16, 16, 1.0, 1.0)
-    params = SchemeParams(beta=0.1)
-    gas = params.gas()
+    gas = SchemeParams().gas()
     rho = np.ones(mesh.n_cells)
     u = np.zeros((mesh.n_cells, 2))
     fluxes = assemble_fluxes(mesh, rho, face_average_normal(mesh, u), gas.pressure(rho),
                              3.3, 0.001, 1.0)
-    dt_crit = (1.0 / 3.0 - params.beta) * mesh.hx / 4.0
-    ok = enforce_conditions(mesh, rho, rho, fluxes, 0.99 * dt_crit,
-                            params, eta=3.3)
-    bad = enforce_conditions(mesh, rho, rho, fluxes, 1.01 * dt_crit,
-                             params, eta=3.3)
+    dt_crit = (1.0 / 3.0 - BETA) * mesh.hx / 4.0
+    ok = enforce_conditions(mesh, rho, rho, fluxes, 0.99 * dt_crit, eta=3.3)
+    bad = enforce_conditions(mesh, rho, rho, fluxes, 1.01 * dt_crit, eta=3.3)
     assert ok.dt_cfl_ok and not bad.dt_cfl_ok
     # uniform state: zero fluxes satisfy the flux CFL for any dt
     assert ok.flux_cfl_ok and bad.flux_cfl_ok
     # eta threshold: with rho = 1 the bound is eta > 3
-    assert enforce_conditions(mesh, rho, rho, fluxes, 0.001, params,
-                              eta=2.9).eta_ok is False
+    assert enforce_conditions(mesh, rho, rho, fluxes, 0.001, eta=2.9).eta_ok is False
     assert ok.eta_ok
 
 
@@ -632,3 +634,9 @@ def test_advance_rejects_bad_final_time(mesh44):
     state = uniform_state(mesh44)
     with pytest.raises(ValueError):
         advance(mesh44, state, SchemeParams(), 0.0)
+
+
+def test_advance_rejects_infinite_final_time(mesh44):
+    # an infinite final time made the landing margin infinite: 0 steps, no error
+    with pytest.raises(ValueError, match="finite"):
+        advance(mesh44, uniform_state(mesh44), SchemeParams(), np.inf)
