@@ -73,10 +73,10 @@ def incompressible_pressure(r, spec: VortexSpec = VortexSpec()) -> np.ndarray:
                     np.where(r <= r2, ring_part(safe), ring_part(np.asarray(r2))))
 
 
-def _project_velocity(mesh, spec, rule):
+def _project_velocity(mesh, spec):
     """Projected (n_cells, 2) velocity of the vortex."""
     return np.column_stack([
-        project(mesh, lambda x, y: _velocity_components(x, y, spec)[c], rule)
+        project(mesh, lambda x, y: _velocity_components(x, y, spec)[c])
         for c in (0, 1)])
 
 
@@ -92,8 +92,7 @@ def _velocity_components(xg, yg, spec):
 
 
 def vortex_compressible_init(mesh: StructuredMesh, gamma: float, eps: float,
-                             spec: VortexSpec = VortexSpec(),
-                             rule: str = "midpoint") -> State:
+                             spec: VortexSpec = VortexSpec()) -> State:
     """Well-prepared compressible vortex state at time zero."""
     if not gamma > 1.0:
         raise ValueError(f"gamma must be > 1, got {gamma}")
@@ -103,13 +102,12 @@ def vortex_compressible_init(mesh: StructuredMesh, gamma: float, eps: float,
         pi = incompressible_pressure(r, spec)
         return (1.0 + gamma * eps ** 2 / (gamma - 1.0) * pi) ** (1.0 / (gamma - 1.0))
 
-    rho = project(mesh, rho_f, rule)
-    return State(time=0.0, rho=rho, u=_project_velocity(mesh, spec, rule), step_index=0)
+    rho = project(mesh, rho_f)
+    return State(time=0.0, rho=rho, u=_project_velocity(mesh, spec), step_index=0)
 
 
 def vortex_incompressible_exact(mesh: StructuredMesh,
-                                spec: VortexSpec = VortexSpec(),
-                                rule: str = "midpoint"):
+                                spec: VortexSpec = VortexSpec()):
     """Projected steady incompressible solution (velocity, mean-free pressure).
 
     The rotating column is an exact steady solution of the incompressible
@@ -119,21 +117,19 @@ def vortex_incompressible_exact(mesh: StructuredMesh,
         r = np.sqrt((x - spec.center[0]) ** 2 + (y - spec.center[1]) ** 2)
         return incompressible_pressure(r, spec)
 
-    v = _project_velocity(mesh, spec, rule)
-    pi = project(mesh, pi_f, rule)
+    v = _project_velocity(mesh, spec)
+    pi = project(mesh, pi_f)
     pi = pi - mesh.cell_volume * pi.sum() / (mesh.lx * mesh.ly)
     return v, pi
 
 
-def well_prepared_perturbation(mesh: StructuredMesh, v0: np.ndarray, eps: float,
-                               amplitudes=(1.0, 1.0)) -> State:
-    """State with rho = 1 + eps^2 a_g g and u = v0 + eps a_w w.
+def well_prepared_perturbation(mesh: StructuredMesh, v0: np.ndarray, eps: float) -> State:
+    """State with rho = 1 + eps^2 g and u = v0 + eps w.
 
     g and w are fixed smooth periodic fields normalised to unit max norm on
     the mesh (w is divergence-free), so the deviations have the exact sizes
-    eps^2 a_g and eps a_w.
+    eps^2 and eps.
     """
-    a_g, a_w = amplitudes
     two_pi = 2.0 * np.pi
     g = project(mesh, lambda x, y: np.sin(two_pi * x / mesh.lx) * np.sin(two_pi * y / mesh.ly))
     w1 = project(mesh, lambda x, y: np.sin(two_pi * y / mesh.ly))
@@ -145,6 +141,6 @@ def well_prepared_perturbation(mesh: StructuredMesh, v0: np.ndarray, eps: float,
     w_max = np.abs(w).max()
     if w_max > 0.0:
         w = w / w_max
-    rho = 1.0 + eps ** 2 * a_g * g
-    u = np.asarray(v0, dtype=float) + eps * a_w * w
+    rho = 1.0 + eps ** 2 * g
+    u = np.asarray(v0, dtype=float) + eps * w
     return State(time=0.0, rho=rho, u=u, step_index=0)

@@ -1,18 +1,18 @@
 """Run orchestration: config files, case runs, convergence studies, output.
 
-Configs are INI files.  A run config has a [run] section (case, mesh, gas,
-final time, output options) and an optional [scheme] section overriding
-solver parameters.  A convergence config replaces [run] with [convergence]
-(mode, grid list, reference grid).  Any other section is refused.  The
-dataclasses RunConfig, ConvergenceConfig and SchemeParams are the schema:
-each key, its type and its default is one of their fields, the loader and
-the config.ini echo walk those fields in order, and their __post_init__
-checks refuse the same values whether they come from a file or from Python
-(ConfigError, or ValueError from SchemeParams outside a file).  Every CSV
-written here starts with a comment line carrying the sha256 of the
-effective config, so outputs are traceable to their inputs; rows are
-formatted with shortest round-trip float representations, which makes
-repeated runs byte-identical.
+Configs are INI files of one section.  A run config is a [run] section
+(case, mesh, gas, final time, output options); a convergence config is a
+[convergence] section (mode, grid list, reference grid, gas, final time).
+Any other section is refused.  The dataclasses RunConfig,
+ConvergenceConfig and SchemeParams are the schema: each key, its type and
+its default is one of their fields, the loader and the config.ini echo
+walk those fields in order, and their __post_init__ checks refuse the same
+values whether they come from a file or from Python (ConfigError, or
+ValueError from SchemeParams outside a file).  Every CSV written here
+starts with a comment line carrying the sha256 of the effective config, so
+outputs are traceable to their inputs; rows are formatted with shortest
+round-trip float representations, which makes repeated runs
+byte-identical.
 
 Field snapshots are binary: write_field_snapshot writes one uncompressed
 fields/stepNNNNNN.npz per snapshot, in process, holding rho, ux and uy as
@@ -35,9 +35,6 @@ from .mesh import StructuredMesh, build_mesh, cell_grid
 from .stepper import SchemeParams, advance
 
 CASES = ("vortex", "well_prepared")
-# SchemeParams fields set in the [run] or [convergence] section; the other
-# SchemeParams fields live in [scheme].
-_MAIN_PARAMS = ("gamma", "eps")
 INEQUALITY_SLACK = 1e-12
 CONSERVATION_TOL = 1e-12
 
@@ -179,14 +176,12 @@ _CONVERTERS = {
 
 
 def _schema(cls):
-    """(section, field, in params) for every key of a `cls` file, in file order."""
+    """(field, in params) for every key of a `cls` file, in file order."""
     for f in fields(cls):
         if f.name != "params":
-            yield cls.section, f, False
+            yield f, False
         else:
-            yield from ((cls.section, p, True) for p in fields(SchemeParams)
-                        if p.name in _MAIN_PARAMS)
-    yield from (("scheme", p, True) for p in fields(SchemeParams) if p.name not in _MAIN_PARAMS)
+            yield from ((p, True) for p in fields(SchemeParams))
 
 
 def _convert(section: str, f, raw: str):
@@ -201,21 +196,18 @@ def _load_config(path, cls):
     parser = _read_ini(path)
     if not parser.has_section(cls.section):
         raise ConfigError(f"{path}: missing [{cls.section}] section")
-    known = (cls.section, "scheme")
-    unknown = [f"[{name}]" for name in parser.sections() if name not in known]
+    unknown = [f"[{name}]" for name in parser.sections() if name != cls.section]
     if unknown:
         raise ConfigError(f"{path}: unknown sections {', '.join(unknown)}; "
-                          f"a {cls.section} config has [{cls.section}] and [scheme]")
-    raw = {name: dict(parser[name]) if parser.has_section(name) else {}
-           for name in known}
+                          f"a {cls.section} config has [{cls.section}] only")
+    raw = dict(parser[cls.section])
     kwargs, param_kwargs = {}, {}
-    for section, f, in_params in _schema(cls):
-        if f.name in raw[section]:
-            value = _convert(section, f, raw[section].pop(f.name))
+    for f, in_params in _schema(cls):
+        if f.name in raw:
+            value = _convert(cls.section, f, raw.pop(f.name))
             (param_kwargs if in_params else kwargs)[f.name] = value
-    for section, unknown in raw.items():
-        if unknown:
-            raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
+    if raw:
+        raise ConfigError(f"unknown keys in [{cls.section}]: {', '.join(sorted(raw))}")
     try:
         params = SchemeParams(**param_kwargs)
     except ValueError as err:
@@ -233,13 +225,13 @@ def load_convergence_config(path) -> ConvergenceConfig:
 
 def _config_text(cfg) -> str:
     """The config as INI text that loads back to it."""
-    lines = {cfg.section: "", "scheme": ""}
-    for section, f, in_params in _schema(type(cfg)):
+    lines = [f"[{cfg.section}]\n"]
+    for f, in_params in _schema(type(cfg)):
         value = getattr(cfg.params if in_params else cfg, f.name)
         if isinstance(value, (tuple, list)):
             value = ", ".join(map(str, value))
-        lines[section] += f"{f.name} = {value}\n"
-    return "\n".join(f"[{section}]\n{text}" for section, text in lines.items())
+        lines.append(f"{f.name} = {value}\n")
+    return "".join(lines)
 
 
 def _config_hash(text: str) -> str:

@@ -23,10 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tensorised 3-point Gauss rule on [-1/2, 1/2], weights normalised to sum 1.
-_GAUSS3_NODES = np.array([-0.5 * np.sqrt(3.0 / 5.0), 0.0, 0.5 * np.sqrt(3.0 / 5.0)])
-_GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
-
 
 @dataclass(frozen=True)
 class StructuredMesh:
@@ -74,23 +70,12 @@ def build_mesh(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0) -> Structured
                           boundary_measure=2.0 * (hx + hy))
 
 
-def project(mesh: StructuredMesh, f, rule: str = "midpoint") -> np.ndarray:
-    """Project a function f(x, y) onto piecewise constants.
+def project(mesh: StructuredMesh, f) -> np.ndarray:
+    """Project a function f(x, y) onto piecewise constants by the midpoint rule.
 
-    ``rule="midpoint"`` evaluates at cell centres; ``rule="gauss3"`` uses the
-    tensorised 3-point Gauss rule (exact for polynomials up to degree 5).
-    ``f`` must accept numpy arrays.
+    ``f`` is evaluated at the cell centres and must accept numpy arrays.
     """
-    xg, yg = mesh.cell_centers()
-    if rule == "midpoint":
-        return np.asarray(f(xg, yg), dtype=float)
-    if rule == "gauss3":
-        out = np.zeros(mesh.n_cells)
-        for a, wa in zip(_GAUSS3_NODES, _GAUSS3_WEIGHTS):
-            for b, wb in zip(_GAUSS3_NODES, _GAUSS3_WEIGHTS):
-                out += wa * wb * np.asarray(f(xg + a * mesh.hx, yg + b * mesh.hy), dtype=float)
-        return out
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+    return np.asarray(f(*mesh.cell_centers()), dtype=float)
 
 
 def cell_grid(mesh: StructuredMesh, q) -> np.ndarray:

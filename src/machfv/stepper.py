@@ -42,6 +42,10 @@ DT_MAX = 0.1
 MAX_ETA_RETRIES = 3
 MAX_DT_HALVINGS = 8
 MAX_LINESEARCH_HALVINGS = 20
+# Newton's residual tolerance, before solve_density scales it by the density
+# and adds the round-off floor, and its iteration cap.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
 # GMRES inner iterations per restart, and restarts per linear solve.
 GMRES_RESTART = 20
 GMRES_MAX_RESTARTS = 5
@@ -87,22 +91,20 @@ class State:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Gas law, Mach parameter and Newton solve of a run."""
+    """Gas law and Mach parameter of a run."""
 
     gamma: float = 2.0
     eps: float = 1.0
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
 
     def __post_init__(self):
         if not 1.0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be > 1 and finite, got {self.gamma}")
         if not 0.0 < self.eps < np.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if not 0.0 < self.newton_tol < np.inf:
-            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
+        # The scheme divides by eps^2, which must not underflow.
+        if self.eps ** 2 < np.finfo(float).tiny:
+            raise ValueError(f"eps must be at least {np.sqrt(np.finfo(float).tiny):.3g}, "
+                             f"below which eps^2 underflows, got {self.eps}")
 
     def gas(self) -> GasLaw:
         return GasLaw(self.gamma)
@@ -290,7 +292,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     Damped Newton with a positivity-preserving backtracking line search;
     each Newton direction comes from matrix-free preconditioned GMRES.
     Raises SolverError, carrying the residual, when the line search cannot
-    reduce the residual or newton_max_iter iterations do not reach the
+    reduce the residual or NEWTON_MAX_ITER iterations do not reach the
     tolerance.  ``u_normal`` is face_average_normal(mesh, state.u) when the
     caller already has it.  Returns (rho_next, iterations,
     residual_inf_norm, fluxes_at_solution).
@@ -302,7 +304,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
 
     # The residual cannot be verified below its double-precision evaluation
     # noise.  The stabilisation velocity amplifies pressure round-off by
-    # (eta dt / eps^2) |face|/|D|, which at low Mach dwarfs newton_tol; the
+    # (eta dt / eps^2) |face|/|D|, which at low Mach dwarfs NEWTON_TOL; the
     # remaining terms cover advection, the jump penalty and the 1/dt scaling.
     rho_scale = float(rho_old.max())
     p_scale = float(gas.pressure(np.array([rho_scale]))[0])
@@ -312,7 +314,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     fp_eps = np.finfo(float).eps
     noise = fp_eps * (rho_scale / dt + 4.0 * cmax * rho_scale
                       * (u_scale + VISCOUS_SCALE + 2.0 * kappa * p_scale))
-    tol = params.newton_tol * max(1.0, rho_scale) + 10.0 * noise
+    tol = NEWTON_TOL * max(1.0, rho_scale) + 10.0 * noise
     # An inexact direction is caught by the residual check and line search.
     lin_tol = 0.1 * tol
 
@@ -321,7 +323,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     norm = np.abs(res).max()
 
     iters = 0
-    while norm > tol and iters < params.newton_max_iter:
+    while norm > tol and iters < NEWTON_MAX_ITER:
         iters += 1
         d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho, fluxes, dt, eta, eps)
         delta, _ = _solve_mass_balance(mesh, dt, d_dk, d_dl, -res, lin_tol)

@@ -20,6 +20,7 @@ from machfv import (ConvergenceConfig, RunConfig, SchemeParams, State,
                     build_mesh, cell_divergence, cell_gradient,
                     audit_energy_balances, convergence_study, energy_report,
                     run_case, solve_density, step)
+from machfv import stepper
 from machfv.driver import initial_state
 
 from oracles import dense_newton
@@ -285,7 +286,8 @@ def test_criterion_09_kinetic_energy_overlap(ke_runs):
         f"eps={worst_pair[1]:g} (<= 0.05 at matched times)")
 
 
-def test_criterion_10_dense_oracle_agreement():
+def test_criterion_10_dense_oracle_agreement(monkeypatch):
+    monkeypatch.setattr(stepper, "NEWTON_TOL", 1e-12)
     mesh = build_mesh(4, 4, 1.0, 1.0)
     rng = np.random.default_rng(4242)
     eta, dt = 4.0, 0.01
@@ -296,7 +298,7 @@ def test_criterion_10_dense_oracle_agreement():
         rho = rng.uniform(0.5, 2.0, mesh.n_cells)
         u = rng.uniform(-1.0, 1.0, (mesh.n_cells, 2))
         state = State(time=0.0, rho=rho, u=u)
-        params = SchemeParams(gamma=gamma, eps=eps, newton_tol=1e-12)
+        params = SchemeParams(gamma=gamma, eps=eps)
         mine, _, _, _ = solve_density(mesh, params.gas(), state, dt, params, eta)
         reference, _, _ = dense_newton(rho, u, 4, 4, 1.0, 1.0, gamma, eps, eta, dt)
         worst = max(worst, float(np.abs(mine - reference).max()))

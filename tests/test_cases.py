@@ -150,10 +150,6 @@ def test_incompressible_exact_discrete_divergence_refines():
 def test_well_prepared_perturbation_sizes():
     mesh = build_mesh(16, 16, 1.0, 1.0)
     v0, _ = vortex_incompressible_exact(mesh)
-    plain = well_prepared_perturbation(mesh, v0, eps=0.1, amplitudes=(0.0, 0.0))
-    np.testing.assert_array_equal(plain.rho, np.ones(mesh.n_cells))
-    np.testing.assert_array_equal(plain.u, v0)
-
     state = well_prepared_perturbation(mesh, v0, eps=0.1)
     assert np.abs(state.rho - 1.0).max() == pytest.approx(0.01, rel=1e-12)
     assert np.abs(state.u - v0).max() == pytest.approx(0.1, rel=1e-12)
@@ -162,10 +158,12 @@ def test_well_prepared_perturbation_sizes():
     np.testing.assert_allclose(cell_divergence(mesh, w), 0.0, atol=1e-12)
 
 
-def test_projection_rule_flag():
+def test_initial_data_have_no_projection_or_amplitude_options():
+    # the midpoint projection and unit amplitudes are the only ones
     mesh = build_mesh(8, 8, 1.0, 1.0)
-    mid = vortex_compressible_init(mesh, 2.0, 1.0, rule="midpoint")
-    gauss = vortex_compressible_init(mesh, 2.0, 1.0, rule="gauss3")
-    # both are O(h)-accurate projections of the same profile
-    assert np.abs(mid.rho - gauss.rho).max() < 0.05
-    assert np.abs(mid.rho - gauss.rho).max() > 0.0
+    v0, _ = vortex_incompressible_exact(mesh)
+    for build in (lambda: vortex_compressible_init(mesh, 2.0, 1.0, rule="midpoint"),
+                  lambda: vortex_incompressible_exact(mesh, rule="midpoint"),
+                  lambda: well_prepared_perturbation(mesh, v0, 0.1, amplitudes=(1.0, 1.0))):
+        with pytest.raises(TypeError):
+            build()

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from machfv import build_mesh, driver
+from machfv import build_mesh, driver, stepper
 from machfv.cli import main
 from machfv.driver import (ConfigError, ConvergenceConfig, InequalityViolation,
                            RunConfig, _config_text, convergence_study, initial_state,
@@ -48,17 +48,21 @@ def test_load_run_config_errors(tmp_path):
     # removed options are unknown keys, named in the error
     with pytest.raises(ConfigError, match=r"unknown keys in \[run\]: seed"):
         load_run_config(write_config(tmp_path, good_run_ini(seed=7)))
-    with pytest.raises(ConfigError, match=r"unknown keys in \[scheme\]: picard_relax"):
-        load_run_config(write_config(
-            tmp_path, good_run_ini() + "\n[scheme]\npicard_relax = 0.5\n"))
-    # the controller sets eta, and the scheme's constants are not settings
-    for key, value in (("eta_mode", "fixed"), ("eta_value", 7.5), ("eta_safety", 1.5),
-                       ("dt_max", 0.05), ("cfl_safety", 0.8), ("beta", 0.1),
-                       ("viscous_scale", 2.0)):
-        path = write_config(tmp_path, good_run_ini() + f"\n[scheme]\n{key} = {value}\n")
-        with pytest.raises(ConfigError, match=rf"unknown keys in \[scheme\]: {key}$"):
+    # the controller sets eta, and the scheme's and the Newton solve's
+    # constants are not settings
+    for key, value in (("picard_relax", 0.5), ("eta_mode", "fixed"), ("eta_value", 7.5),
+                       ("eta_safety", 1.5), ("dt_max", 0.05), ("cfl_safety", 0.8),
+                       ("beta", 0.1), ("viscous_scale", 2.0), ("newton_tol", 1e-10),
+                       ("newton_max_iter", 50)):
+        path = write_config(tmp_path, good_run_ini(**{key: value}))
+        with pytest.raises(ConfigError, match=rf"unknown keys in \[run\]: {key}$"):
             load_run_config(path)
         assert main(["run", "--config", str(path)]) == 2
+    # a config is one section: the old [scheme] section is refused
+    path = write_config(tmp_path, good_run_ini() + "\n[scheme]\nnewton_tol = 1e-10\n")
+    with pytest.raises(ConfigError, match=r"unknown sections \[scheme\]"):
+        load_run_config(path)
+    assert main(["run", "--config", str(path)]) == 2
     with pytest.raises(ConfigError, match="missing \\[run\\]"):
         load_run_config(write_config(tmp_path, "[other]\nx = 1\n"))
     with pytest.raises(ConfigError, match="case"):
@@ -70,9 +74,9 @@ def test_load_run_config_errors(tmp_path):
 
 
 def test_load_config_refuses_unknown_sections(tmp_path):
-    # a misspelt [scheme] would otherwise drop every solver override
-    misspelt = "[run]\nnx = 8\n[schem]\nnewton_tol = 1e-3\n"
-    with pytest.raises(ConfigError, match=r"unknown sections \[schem\]"):
+    # a misspelt section would otherwise drop every key it holds
+    misspelt = "[run]\nnx = 8\n[rnu]\neps = 1e-3\n"
+    with pytest.raises(ConfigError, match=r"unknown sections \[rnu\]"):
         load_run_config(write_config(tmp_path, misspelt))
     with pytest.raises(ConfigError, match=r"unknown sections \[convergence\]"):
         load_run_config(write_config(
@@ -149,14 +153,14 @@ def test_api_refuses_what_the_loader_refuses(build):
     ("run", "final_time", "inf", lambda: RunConfig(final_time=np.inf)),
     ("run", "eps", "inf", lambda: SchemeParams(eps=np.inf)),
     ("run", "gamma", "inf", lambda: SchemeParams(gamma=np.inf)),
-    ("scheme", "newton_tol", "inf", lambda: SchemeParams(newton_tol=np.inf)),
+    ("run", "eps", "1e-200", lambda: SchemeParams(eps=1e-200)),
     ("convergence", "lx", 0, lambda: ConvergenceConfig(lx=0.0)),
     ("convergence", "final_time", "inf", lambda: ConvergenceConfig(final_time=np.inf)),
 ])
 def test_out_of_range_values_are_refused_at_the_config_boundary(
         tmp_path, capsys, section, key, value, build):
     # each once failed late (a traceback, a solver failure) or not at all
-    # (final_time = inf ran 0 steps; newton_tol = inf skipped the implicit solve)
+    # (final_time = inf ran 0 steps; eps = 1e-200 divided by an eps^2 of 0)
     with pytest.raises(ValueError, match=key):  # ConfigError is a ValueError
         build()
     if section == "convergence":
@@ -164,8 +168,7 @@ def test_out_of_range_values_are_refused_at_the_config_boundary(
         text = f"[convergence]\nmode = coupled\ngrids = 4, 8\n{key} = {value}\n"
     else:
         command = "run"
-        text = good_run_ini(**{key: value}) if section == "run" else (
-            good_run_ini() + f"\n[scheme]\n{key} = {value}\n")
+        text = good_run_ini(**{key: value})
     path = write_config(tmp_path, text)
     assert main([command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -174,7 +177,7 @@ def test_out_of_range_values_are_refused_at_the_config_boundary(
 
 
 def test_every_key_round_trips_through_the_echo(tmp_path):
-    params = SchemeParams(gamma=1.4, eps=0.125, newton_tol=1e-9, newton_max_iter=20)
+    params = SchemeParams(gamma=1.4, eps=0.125)
     configs = {
         load_run_config: RunConfig(
             case="well_prepared", nx=12, ny=10, lx=2.0, ly=1.5, params=params,
@@ -583,12 +586,13 @@ def test_cli_inequality_violation_exit_4(tmp_path, monkeypatch, capsys):
     assert "inequality violation" in capsys.readouterr().err
 
 
-def test_solver_failure_organic_exit_3(tmp_path):
+def test_solver_failure_organic_exit_3(tmp_path, monkeypatch):
     # a one-iteration Newton budget cannot reach a 1e-14 tolerance even
     # after all controller dt halvings, so the run fails cleanly
+    monkeypatch.setattr(stepper, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(stepper, "NEWTON_TOL", 1e-14)
     ini = good_run_ini(eps=0.01, final_time=0.05, emit_fields="false",
                        emit_svg="false")
-    ini += "\n[scheme]\nnewton_max_iter = 1\nnewton_tol = 1e-14\n"
     cfg_path = write_config(tmp_path, ini)
     code = main(["run", "--config", str(cfg_path), "--output",
                  str(tmp_path / "fail_out")])

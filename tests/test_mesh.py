@@ -92,23 +92,14 @@ def test_project_constant_and_linear():
     mesh = build_mesh(3, 3, 1.5, 1.5)
     const = project(mesh, lambda x, y: 2.5 + 0.0 * x)
     np.testing.assert_array_equal(const, np.full(9, 2.5))
-    for rule in ("midpoint", "gauss3"):
-        vals = project(mesh, lambda x, y: x, rule=rule)
-        assert vals[0] == pytest.approx(0.25, abs=1e-14)
+    vals = project(mesh, lambda x, y: x)
+    assert vals[0] == pytest.approx(0.25, abs=1e-14)
 
 
-def test_project_gauss3_exact_for_quintic():
-    # tensor 3-point Gauss integrates degree-5 polynomials exactly per axis
-    mesh = build_mesh(3, 3, 1.0, 1.0)
-    vals = project(mesh, lambda x, y: x ** 5, rule="gauss3")
-    xl = np.arange(3) * mesh.hx
-    exact = ((xl + mesh.hx) ** 6 - xl ** 6) / (6.0 * mesh.hx)
-    np.testing.assert_allclose(vals.reshape(3, 3)[0], exact, rtol=1e-14)
-
-
-def test_project_rejects_unknown_rule(mesh44):
-    with pytest.raises(ValueError):
-        project(mesh44, lambda x, y: x, rule="simpson")
+def test_project_has_no_rule_option(mesh44):
+    # the midpoint rule is the only projection
+    with pytest.raises(TypeError):
+        project(mesh44, lambda x, y: x, rule="midpoint")
 
 
 def test_face_average_and_jump_values(mesh44):

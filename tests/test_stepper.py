@@ -39,15 +39,18 @@ def test_state_validation(mesh44):
 
 
 def test_scheme_params_validation():
-    # the controller's constants are not parameters: four fields remain
-    assert [f.name for f in fields(SchemeParams)] == [
-        "gamma", "eps", "newton_tol", "newton_max_iter"]
+    # the controller's and the Newton solve's constants are not parameters
+    assert [f.name for f in fields(SchemeParams)] == ["gamma", "eps"]
     assert 0.0 < BETA < 1.0 / 3.0 and 0.0 < CFL_SAFETY <= 1.0 and DT_MAX > 0.0
+    assert 0.0 < stepper.NEWTON_TOL < 1.0 and stepper.NEWTON_MAX_ITER >= 1
+    # an eps whose square underflows (below sqrt(tiny) = 1.49e-154) once
+    # reached compute_dt's division as 0 and crashed with ZeroDivisionError
+    floor = np.sqrt(np.finfo(float).tiny)
     for bad in (dict(gamma=1.0), dict(gamma=np.inf), dict(gamma=np.nan),
-                dict(eps=0.0), dict(eps=np.inf), dict(newton_tol=0.0),
-                dict(newton_tol=np.inf), dict(newton_max_iter=0)):
+                dict(eps=0.0), dict(eps=np.inf), dict(eps=0.99 * floor)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SchemeParams(**bad)
+    SchemeParams(eps=1.01 * floor)
 
 
 def test_uniform_state_residual_is_zero(mesh44):
@@ -99,10 +102,10 @@ def test_analytic_jacobian_matches_directional_differences():
         np.testing.assert_allclose(jac @ direction, fd, rtol=1e-5, atol=1e-7)
 
 
-def vortex_first_step(n, eps, ny=None, lx=1.0, **overrides):
+def vortex_first_step(n, eps, ny=None, lx=1.0):
     """Mesh, params, initial vortex state, eta and controller dt at eps."""
     mesh = build_mesh(n, n if ny is None else ny, lx, 1.0)
-    params = SchemeParams(gamma=2.0, eps=eps, **overrides)
+    params = SchemeParams(gamma=2.0, eps=eps)
     state = vortex_compressible_init(mesh, params.gamma, eps)
     eta = auto_eta(mesh, state.rho)
     dt = min(compute_dt(mesh, params.gas(), state, params, eta),
@@ -238,9 +241,10 @@ def test_solve_density_uniform_converges_immediately(mesh44):
     np.testing.assert_array_equal(rho, state.rho)
 
 
-def test_solve_density_matches_dense_oracle_on_vortex():
+def test_solve_density_matches_dense_oracle_on_vortex(monkeypatch):
+    monkeypatch.setattr(stepper, "NEWTON_TOL", 1e-12)
     mesh = build_mesh(16, 16, 1.0, 1.0)
-    params = SchemeParams(gamma=2.0, eps=1.0, newton_tol=1e-12)
+    params = SchemeParams(gamma=2.0, eps=1.0)
     state = vortex_compressible_init(mesh, params.gamma, params.eps)
     eta = auto_eta(mesh, state.rho)
     dt = compute_dt(mesh, params.gas(), state, params, eta)
@@ -264,10 +268,11 @@ def test_solve_density_conserves_mass(mesh88):
     assert abs(mass_new - mass_old) <= 1e-12 * abs(mass_old)
 
 
-def test_solve_density_reports_nonconvergence():
+def test_solve_density_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(stepper, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(stepper, "NEWTON_TOL", 1e-14)
     mesh = build_mesh(8, 8, 1.0, 1.0)
-    params = SchemeParams(gamma=2.0, eps=1e-2, newton_max_iter=1,
-                          newton_tol=1e-14)
+    params = SchemeParams(gamma=2.0, eps=1e-2)
     state = vortex_compressible_init(mesh, params.gamma, params.eps)
     with pytest.raises(SolverError):
         # one iteration cannot absorb an O(1) residual at this dt
@@ -504,11 +509,11 @@ def test_step_first_vortex_step_regression():
     assert diag.conditions.all_ok
 
 
-def test_step_recovers_from_failed_solve_by_halving_dt():
+def test_step_recovers_from_failed_solve_by_halving_dt(monkeypatch):
     # a one-iteration Newton budget cannot solve the first controller step;
     # the controller rejects it and halves dt until one iteration suffices
-    mesh, params, state, eta, dt_controller = vortex_first_step(
-        32, 1.0, newton_max_iter=1)
+    monkeypatch.setattr(stepper, "NEWTON_MAX_ITER", 1)
+    mesh, params, state, eta, dt_controller = vortex_first_step(32, 1.0)
     with pytest.raises(SolverError):
         solve_density(mesh, params.gas(), state, dt_controller, params, eta)
     _, diag = step(mesh, state, params)
