@@ -11,8 +11,9 @@ The scheme's energy decay rests on three explicit per-step conditions:
 Every accepted step records a ConditionReport with the margin by which each
 condition holds.  This script prints those margins on a deliberately coarse
 low-Mach run, then replays one step with its fluxes kept and feeds it to
-``audit_energy_balances``, which re-derives the discrete energy identity in
-extended precision:
+``audit_energy_balances``.  The audit runs the stepper's own update kernels
+again in extended precision and evaluates the discrete energy identity on
+that replay:
 
 * the per-cell internal-energy remainder (a Bregman distance plus a jump
   penalty) must be non-negative -- this is the cellwise source of entropy

@@ -17,11 +17,11 @@ from .mesh import (StructuredMesh, build_mesh, project, gather_to_faces,
                    cell_divergence, face_gradient, face_gradient_normal)
 from .eos import GasLaw, PositivityError
 from .flux import (FaceFluxes, assemble_fluxes, stabilisation_velocity,
-                   split_normal_velocity, mass_flux, momentum_flux)
+                   split_normal_velocity, mass_flux, momentum_flux,
+                   update_density, update_velocity)
 from .stepper import (State, SchemeParams, StepDiagnostics, ConditionReport,
                       SolverError, auto_eta, density_residual, solve_density,
-                      update_velocity, compute_dt, enforce_conditions, step,
-                      advance)
+                      compute_dt, enforce_conditions, step, advance)
 from .diagnostics import (EnergyReport, energy_report, relative_energy,
                           relative_energy_to_limit, flow_mach, ErrorReport,
                           error_norms, eoc, EnergyAudit, audit_energy_balances)

@@ -1,18 +1,19 @@
 """Energy accounting, error norms, convergence rates and step audits.
 
-The audit re-derives one accepted step from its retained face fluxes and
-checks, cell by cell, the discrete internal-energy balance (whose remainder
-must be nonnegative, being a positively weighted sum of squares) and the
-assembled total-energy identity
+The audit replays one accepted step from its retained face fluxes with the
+stepper's own update kernels and mass flux, and checks, cell by cell, the
+discrete internal-energy balance (whose remainder must be nonnegative, being
+a positively weighted sum of squares) and the assembled total-energy identity
 
     (E_new - E_old) / dt = - (1/eps^2) sum_faces |face| [[p]] delta_u
                            - (1/eps^2) sum_cells |K| R
                            + sum_cells |K| S.
 
-The audit runs in extended precision (numpy longdouble) and recomputes the
-end-of-step fields from the fluxes: in double precision the evaluation noise
-of the balance residuals, amplified by 1/dt and 1/eps^2, would swamp the
-tolerances the audit is meant to certify.
+The kernels and the GasLaw potentials keep their inputs' dtype, so the audit
+runs them in extended precision (numpy longdouble): in double precision the
+evaluation noise of the balance residuals, amplified by 1/dt and 1/eps^2,
+would swamp the tolerances the audit is meant to certify.  Its own formulas
+are the remainders, their closed form and the kinetic and total balances.
 """
 
 from dataclasses import asdict, dataclass
@@ -20,7 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .eos import GasLaw
-from .flux import VISCOUS_SCALE, momentum_flux
+from .flux import (VISCOUS_SCALE, FaceFluxes, mass_flux, update_density,
+                   update_velocity)
 from .mesh import (StructuredMesh, cell_gradient, face_gradient_normal, face_jump,
                    flux_divergence, gather_to_faces, scatter_to_cells)
 
@@ -85,10 +87,6 @@ def flow_mach(gas: GasLaw, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(u) / gas.pressure_derivative(rho))
 
 
-def _l2(mesh, q):
-    return float(np.sqrt(mesh.cell_volume * (np.asarray(q) ** 2).sum()))
-
-
 @dataclass(frozen=True)
 class ErrorReport:
     """Space-time error norms of a trajectory against a reference velocity."""
@@ -135,7 +133,7 @@ def error_norms(mesh: StructuredMesh, gas: GasLaw, states, exact_velocity,
     for st in states[1:]:
         v = v_at(st.time)
         rel_sup = max(rel_sup, relative_energy_to_limit(mesh, gas, st.rho, st.u, v, eps))
-        rho_sup = max(rho_sup, _l2(mesh, st.rho - 1.0))
+        rho_sup = max(rho_sup, np.sqrt(mesh.cell_volume * ((st.rho - 1.0) ** 2).sum()))
         u_sup = max(u_sup, np.sqrt(mesh.cell_volume * ((st.u - v) ** 2).sum()))
     return ErrorReport(
         rel_energy_sup=float(rel_sup),
@@ -164,7 +162,7 @@ def eoc(errors):
 
 @dataclass(frozen=True)
 class EnergyAudit:
-    """Extended-precision re-derivation of one accepted step.
+    """Extended-precision replay of one accepted step.
 
     The balances are verified modulo the measured flux-consistency defect of
     the nonlinear solve (``max_flux_balance_defect``): the retained fluxes
@@ -193,7 +191,6 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
                           fluxes, dt: float, eps: float) -> EnergyAudit:
     """Audit one step given its before/after states and retained fluxes."""
     ld = np.longdouble
-    g = ld(gas.gamma)
     dtl = ld(dt)
     eps2 = ld(eps) ** 2
     s = ld(VISCOUS_SCALE)
@@ -201,30 +198,16 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
 
     rho_n = before.rho.astype(ld)
     u_n = before.u.astype(ld)
-    w_plus = fluxes.w_plus.astype(ld)
-    w_minus = fluxes.w_minus.astype(ld)
-    delta_u = fluxes.delta_u.astype(ld)
-    mass_plus = fluxes.mass_plus.astype(ld)
-    mass_minus = fluxes.mass_minus.astype(ld)
-    mass = mass_plus + mass_minus
-    u_comps = np.ascontiguousarray(u_n.T)
+    fl = FaceFluxes(**{name: value.astype(ld) for name, value in vars(fluxes).items()})
+    w_plus, w_minus = fl.w_plus, fl.w_minus
+    mass = fl.mass_plus + fl.mass_minus  # re-summed in extended precision
 
-    # Re-derive the end-of-step fields from the fluxes so that the discrete
-    # balances hold at extended precision, not just at solver tolerance.
-    rho_hat = rho_n - dtl * flux_divergence(mesh, mass)
-    p_hat = rho_hat ** g
+    # The step's own kernels, replayed so that the discrete balances hold at
+    # extended precision, not just at solver tolerance.
+    rho_hat = update_density(mesh, rho_n, mass, dtl)
+    u_hat = update_velocity(mesh, gas, rho_n, u_n, rho_hat, fl, dtl, ld(eps))
+    p_hat = gas.pressure(rho_hat)
     grad_p = cell_gradient(mesh, p_hat)
-    u_hat = np.empty_like(u_n)
-    for c, u_c in enumerate(u_comps):
-        div_mom = flux_divergence(mesh, momentum_flux(
-            mass_plus, mass_minus, *gather_to_faces(mesh, u_c)))
-        u_hat[:, c] = (rho_n * u_c - dtl * (div_mom + grad_p[:, c] / eps2)) / rho_hat
-
-    def potential(z):
-        return z ** g / (g - 1.0)
-
-    def bregman(z1, z2):
-        return potential(z1) - potential(z2) - (g / (g - 1.0)) * z2 ** (g - 1.0) * (z1 - z2)
 
     # The retained fluxes carry the density of the accepted Newton iterate,
     # which matches rho_hat only to solver tolerance; the same flux formula
@@ -232,13 +215,13 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
     # account for (in double precision the solve cannot push it under the
     # representation granularity of rho divided by dt).
     rho_hat_k, rho_hat_l = gather_to_faces(mesh, rho_hat)
-    flux_hat = rho_hat_k * (w_plus + s) + rho_hat_l * (w_minus - s)
+    flux_hat = mass_flux(rho_hat_k, rho_hat_l, w_plus, w_minus)[0]
     defect = flux_divergence(mesh, flux_hat - mass)
-    p_prime_hat = g * rho_hat ** (g - 1.0)
+    p_prime_hat = gas.pressure_derivative(rho_hat)
 
     # Internal-energy balance: remainder R >= 0 cell by cell.
-    pot_n = potential(rho_n)
-    pot_hat = potential(rho_hat)
+    pot_n = gas.internal_energy(rho_n)
+    pot_hat = gas.internal_energy(rho_hat)
     pot_k, pot_l = gather_to_faces(mesh, pot_hat)
     h_face = pot_k * w_plus + pot_l * w_minus - s * (pot_l - pot_k)
     div_h = flux_divergence(mesh, h_face)
@@ -248,6 +231,7 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
     # Independent closed form of the same remainder: a positively weighted
     # sum of Bregman distances (time relaxation plus face upwinding), which
     # is the structural reason the internal balance dissipates.
+    bregman = gas.relative_internal_energy
     remainder_closed = bregman(rho_n, rho_hat) / dtl + scatter_to_cells(
         mesh, (s - w_minus) * bregman(rho_hat_l, rho_hat_k),
         (s + w_plus) * bregman(rho_hat_k, rho_hat_l))
@@ -255,14 +239,13 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
     # Kinetic-energy balance with its exact transport remainder S.
     speed2_n = _dot(u_n)
     speed2_k, speed2_l = gather_to_faces(mesh, speed2_n)
-    q_face = (mass_plus * 0.5 * speed2_k + mass_minus * 0.5 * speed2_l
+    q_face = (fl.mass_plus * 0.5 * speed2_k + fl.mass_minus * 0.5 * speed2_l
               - s * 0.5 * (speed2_l - speed2_k))
     div_q = flux_divergence(mesh, q_face)
-    jump_u_sq = sum(face_jump(mesh, u_c) ** 2 for u_c in u_comps)
-    s_faces = scatter_to_cells(mesh, (mass_minus - s) * 0.5 * jump_u_sq,
-                               (-mass_plus - s) * 0.5 * jump_u_sq)
-    diff_u_sq = _dot(u_hat - u_n)
-    transport = rho_hat * diff_u_sq / (2.0 * dtl) + s_faces
+    jump_u_sq = sum(face_jump(mesh, u_c) ** 2 for u_c in np.ascontiguousarray(u_n.T))
+    s_faces = scatter_to_cells(mesh, (fl.mass_minus - s) * 0.5 * jump_u_sq,
+                               (-fl.mass_plus - s) * 0.5 * jump_u_sq)
+    transport = rho_hat * _dot(u_hat - u_n) / (2.0 * dtl) + s_faces
     ke_n = 0.5 * rho_n * speed2_n
     ke_hat = 0.5 * rho_hat * _dot(u_hat)
     kin_residual = ((ke_hat - ke_n) / dtl + div_q
@@ -274,7 +257,7 @@ def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
     # against it per cell above, where no 1/eps^2 amplifies the comparison.
     lhs_rate = vol * ((ke_hat - ke_n) + (pot_hat - pot_n) / eps2).sum() / dtl
     # |face| [[p]] = |K| (|face| / |D|) [[p]]
-    stab_rate = vol * (face_gradient_normal(mesh, p_hat) * delta_u).sum() / eps2
+    stab_rate = vol * (face_gradient_normal(mesh, p_hat) * fl.delta_u).sum() / eps2
     remainder_rate = vol * remainder.sum() / eps2
     transport_rate = vol * transport.sum()
     defect_rate = vol * (p_prime_hat * defect).sum() / eps2

@@ -11,13 +11,17 @@ All per-face quantities are stored with the K-side sign of the face; the
 value seen from the other cell is the negation, which is what makes the
 discrete balances telescope to exact conservation.  The momentum flux is
 built per velocity component; vector fields stay (n_cells, 2) at the API.
+The update kernels keep their inputs' dtype, so the energy audit replays the
+stepper's own update_density and update_velocity in extended precision.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import StructuredMesh, face_gradient_normal, gather_to_faces
+from .eos import GasLaw
+from .mesh import (StructuredMesh, cell_gradient, face_gradient_normal,
+                   flux_divergence, gather_to_faces)
 
 # The jump-penalty scale s of the mass and momentum fluxes.
 VISCOUS_SCALE = 1.0
@@ -91,3 +95,21 @@ def assemble_fluxes(mesh: StructuredMesh, rho_next: np.ndarray, u_normal: np.nda
     return FaceFluxes(
         mass=mass, mass_plus=mass_plus, mass_minus=mass_minus,
         w_plus=w_plus, w_minus=w_minus, delta_u=delta_u)
+
+
+def update_density(mesh: StructuredMesh, rho, mass, dt):
+    """Conservative density update rho - dt div(mass): total mass telescopes exactly."""
+    return rho - dt * flux_divergence(mesh, mass)
+
+
+def update_velocity(mesh: StructuredMesh, gas: GasLaw, rho, u, rho_next,
+                    fluxes: FaceFluxes, dt, eps):
+    """Explicit momentum update of (rho, u) once rho_next is known, per component."""
+    grad_p = cell_gradient(mesh, gas.pressure(rho_next))
+    u_next = np.empty_like(u)
+    for c, u_c in enumerate(np.ascontiguousarray(u.T)):
+        u_k, u_l = gather_to_faces(mesh, u_c)
+        div_mom = flux_divergence(mesh, momentum_flux(
+            fluxes.mass_plus, fluxes.mass_minus, u_k, u_l))
+        u_next[:, c] = (rho * u_c - dt * (div_mom + grad_p[:, c] / eps ** 2)) / rho_next
+    return u_next

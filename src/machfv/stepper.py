@@ -26,11 +26,11 @@ import numpy as np
 
 from . import diagnostics
 from .eos import GasLaw, PositivityError
-from .flux import VISCOUS_SCALE, FaceFluxes, assemble_fluxes, momentum_flux
-from .mesh import (StructuredMesh, cell_gradient, face_average,
-                   face_average_normal, face_weight, flux_divergence,
-                   gather_to_faces, mean_flux_divergence_inverse,
-                   scatter_to_cells)
+from .flux import (VISCOUS_SCALE, FaceFluxes, assemble_fluxes, update_density,
+                   update_velocity)
+from .mesh import (StructuredMesh, face_average, face_average_normal,
+                   face_weight, flux_divergence, gather_to_faces,
+                   mean_flux_divergence_inverse, scatter_to_cells)
 
 # Margin of the controller's eta over the stability bound 3 max {{1/rho}}.
 ETA_SAFETY = 1.1
@@ -83,8 +83,9 @@ class State:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         if self.rho.ndim != 1 or self.u.shape != (self.rho.size, SPACE_DIM):
             raise ValueError(f"inconsistent state shapes {self.rho.shape} / {self.u.shape}")
-        if not (np.all(np.isfinite(self.rho)) and np.all(np.isfinite(self.u))):
-            raise ValueError("state contains non-finite values")
+        for name, field in (("density", self.rho), ("velocity", self.u)):
+            if not np.all(np.isfinite(field)):
+                raise ValueError(f"state {name} contains non-finite values")
         if self.rho.min() <= 0.0:
             raise PositivityError(f"state density must be positive, min {self.rho.min()!r}")
 
@@ -350,20 +351,6 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     return rho, iters, norm, fluxes
 
 
-def update_velocity(mesh: StructuredMesh, gas: GasLaw, state: State,
-                    rho_next: np.ndarray, fluxes: FaceFluxes, dt: float,
-                    eps: float) -> np.ndarray:
-    """Explicit momentum update once the new density is known, per component."""
-    grad_p = cell_gradient(mesh, gas.pressure(rho_next))
-    u_next = np.empty_like(state.u)
-    for c, u_c in enumerate(np.ascontiguousarray(state.u.T)):
-        u_k, u_l = gather_to_faces(mesh, u_c)
-        div_mom = flux_divergence(mesh, momentum_flux(
-            fluxes.mass_plus, fluxes.mass_minus, u_k, u_l))
-        u_next[:, c] = (state.rho * u_c - dt * (div_mom + grad_p[:, c] / eps ** 2)) / rho_next
-    return u_next
-
-
 def compute_dt(mesh: StructuredMesh, gas: GasLaw, state: State,
                params: SchemeParams, eta: float,
                u_normal: np.ndarray | None = None) -> float:
@@ -432,8 +419,7 @@ def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
 def _attempt_step(mesh, gas, state, params, dt, eta, u_normal):
     rho_star, iters, resnorm, fluxes = solve_density(mesh, gas, state, dt, params, eta,
                                                      u_normal)
-    # Final update in conservative form: total mass then telescopes exactly.
-    rho_next = state.rho - dt * flux_divergence(mesh, fluxes.mass)
+    rho_next = update_density(mesh, state.rho, fluxes.mass, dt)
     if not rho_next.min() > 0.0:
         raise SolverError("conservative density update lost positivity or finiteness",
                           resnorm)
@@ -456,7 +442,8 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     sliver step is too short for the dt-scaled stabilisation to hold the
     density at 1 + O(eps^2).
     Condition violations double eta and then halve dt; a step that still
-    violates after MAX_DT_HALVINGS halvings raises SolverError.
+    violates after MAX_DT_HALVINGS halvings raises SolverError, and so does
+    an accepted step whose explicit velocity update is not finite.
     """
     gas = params.gas()
     eta = auto_eta(mesh, state.rho)
@@ -505,9 +492,14 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
             f"step rejected after {MAX_DT_HALVINGS} dt halvings: {failure}")
 
     rho_next, iters, resnorm, fluxes, report = accepted
-    u_next = update_velocity(mesh, gas, state, rho_next, fluxes, dt, params.eps)
-    new_state = State(time=state.time + dt, rho=rho_next, u=u_next,
-                      step_index=state.step_index + 1)
+    u_next = update_velocity(mesh, gas, state.rho, state.u, rho_next, fluxes, dt,
+                             params.eps)
+    try:
+        new_state = State(time=state.time + dt, rho=rho_next, u=u_next,
+                          step_index=state.step_index + 1)
+    except ValueError as err:  # State names the non-finite field
+        raise SolverError(f"step {state.step_index + 1} at dt={dt:.3e}: {err}",
+                          resnorm) from None
 
     if before is None:
         before = diagnostics.energy_report(mesh, gas, state.rho, state.u, params.eps)

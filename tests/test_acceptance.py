@@ -188,6 +188,8 @@ def test_criterion_05_energy_audit(run_eps1_64, run_eps01_32):
         worst_rem = 0.0
         worst_ident = 0.0
         worst_dec = 0.0
+        worst_rho = 0.0
+        worst_u = 0.0
         for i in picks:
             before = result.states[i]
             recorded = result.diags[i]
@@ -203,13 +205,19 @@ def test_criterion_05_energy_audit(run_eps1_64, run_eps01_32):
                             abs(audit.assembled_decrement
                                 - recorded.energy_decrement)
                             / recorded.total_energy)
+            # the audit's extended-precision replay of the update kernels
+            # reproduces the double-precision step
+            worst_rho = max(worst_rho, audit.max_density_mismatch)
+            worst_u = max(worst_u, audit.max_velocity_mismatch)
         ok = (ok and reproduced and worst_rem >= -1e-14
-              and worst_ident <= 1e-10 and worst_dec <= 1e-10)
+              and worst_ident <= 1e-10 and worst_dec <= 1e-10
+              and worst_rho <= 1e-13 and worst_u <= 1e-11)
         parts.append(
             f"{label} (10 replayed steps{'' if reproduced else ', REPLAY MISMATCH'}): "
             f"min cell remainder {worst_rem:.2e} (>= -1e-14), assembled "
             f"identity defect {worst_ident:.2e}, decrement mismatch "
-            f"{worst_dec:.2e} (each <= 1e-10 relative)")
+            f"{worst_dec:.2e} (each <= 1e-10 relative), density/velocity "
+            f"replay mismatch {worst_rho:.2e}/{worst_u:.2e} (<= 1e-13/1e-11)")
     assert report(5, "per-step energy audit", ok, "; ".join(parts))
 
 

@@ -7,6 +7,7 @@ from machfv import (GasLaw, SchemeParams, State, audit_energy_balances,
                     build_mesh, energy_report, eoc, error_norms, flow_mach,
                     relative_energy, relative_energy_to_limit, step,
                     vortex_compressible_init)
+from machfv import flux
 from machfv.diagnostics import total_momentum
 
 
@@ -207,6 +208,21 @@ def test_audit_vortex_step_remainder_and_identity():
         # assembled decrement agrees with the recorded double-precision one
         assert abs(float(audit.assembled_decrement) - diag.energy_decrement) \
             <= 1e-12 * max(1.0, abs(diag.total_energy))
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-2])
+@pytest.mark.parametrize("mutated", [False, True], ids=["shipped", "pressure_x1.001"])
+def test_audit_replays_the_shipped_momentum_kernel(monkeypatch, eps, mutated):
+    # A 0.1% error in the pressure term of the momentum kernel that the
+    # stepper ships must break the audited identity.  An audit with its own
+    # copy of the update would replay the correct formula and pass.
+    if mutated:
+        gradient = flux.cell_gradient
+        monkeypatch.setattr(flux, "cell_gradient",
+                            lambda mesh, p: 1.001 * gradient(mesh, p))
+    _, audit = audit_one_step(build_mesh(16, 16, 1.0, 1.0),
+                              SchemeParams(gamma=2.0, eps=eps))
+    assert (audit.identity_rel_defect > 1e-10) == mutated
 
 
 def test_audit_decrement_matches_report():

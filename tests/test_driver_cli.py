@@ -574,6 +574,23 @@ def test_cli_solver_failure_exit_3(tmp_path, monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", [1e-100, 1e-150])
+def test_cli_overflowing_velocity_update_is_solver_failure(tmp_path, capsys, eps):
+    # At these eps the explicit velocity update of step 2 overflows while
+    # the density stays finite; the step names the field and the CLI exits 3.
+    # Warnings are silenced for this call only: the overflow itself is the
+    # input under test.
+    cfg_path = write_config(tmp_path, good_run_ini(eps=eps, emit_fields="false",
+                                                   emit_svg="false"))
+    with np.errstate(all="ignore"):
+        code = main(["run", "--config", str(cfg_path), "--output",
+                     str(tmp_path / "overflow")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "solver failure: step 2" in err
+    assert "velocity contains non-finite values" in err
+
+
 def test_cli_inequality_violation_exit_4(tmp_path, monkeypatch, capsys):
     cfg_path = write_config(tmp_path, good_run_ini())
 

@@ -366,7 +366,7 @@ def test_update_velocity_uniform_is_identity(mesh44):
     p = gas.pressure(state.rho)
     fluxes = assemble_fluxes(mesh44, state.rho, face_average_normal(mesh44, state.u),
                              p, 3.3, 0.01, 1.0)
-    u_next = update_velocity(mesh44, gas, state, state.rho, fluxes, 0.01, 1.0)
+    u_next = update_velocity(mesh44, gas, state.rho, state.u, state.rho, fluxes, 0.01, 1.0)
     np.testing.assert_allclose(u_next, state.u, atol=1e-15)
 
 
@@ -383,7 +383,8 @@ def test_update_velocity_pressure_gradient_row():
     fluxes = assemble_fluxes(mesh, rho_next, face_average_normal(mesh, state.u),
                              gas.pressure(rho_next),
                              3.3, dt, params.eps)
-    u_next = update_velocity(mesh, gas, state, rho_next, fluxes, dt, params.eps)
+    u_next = update_velocity(mesh, gas, state.rho, state.u, rho_next, fluxes, dt,
+                             params.eps)
     p = pattern ** 2.0
     grad_x = (np.roll(p, -1) - np.roll(p, 1)) / (2.0 * mesh.hx)
     expected = -dt * np.tile(grad_x, 3) / (params.eps ** 2 * rho_next)
@@ -402,7 +403,8 @@ def test_update_velocity_conserves_momentum(mesh88):
     gas = params.gas()
     rho_next, _, _, fluxes = solve_density(mesh88, gas, state, 0.002, params,
                                            eta=4.0)
-    u_next = update_velocity(mesh88, gas, state, rho_next, fluxes, 0.002, 1.0)
+    u_next = update_velocity(mesh88, gas, state.rho, state.u, rho_next, fluxes, 0.002,
+                             1.0)
     mom_old = mesh88.cell_volume * (state.rho[:, None] * state.u).sum(axis=0)
     mom_new = mesh88.cell_volume * (rho_next[:, None] * u_next).sum(axis=0)
     scale = mesh88.cell_volume * (np.abs(state.rho[:, None] * state.u)).sum()
@@ -426,7 +428,7 @@ def test_update_velocity_equals_broadcast_form_bit_for_bit():
     numer = state.rho[:, None] * state.u - dt * (flux_divergence(mesh, mom)
                                                  + grad_p / eps ** 2)
     expected = numer / rho_next[:, None]
-    u_next = update_velocity(mesh, gas, state, rho_next, fluxes, dt, eps)
+    u_next = update_velocity(mesh, gas, state.rho, state.u, rho_next, fluxes, dt, eps)
     assert u_next.shape == expected.shape and u_next.flags.c_contiguous
     assert u_next.tobytes() == expected.tobytes()
 
