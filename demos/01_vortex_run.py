@@ -1,11 +1,15 @@
 """Run the stationary-vortex benchmark and read its diagnostics.
 
-The initial datum is a compensated vortex: a mean-free angular velocity
-profile supported in an annulus, with the density chosen so the pressure
-gradient balances the centrifugal term.  The exact solution of the
-continuous problem is stationary; the scheme dissipates a little kinetic
-energy through its upwind and stabilisation terms, and this script shows
-exactly how much while checking the advertised step-by-step guarantees:
+The initial datum is the `vortex` case: a mean-free angular velocity
+profile supported in an annulus, with the paper's printed density
+rho^(gamma-1) = 1 + (gamma/(gamma-1)) eps^2 pi(r).  That density does not
+balance the centrifugal term (the balance needs (gamma-1)/gamma in place of
+gamma/(gamma-1)), so the compressible flow is not stationary: the density
+relaxes through an O(eps^2) transient while the velocity stays close to
+the steady incompressible vortex.  The scheme also dissipates a little
+kinetic energy through its upwind and stabilisation terms, and this script
+shows exactly how much while checking the advertised step-by-step
+guarantees:
 
 * total mass and momentum conserved to round-off,
 * total energy and relative entropy non-increasing,

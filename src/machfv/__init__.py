@@ -25,12 +25,13 @@ from .stepper import (State, SchemeParams, StepDiagnostics, ConditionReport,
 from .diagnostics import (EnergyReport, energy_report, relative_energy,
                           relative_energy_to_limit, flow_mach, ErrorReport,
                           error_norms, eoc, EnergyAudit, audit_energy_balances)
-from .cases import (VortexSpec, angular_velocity, incompressible_pressure,
-                    vortex_compressible_init, vortex_incompressible_exact,
+from .cases import (VortexSpec, MOVING_VELOCITY, angular_velocity,
+                    incompressible_pressure, vortex_density, vortex_compressible_init,
+                    vortex_incompressible_exact, moving_vortex,
                     well_prepared_perturbation)
 from .driver import (ConfigError, InequalityViolation, RunConfig,
                      ConvergenceConfig, load_run_config, load_convergence_config,
-                     run_case, convergence_study, restrict_to_coarse,
+                     run_case, convergence_study,
                      write_field_snapshot, write_line_chart)
 
 __version__ = "0.1.0"

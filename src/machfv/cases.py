@@ -1,14 +1,19 @@
-"""Benchmark initial data: a stationary vortex and well-prepared perturbations.
+"""Benchmark initial data and exact solutions: the rotating-column vortex, at
+rest and moving, and well-prepared perturbations.
 
-The vortex is a compactly supported rotating column: angular velocity a1*r
-inside radius r1, linearly decaying a2 + a3*r between r1 and r2, zero
-outside, with coefficients chosen continuous.  The matching incompressible
-pressure pi(r) integrates u_theta(s)^2 / s from the centre and is constant
-past r2.  The compressible initial density is the printed closed form
-
-    rho0 = (1 + (gamma eps^2 / (gamma - 1)) pi(r)) ** (1 / (gamma - 1)),
-
-a well-prepared O(eps^2) deviation from unit density.
+The vortex has angular velocity a1*r inside radius r1, a2 + a3*r between r1
+and r2 and zero outside, with coefficients chosen continuous.  Its
+incompressible pressure pi(r) integrates u_theta(s)^2 / s from the centre
+and is constant past r2; the velocity is a steady incompressible solution.
+Case ``vortex`` starts from the paper's printed density
+rho^(gamma-1) = 1 + (gamma/(gamma-1)) eps^2 pi(r), which does not balance
+the centrifugal force, so a run starts with an O(eps^2) transient.  Case
+``moving_vortex`` has the balanced density, with (gamma-1)/gamma in place
+of gamma/(gamma-1), moved by the uniform velocity U = MOVING_VELOCITY:
+rho(x - U t) and u = v(x - U t) + U, at periodic distances from the moving
+centre, are an exact solution of the compressible system at every eps and,
+with unit density, of its incompressible limit, while the column fits in
+the domain (lx, ly >= 2 r2).
 """
 
 from dataclasses import dataclass
@@ -17,6 +22,8 @@ import numpy as np
 
 from .mesh import StructuredMesh, project
 from .stepper import State
+
+MOVING_VELOCITY = (1.0, 0.5)  # U, the moving vortex's uniform background velocity
 
 
 @dataclass(frozen=True)
@@ -73,37 +80,63 @@ def incompressible_pressure(r, spec: VortexSpec = VortexSpec()) -> np.ndarray:
                     np.where(r <= r2, ring_part(safe), ring_part(np.asarray(r2))))
 
 
-def _project_velocity(mesh, spec):
-    """Projected (n_cells, 2) velocity of the vortex."""
-    return np.column_stack([
-        project(mesh, lambda x, y: _velocity_components(x, y, spec)[c])
-        for c in (0, 1)])
-
-
-def _velocity_components(xg, yg, spec):
-    dx = xg - spec.center[0]
-    dy = yg - spec.center[1]
+def _vortex_fields(dx, dy, spec):
+    """Radius and (n_cells, 2) velocity of the vortex at offsets (dx, dy) from its centre."""
     r = np.sqrt(dx ** 2 + dy ** 2)
     u_theta = angular_velocity(r, spec)
     # Rotation about the centre; the profile vanishes at r = 0 so the guarded
     # division is only about avoiding 0/0.
     scale = np.where(r < 1e-14, 0.0, u_theta / np.maximum(r, 1e-300))
-    return scale * dy, -scale * dx
+    return r, np.column_stack([scale * dy, -scale * dx])
+
+
+def _at_rest(mesh, spec):
+    x, y = mesh.cell_centers()
+    return _vortex_fields(x - spec.center[0], y - spec.center[1], spec)
+
+
+def vortex_density(pi, gamma: float, eps: float, balanced: bool):
+    """rho with rho^(gamma-1) = 1 + c eps^2 pi, c = (gamma-1)/gamma when
+    balanced, the printed gamma/(gamma-1) otherwise."""
+    num, den = (gamma - 1.0, gamma) if balanced else (gamma, gamma - 1.0)
+    return (1.0 + num * eps ** 2 / den * pi) ** (1.0 / (gamma - 1.0))
+
+
+def _well_prepared_density(g, eps: float):
+    return 1.0 + eps ** 2 * g
+
+
+def peak_density(case: str, gamma: float, eps: float, spec: VortexSpec = VortexSpec()) -> float:
+    """Closed-form supremum of a case's initial density, inf where it overflows:
+    pi(r) rises to its plateau pi(r2), and max g = 1."""
+    if case == "well_prepared":
+        return _well_prepared_density(1.0, eps)
+    with np.errstate(over="ignore"):
+        return float(vortex_density(incompressible_pressure(spec.r2, spec), gamma, eps,
+                                    balanced=case == "moving_vortex"))
 
 
 def vortex_compressible_init(mesh: StructuredMesh, gamma: float, eps: float,
                              spec: VortexSpec = VortexSpec()) -> State:
-    """Well-prepared compressible vortex state at time zero."""
+    """Vortex at rest with the printed density, at time zero."""
     if not gamma > 1.0:
         raise ValueError(f"gamma must be > 1, got {gamma}")
+    r, u = _at_rest(mesh, spec)
+    rho = vortex_density(incompressible_pressure(r, spec), gamma, eps, balanced=False)
+    return State(time=0.0, rho=rho, u=u, step_index=0)
 
-    def rho_f(x, y):
-        r = np.sqrt((x - spec.center[0]) ** 2 + (y - spec.center[1]) ** 2)
-        pi = incompressible_pressure(r, spec)
-        return (1.0 + gamma * eps ** 2 / (gamma - 1.0) * pi) ** (1.0 / (gamma - 1.0))
 
-    rho = project(mesh, rho_f)
-    return State(time=0.0, rho=rho, u=_project_velocity(mesh, spec), step_index=0)
+def moving_vortex(mesh: StructuredMesh, gamma: float, eps: float, t: float = 0.0,
+                  spec: VortexSpec = VortexSpec()) -> State:
+    """Exact moving vortex at time t, centred at spec.center + U t; t = 0 is
+    the initial state."""
+    x, y = mesh.cell_centers()
+    dx, dy = (d - length * np.round(d / length) for d, length in (
+        (x - (spec.center[0] + MOVING_VELOCITY[0] * t), mesh.lx),
+        (y - (spec.center[1] + MOVING_VELOCITY[1] * t), mesh.ly)))
+    r, v = _vortex_fields(dx, dy, spec)
+    rho = vortex_density(incompressible_pressure(r, spec), gamma, eps, balanced=True)
+    return State(time=t, rho=rho, u=v + MOVING_VELOCITY, step_index=0)
 
 
 def vortex_incompressible_exact(mesh: StructuredMesh,
@@ -113,12 +146,8 @@ def vortex_incompressible_exact(mesh: StructuredMesh,
     The rotating column is an exact steady solution of the incompressible
     limit system, so these fields are time-independent.
     """
-    def pi_f(x, y):
-        r = np.sqrt((x - spec.center[0]) ** 2 + (y - spec.center[1]) ** 2)
-        return incompressible_pressure(r, spec)
-
-    v = _project_velocity(mesh, spec)
-    pi = project(mesh, pi_f)
+    r, v = _at_rest(mesh, spec)
+    pi = incompressible_pressure(r, spec)
     pi = pi - mesh.cell_volume * pi.sum() / (mesh.lx * mesh.ly)
     return v, pi
 
@@ -141,6 +170,6 @@ def well_prepared_perturbation(mesh: StructuredMesh, v0: np.ndarray, eps: float)
     w_max = np.abs(w).max()
     if w_max > 0.0:
         w = w / w_max
-    rho = 1.0 + eps ** 2 * g
+    rho = _well_prepared_density(g, eps)
     u = np.asarray(v0, dtype=float) + eps * w
     return State(time=0.0, rho=rho, u=u, step_index=0)

@@ -89,7 +89,7 @@ def flow_mach(gas: GasLaw, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Space-time error norms of a trajectory against a reference velocity."""
+    """Space-time error norms of a trajectory against an exact solution."""
 
     rel_energy_sup: float
     rho_l2l2: float
@@ -102,39 +102,31 @@ class ErrorReport:
 
 
 def error_norms(mesh: StructuredMesh, gas: GasLaw, states, exact_velocity,
-                eps: float) -> ErrorReport:
-    """Error norms of a stored trajectory against (rho = 1, u = v(t)).
+                eps: float, exact_density=1.0) -> ErrorReport:
+    """Error norms of a stored trajectory against (rho, u) = (exact_density, exact_velocity).
 
-    ``states`` is the list of accepted states including the initial one;
-    ``exact_velocity`` is either a cell vector field (steady reference) or a
-    callable t -> field, already projected on the mesh.  Time integrals use
-    the left-endpoint rule on the step partition; sup norms run over the
-    states after the first step.
+    ``states`` is the list of accepted states including the initial one.
+    ``exact_velocity`` is a cell vector field (steady) or a callable t ->
+    field, ``exact_density`` a constant, a cell field or a callable t ->
+    field, each already projected on the mesh; the default unit density is
+    the incompressible limit.  The relative energy is taken against both.
+    Time integrals use the left-endpoint rule on the step partition; sup
+    norms run over the states after the first step.
     """
     if len(states) < 2:
         raise ValueError("need at least one step to measure errors")
-    if callable(exact_velocity):
-        v_at = exact_velocity
-    else:
-        v_fixed = np.asarray(exact_velocity, dtype=float)
-        v_at = lambda t: v_fixed
-
-    rho_sq_time = 0.0
-    u_sq_time = 0.0
-    rel_sup = 0.0
-    rho_sup = 0.0
-    u_sup = 0.0
-    for n in range(len(states) - 1):
-        dt_n = states[n + 1].time - states[n].time
-        st = states[n]
-        v = v_at(st.time)
-        rho_sq_time += dt_n * mesh.cell_volume * ((st.rho - 1.0) ** 2).sum()
-        u_sq_time += dt_n * mesh.cell_volume * ((st.u - v) ** 2).sum()
-    for st in states[1:]:
-        v = v_at(st.time)
-        rel_sup = max(rel_sup, relative_energy_to_limit(mesh, gas, st.rho, st.u, v, eps))
-        rho_sup = max(rho_sup, np.sqrt(mesh.cell_volume * ((st.rho - 1.0) ** 2).sum()))
-        u_sup = max(u_sup, np.sqrt(mesh.cell_volume * ((st.u - v) ** 2).sum()))
+    v_at, rho_at = (exact if callable(exact) else (lambda t, fixed=np.asarray(exact, float): fixed)
+                    for exact in (exact_velocity, exact_density))
+    vol = mesh.cell_volume
+    rho_sq_time = u_sq_time = rel_sup = rho_sup = u_sup = 0.0
+    for st, nxt in zip(states, states[1:]):
+        dt_n = nxt.time - st.time
+        rho_sq_time += dt_n * vol * ((st.rho - rho_at(st.time)) ** 2).sum()
+        u_sq_time += dt_n * vol * ((st.u - v_at(st.time)) ** 2).sum()
+        rho_ex, v = rho_at(nxt.time), v_at(nxt.time)
+        rel_sup = max(rel_sup, relative_energy(mesh, gas, nxt.rho, nxt.u, rho_ex, v, eps))
+        rho_sup = max(rho_sup, np.sqrt(vol * ((nxt.rho - rho_ex) ** 2).sum()))
+        u_sup = max(u_sup, np.sqrt(vol * ((nxt.u - v) ** 2).sum()))
     return ErrorReport(
         rel_energy_sup=float(rel_sup),
         rho_l2l2=float(np.sqrt(rho_sq_time)),

@@ -2,8 +2,8 @@
 
 Configs are INI files of one section.  A run config is a [run] section
 (case, mesh, gas, final time, output options); a convergence config is a
-[convergence] section (mode, grid list, reference grid, gas, final time).
-Any other section is refused.  The dataclasses RunConfig,
+[convergence] section (mode, case, grid list, gas, final time).  Any other
+section is refused.  The dataclasses RunConfig,
 ConvergenceConfig and SchemeParams are the schema: each key, its type and
 its default is one of their fields, the loader and the config.ini echo
 walk those fields in order, and their __post_init__ checks refuse the same
@@ -13,6 +13,11 @@ starts with a comment line carrying the sha256 of the effective config, so
 outputs are traceable to their inputs; rows are formatted with shortest
 round-trip float representations, which makes repeated runs
 byte-identical.
+
+A convergence study is a list of (n, eps) points, one n x n run each, each
+measured by error_norms against the exact solution of its case: eps = h
+against the incompressible limit (mode "coupled"), or a fixed eps against
+the exact compressible solution, which only the moving vortex has.
 
 Field snapshots are binary: write_field_snapshot writes one uncompressed
 fields/stepNNNNNN.npz per snapshot, in process, holding rho, ux and uy as
@@ -28,13 +33,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cases import (vortex_compressible_init, vortex_incompressible_exact,
-                    well_prepared_perturbation)
-from .diagnostics import energy_report, eoc, error_norms, total_momentum
+from .cases import (VortexSpec, moving_vortex, peak_density, vortex_compressible_init,
+                    vortex_incompressible_exact, well_prepared_perturbation)
+from .diagnostics import ErrorReport, energy_report, eoc, error_norms, total_momentum
 from .mesh import StructuredMesh, build_mesh, cell_grid
 from .stepper import SchemeParams, advance
 
-CASES = ("vortex", "well_prepared")
+CASES = ("vortex", "well_prepared", "moving_vortex")
 INEQUALITY_SLACK = 1e-12
 CONSERVATION_TOL = 1e-12
 
@@ -47,15 +52,35 @@ class InequalityViolation(RuntimeError):
     """A run violated an asserted stability inequality."""
 
 
-def _check_case(section: str, case: str, eps: float):
-    """Reject an unknown case, or an eps at which its density is not positive."""
+def _check_case(cfg, eps: float):
+    """Reject an unknown case, a domain that cuts the moving vortex, or an
+    eps and gamma at which its initial density is not positive or overflows."""
+    case, gamma = cfg.case, cfg.params.gamma
     if case not in CASES:
-        raise ConfigError(f"[{section}] case must be one of {CASES}, got {case!r}")
+        raise ConfigError(f"[{cfg.section}] case must be one of {CASES}, got {case!r}")
     if case == "well_prepared" and not eps < 1.0:
         # rho = 1 + eps^2 g with max|g| = 1 reaches 0 at eps = 1.
         raise ConfigError(
             f"case 'well_prepared' needs eps < 1, got eps = {eps!r}: its "
             f"density 1 + eps^2 g, with max|g| = 1, is not positive at eps >= 1")
+    span = 2.0 * VortexSpec().r2
+    if case == "moving_vortex" and not min(cfg.lx, cfg.ly) >= span:
+        raise ConfigError(
+            f"[{cfg.section}] case 'moving_vortex' needs lx and ly >= 2 r2 = {span!r}, got "
+            f"{cfg.lx!r} x {cfg.ly!r}: the vortex would overlap its periodic images")
+    # The pressure law is read one rounding unit above the peak, since every
+    # density the solver computes carries that error: at gamma = 1e300 the
+    # peak rounds to 1, where p = 1 is finite, but p(1 + 2^-52) is not.
+    peak = peak_density(case, gamma, eps)
+    top = np.nextafter(peak, np.inf)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite([peak, top ** gamma, gamma * top ** (gamma - 1.0)]).all()
+    if not finite:
+        raise ConfigError(
+            f"[{cfg.section}] case {case!r} with gamma = {gamma!r} and eps = {eps!r}: "
+            f"its peak initial density {peak!r}, or the pressure rho**gamma or its "
+            f"derivative one rounding unit above it, exceeds the largest double "
+            f"{float(np.finfo(float).max)!r}")
 
 
 def _check_extents(cfg):
@@ -85,10 +110,10 @@ class RunConfig:
     emit_svg: bool = False
 
     def __post_init__(self):
-        _check_case("run", self.case, self.params.eps)
         if self.nx < 3 or self.ny < 3:
             raise ConfigError(f"[run] nx and ny must be >= 3, got {self.nx} x {self.ny}")
         _check_extents(self)
+        _check_case(self, self.params.eps)
         if self.output_every < 1:
             raise ConfigError(f"[run] output_every must be >= 1, got {self.output_every}")
 
@@ -105,40 +130,28 @@ class ConvergenceConfig:
     ly: float = 1.0
     params: SchemeParams = field(default_factory=SchemeParams)
     final_time: float = 0.1
-    reference: int = 64
     output: str = "machfv_convergence"
 
     def __post_init__(self):
         _check_extents(self)
         if self.mode not in ("coupled", "fixed"):
             raise ConfigError(f"[convergence] mode must be 'coupled' or 'fixed', got {self.mode!r}")
-        if len(self.grids) < 1:
-            raise ConfigError("[convergence] grids must list at least one mesh size")
-        for n in self.grids:
-            if n < 3 or (n & (n - 1)) != 0:
-                raise ConfigError(f"[convergence] grids must be powers of two >= 4, got {n}")
+        if not self.grids or min(self.grids) < 3:
+            raise ConfigError(f"[convergence] grids must list mesh sizes >= 3, got {self.grids}")
         if any(b <= a for a, b in zip(self.grids, self.grids[1:])):
             raise ConfigError(f"[convergence] grids must be strictly increasing, got {self.grids}")
-        if self.mode == "coupled":
-            # A coupled study runs each grid at eps = h and no reference grid.
-            unused = {"eps": (self.params.eps, SchemeParams.eps),
-                      "reference": (self.reference, ConvergenceConfig.reference)}
-            for name, (value, default) in unused.items():
-                if value != default:
-                    raise ConfigError(
-                        f"[convergence] {name} = {value!r} has no effect in coupled "
-                        f"mode, which runs each grid at eps = h and no reference "
-                        f"grid; leave {name} unset")
-        else:
-            if self.reference <= max(self.grids):
-                raise ConfigError(
-                    f"[convergence] reference grid {self.reference} must be finer "
-                    f"than every study grid {self.grids}")
-            if (self.reference & (self.reference - 1)) != 0:
-                raise ConfigError(f"[convergence] reference must be a power of two, got {self.reference}")
+        if self.mode == "coupled" and self.params.eps != SchemeParams.eps:
+            raise ConfigError(
+                f"[convergence] eps = {self.params.eps!r} has no effect in coupled "
+                f"mode, which runs each grid at eps = h; leave eps unset")
         # Coupled studies run at eps = h, the largest on the first grid.
-        _check_case("convergence", self.case, self.params.eps if self.mode == "fixed"
+        _check_case(self, self.params.eps if self.mode == "fixed"
                     else self.lx / self.grids[0])
+        if self.mode == "fixed" and self.case != "moving_vortex":
+            raise ConfigError(
+                f"[convergence] fixed mode measures against the exact compressible "
+                f"solution, which case {self.case!r} does not have; use case "
+                f"'moving_vortex'")
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
@@ -241,6 +254,8 @@ def _config_hash(text: str) -> str:
 def initial_state(cfg: RunConfig, mesh: StructuredMesh):
     if cfg.case == "vortex":
         return vortex_compressible_init(mesh, cfg.params.gamma, cfg.params.eps)
+    if cfg.case == "moving_vortex":
+        return moving_vortex(mesh, cfg.params.gamma, cfg.params.eps)
     v0, _ = vortex_incompressible_exact(mesh)
     return well_prepared_perturbation(mesh, v0, cfg.params.eps)
 
@@ -422,57 +437,35 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
                      output_dir=out if write_outputs else None)
 
 
-def restrict_to_coarse(fine_values: np.ndarray, fine_mesh: StructuredMesh,
-                       coarse_mesh: StructuredMesh) -> np.ndarray:
-    """Exact block average of a fine cell field onto a nested coarser mesh."""
-    if not (np.isclose(fine_mesh.lx, coarse_mesh.lx)
-            and np.isclose(fine_mesh.ly, coarse_mesh.ly)):
-        raise ValueError("meshes cover different domains")
-    if fine_mesh.nx % coarse_mesh.nx or fine_mesh.ny % coarse_mesh.ny:
-        raise ValueError(
-            f"fine mesh {fine_mesh.nx}x{fine_mesh.ny} is not a refinement of "
-            f"{coarse_mesh.nx}x{coarse_mesh.ny}")
-    rx = fine_mesh.nx // coarse_mesh.nx
-    ry = fine_mesh.ny // coarse_mesh.ny
-    grid = cell_grid(fine_mesh, fine_values)
-    return grid.reshape(coarse_mesh.ny, ry, coarse_mesh.nx, rx).mean(axis=(1, 3)).ravel()
-
-
-def _coupled_grid_errors(cfg, n, out_sub):
-    h = cfg.lx / n
+def _point_errors(cfg: ConvergenceConfig, n: int, eps: float, out_sub) -> dict:
+    """error_norms of one n x n run at eps against the exact solution of its
+    case: compressible in fixed mode, the incompressible limit in coupled mode."""
     run_cfg = RunConfig(
         case=cfg.case, nx=n, ny=n, lx=cfg.lx, ly=cfg.ly,
         final_time=cfg.final_time,
-        params=replace(cfg.params, eps=h),
+        params=replace(cfg.params, eps=eps),
         output=str(out_sub), emit_fields=False, emit_svg=False)
     result = run_case(run_cfg, collect_states=True)
-    v_exact, _ = vortex_incompressible_exact(result.mesh)
-    report = error_norms(result.mesh, run_cfg.params.gas(), result.states,
-                         v_exact, run_cfg.params.eps)
+    mesh, gamma = result.mesh, cfg.params.gamma
+    density, velocity = 1.0, lambda t: moving_vortex(mesh, gamma, eps, t).u
+    if cfg.case != "moving_vortex":
+        velocity = vortex_incompressible_exact(mesh)[0]
+    elif cfg.mode == "fixed":
+        density = lambda t: moving_vortex(mesh, gamma, eps, t).rho
+    report = error_norms(mesh, run_cfg.params.gas(), result.states, velocity, eps,
+                         exact_density=density)
     return report.as_dict()
-
-
-def _fixed_grid_fields(cfg, n, out_sub):
-    run_cfg = RunConfig(
-        case=cfg.case, nx=n, ny=n, lx=cfg.lx, ly=cfg.ly,
-        final_time=cfg.final_time, params=cfg.params,
-        output=str(out_sub), emit_fields=False, emit_svg=False)
-    result = run_case(run_cfg)
-    st = result.final_state
-    return {"rho": st.rho, "mom_x": st.rho * st.u[:, 0], "mom_y": st.rho * st.u[:, 1]}
-
-
-def _l2_diff(mesh, a, b):
-    return float(np.sqrt(mesh.cell_volume * ((np.asarray(a) - np.asarray(b)) ** 2).sum()))
 
 
 def convergence_study(cfg: ConvergenceConfig, output_dir=None):
     """Run the configured grid sequence and tabulate errors with EOC columns.
 
-    mode "coupled" ties eps = h and measures errors against the projected
-    incompressible vortex; mode "fixed" keeps eps fixed and compares final
-    fields against a block-averaged finer reference run.  Returns the list
-    of row dicts and writes convergence.csv.
+    Each grid n is one study point (n, eps): mode "coupled" ties eps = h and
+    measures against the incompressible limit of the case (unit density);
+    mode "fixed" keeps the configured eps and measures against the exact
+    compressible moving vortex.  Both report the error_norms columns, so
+    convergence.csv has one header.  Returns the list of row dicts and
+    writes convergence.csv.
     """
     out = Path(output_dir if output_dir is not None else cfg.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -480,29 +473,13 @@ def convergence_study(cfg: ConvergenceConfig, output_dir=None):
     (out / "config.ini").write_text(text)
     cfg_hash = _config_hash(text)
 
-    if cfg.mode == "coupled":
-        columns = ["rel_energy_sup", "rho_l2l2", "rho_supl2", "u_l2l2", "u_supl2"]
-        rows = []
-        for n in cfg.grids:
-            errs = _coupled_grid_errors(cfg, n, out / f"grid_{n:04d}")
-            row = {"n": n, "h": cfg.lx / n, "eps": cfg.lx / n}
-            row.update({c: errs[c] for c in columns})
-            rows.append(row)
-    else:
-        runs = [(n, out / f"grid_{n:04d}") for n in cfg.grids]
-        runs.append((cfg.reference, out / f"reference_{cfg.reference:04d}"))
-        fields = {n: _fixed_grid_fields(cfg, n, out_sub) for n, out_sub in runs}
-        ref_fields = fields.pop(cfg.reference)
-        ref_mesh = build_mesh(cfg.reference, cfg.reference, cfg.lx, cfg.ly)
-        columns = ["rho", "mom_x", "mom_y"]
-        rows = []
-        for n in cfg.grids:
-            mesh_n = build_mesh(n, n, cfg.lx, cfg.ly)
-            row = {"n": n, "h": cfg.lx / n, "eps": cfg.params.eps}
-            for c in columns:
-                restricted = restrict_to_coarse(ref_fields[c], ref_mesh, mesh_n)
-                row[c] = _l2_diff(mesh_n, fields[n][c], restricted)
-            rows.append(row)
+    columns = [f.name for f in fields(ErrorReport)]
+    rows = []
+    for n in cfg.grids:
+        eps = cfg.lx / n if cfg.mode == "coupled" else cfg.params.eps
+        row = {"n": n, "h": cfg.lx / n, "eps": eps}
+        row.update(_point_errors(cfg, n, eps, out / f"grid_{n:04d}"))
+        rows.append(row)
 
     for c in columns:
         rates = eoc([(row["h"], row[c]) for row in rows])

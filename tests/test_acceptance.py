@@ -92,8 +92,8 @@ def coupled_studies(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def fixed_study(tmp_path_factory):
-    """Fixed eps=1 study on 8/16/32 grids against a 64x64 reference run."""
-    cfg = ConvergenceConfig(mode="fixed", grids=(8, 16, 32), reference=64,
+    """Fixed eps=1 moving-vortex study on 8..64 grids against the exact solution."""
+    cfg = ConvergenceConfig(mode="fixed", case="moving_vortex", grids=(8, 16, 32, 64),
                             final_time=0.1,
                             params=SchemeParams(gamma=2.0, eps=1.0))
     return convergence_study(cfg, output_dir=tmp_path_factory.mktemp("fixed"))
@@ -222,15 +222,17 @@ def test_criterion_05_energy_audit(run_eps1_64, run_eps01_32):
 
 
 def test_criterion_06_fixed_eps_convergence(fixed_study):
-    errs = {row["n"]: math.hypot(row["mom_x"], row["mom_y"])
-            for row in fixed_study}
-    rate = math.log2(errs[16] / errs[32])
-    ok = errs[32] < errs[16] and rate >= 0.5
+    errs = [row["u_supl2"] for row in fixed_study]
+    rate = fixed_study[-1]["eoc_u_supl2"]
+    ok = all(b < a for a, b in zip(errs, errs[1:])) and rate >= 0.5
+    u_rates = ", ".join(f"{row['eoc_u_supl2']:.2f}" for row in fixed_study[1:])
+    e_rates = ", ".join(f"{row['eoc_rel_energy_sup']:.2f}" for row in fixed_study[1:])
     assert report(
-        6, "fixed-eps momentum convergence", ok,
-        f"L2 momentum error vs 64x64 reference: n=8 {errs[8]:.3e}, "
-        f"n=16 {errs[16]:.3e}, n=32 {errs[32]:.3e}; finest-pair order "
-        f"{rate:.2f} (>= 0.5, decreasing 16->32)")
+        6, "fixed-eps convergence to the exact solution", ok,
+        "moving vortex, eps=1: u sup-L2 error "
+        + ", ".join(f"n={row['n']} {row['u_supl2']:.3e}" for row in fixed_study)
+        + f"; orders {u_rates}, finest-pair {rate:.2f} (>= 0.5, decreasing); "
+        f"relative-energy orders {e_rates}")
 
 
 def test_criterion_07_coupled_convergence(coupled_studies):

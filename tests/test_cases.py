@@ -1,13 +1,18 @@
-"""Benchmark initial data: rotating-column vortex and well-prepared states."""
+"""Benchmark initial data: rotating-column vortex, at rest and moving, and
+well-prepared states."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from machfv import (VortexSpec, angular_velocity, build_mesh, cell_divergence,
-                    incompressible_pressure, project,
-                    vortex_compressible_init, vortex_incompressible_exact,
-                    well_prepared_perturbation)
+from machfv import (MOVING_VELOCITY, RunConfig, SchemeParams, VortexSpec,
+                    angular_velocity, build_mesh, cell_divergence,
+                    density_residual, incompressible_pressure, moving_vortex, project,
+                    run_case, step, vortex_compressible_init, vortex_density,
+                    vortex_incompressible_exact, well_prepared_perturbation)
+from machfv.cases import peak_density
+from machfv.mesh import cell_grid
+from machfv.driver import initial_state
 
 SPEC = VortexSpec()
 
@@ -167,3 +172,87 @@ def test_initial_data_have_no_projection_or_amplitude_options():
                   lambda: well_prepared_perturbation(mesh, v0, 0.1, amplitudes=(1.0, 1.0))):
         with pytest.raises(TypeError):
             build()
+
+
+def test_moving_vortex_at_t_is_the_initial_state_shifted_by_u_t():
+    # U t = (1, 0.5) at t = 1 and (0.125, 0.0625) at t = 1/8: whole numbers of
+    # 16^2 cells, so the shifted fields are the t = 0 fields rolled periodically
+    mesh = build_mesh(16, 16, 1.0, 1.0)
+    s0 = moving_vortex(mesh, 1.4, 0.3)
+    assert MOVING_VELOCITY == (1.0, 0.5)
+    for t, (sx, sy) in ((1.0, (16, 8)), (0.125, (2, 1))):
+        st = moving_vortex(mesh, 1.4, 0.3, t)
+        assert st.time == t
+        for now, then in ((st.rho, s0.rho), (st.u, s0.u)):
+            np.testing.assert_allclose(
+                cell_grid(mesh, now),
+                np.roll(cell_grid(mesh, then), (sy, sx), axis=(0, 1)), rtol=0, atol=1e-14)
+
+
+def test_moving_vortex_initial_state_is_the_vortex_plus_u():
+    mesh = build_mesh(24, 20, 1.0, 1.0)
+    s0 = moving_vortex(mesh, 2.0, 0.5)
+    v, _ = vortex_incompressible_exact(mesh)
+    np.testing.assert_allclose(s0.u, v + np.array(MOVING_VELOCITY), rtol=0, atol=1e-15)
+    assert s0.time == 0.0
+    # at gamma = 2 the balanced deviation is rho - 1 = eps^2 pi / 2, a quarter
+    # of the printed vortex's
+    x, y = mesh.cell_centers()
+    pi = incompressible_pressure(np.hypot(x - 0.5, y - 0.5))
+    np.testing.assert_allclose(s0.rho - 1.0, 0.125 * pi, rtol=0, atol=1e-15)
+    printed = vortex_compressible_init(mesh, 2.0, 0.5)
+    np.testing.assert_allclose(printed.rho - 1.0, 4.0 * (s0.rho - 1.0), rtol=0, atol=1e-15)
+
+
+def test_balanced_density_is_in_radial_equilibrium():
+    # (1/eps^2) d/dr p(rho) = rho u_theta^2 / r, the centripetal balance,
+    # which the printed density misses by (gamma/(gamma-1))^2
+    for gamma, eps in ((2.0, 1.0), (1.4, 0.3), (1.01, 1.0)):
+        def rho_of(r):
+            return vortex_density(incompressible_pressure(r), gamma, eps, balanced=True)
+
+        h = 1e-6
+        for r in (0.1, 0.15, 0.25, 0.3, 0.35):
+            dp = (rho_of(r + h) ** gamma - rho_of(r - h) ** gamma) / (2.0 * h)
+            assert dp / eps ** 2 == pytest.approx(
+                rho_of(r) * angular_velocity(r) ** 2 / r, rel=1e-5)
+
+
+def test_moving_vortex_first_step_residual_refines():
+    # The exact density at the first step's dt nearly solves the implicit
+    # mass balance: the L2 residual falls with h (measured 1.99e-2, 1.58e-2,
+    # 1.06e-2).  The max norm does not fall (5.6e-2 to 9.8e-2): the profile
+    # has kinks at r1 and r2.
+    params = SchemeParams(gamma=2.0, eps=1.0)
+    norms = []
+    for n in (16, 32, 64):
+        mesh = build_mesh(n, n, 1.0, 1.0)
+        s0 = moving_vortex(mesh, 2.0, 1.0)
+        _, diag = step(mesh, s0, params)
+        exact = moving_vortex(mesh, 2.0, 1.0, diag.dt_used)
+        res = density_residual(mesh, exact.rho, s0, diag.dt_used, params, diag.eta_used)
+        norms.append(np.sqrt(mesh.cell_volume * (res ** 2).sum()))
+    assert norms[0] > norms[1] > norms[2]
+    assert norms[2] == pytest.approx(1.06e-2, rel=0.01)
+
+
+@pytest.mark.parametrize("eps, steps", [(1.0, 63), (1e-2, 63), (1e-4, 101)])
+def test_moving_vortex_runs_with_inequalities_asserted(eps, steps):
+    cfg = RunConfig(case="moving_vortex", nx=32, ny=32, final_time=0.1,
+                    params=SchemeParams(gamma=2.0, eps=eps))
+    result = run_case(cfg, assert_inequalities=True, write_outputs=False)
+    assert len(result.diags) == steps
+    assert result.final_state.time == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["vortex", "moving_vortex", "well_prepared"])
+def test_peak_density_is_the_initial_density_maximum(case):
+    # cells outside r2 sit on the pressure plateau, and g reaches 1 on the grid
+    mesh = build_mesh(16, 16, 1.0, 1.0)
+    for gamma, eps in ((2.0, 0.5), (1.4, 0.1), (1.05, 0.9)):
+        rho0 = initial_state(RunConfig(case=case, params=SchemeParams(gamma=gamma, eps=eps)),
+                             mesh).rho
+        assert peak_density(case, gamma, eps) == pytest.approx(rho0.max(), rel=1e-15)
+    # the printed density overflows near gamma = 1; the balanced one does not
+    assert peak_density("vortex", 1.001, 1.0) == np.inf
+    assert peak_density("moving_vortex", 1.001, 1.0) < 1.0 + 1e-2

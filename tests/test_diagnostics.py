@@ -157,6 +157,25 @@ def test_error_norms_accepts_time_dependent_reference():
         error_norms(mesh, gas, states[:1], states[0].u, eps=1.0)
 
 
+def test_error_norms_measure_against_an_exact_density():
+    mesh = build_mesh(4, 4, 1.0, 1.0)
+    gas = GasLaw(2.0)
+    v = np.zeros((16, 2))
+    states = [State(time=t, rho=np.full(16, 1.0 + t), u=v) for t in (0.0, 0.5)]
+    # a callable of t that the trajectory follows: every error vanishes
+    exact = error_norms(mesh, gas, states, v, eps=0.5, exact_density=lambda t: 1.0 + t)
+    assert exact.rel_energy_sup == 0.0 and exact.rho_l2l2 == 0.0 and exact.rho_supl2 == 0.0
+    # a constant: the sup runs over the state after the first step, the
+    # time integral over the state before it
+    rep = error_norms(mesh, gas, states, v, eps=0.5, exact_density=1.25)
+    assert rep.rho_supl2 == pytest.approx(0.25)
+    assert rep.rho_l2l2 == pytest.approx(np.sqrt(0.5) * 0.25)
+    # Pi(1.5 | 1.25) = (1.5 - 1.25)^2 at gamma = 2, over eps^2
+    assert rep.rel_energy_sup == pytest.approx(0.0625 / 0.25)
+    # the default is the incompressible limit, unit density
+    assert error_norms(mesh, gas, states, v, eps=0.5).rho_supl2 == pytest.approx(0.5)
+
+
 def test_eoc_values():
     assert eoc([(1.0 / 8.0, 0.04), (1.0 / 16.0, 0.01)]) == [pytest.approx(2.0)]
     # halving h with errors 5.129e-4 -> 1.928e-4 gives EOC 1.411

@@ -6,13 +6,12 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from machfv import build_mesh, driver, stepper
+from machfv import build_mesh, driver, moving_vortex, stepper
 from machfv.cli import main
 from machfv.driver import (ConfigError, ConvergenceConfig, InequalityViolation,
                            RunConfig, _config_text, convergence_study, initial_state,
                            load_convergence_config, load_run_config,
-                           restrict_to_coarse, run_case, write_field_snapshot,
-                           write_line_chart)
+                           run_case, write_field_snapshot, write_line_chart)
 from machfv.stepper import SchemeParams, SolverError, State
 
 def write_config(tmp_path, text, name="config.ini"):
@@ -89,38 +88,41 @@ def test_load_config_refuses_unknown_sections(tmp_path):
 
 def test_load_convergence_config_errors(tmp_path):
     def conv_ini(**overrides):
-        base = {"mode": "fixed", "grids": "8, 16", "reference": 32,
+        base = {"mode": "fixed", "case": "moving_vortex", "grids": "8, 16",
                 "final_time": 0.01, "gamma": 2.0, "eps": 1.0}
         base.update(overrides)
         return "[convergence]\n" + "\n".join(f"{k} = {v}" for k, v in base.items()) + "\n"
 
     cfg = load_convergence_config(write_config(tmp_path, conv_ini()))
-    assert cfg.grids == (8, 16) and cfg.reference == 32
-    with pytest.raises(ConfigError, match="power"):
-        load_convergence_config(write_config(tmp_path, conv_ini(grids="8, 12")))
+    assert cfg.grids == (8, 16) and cfg.case == "moving_vortex"
+    # grids need not nest: no study compares one grid with another
+    assert load_convergence_config(write_config(tmp_path, conv_ini(grids="6, 12, 20"))).grids \
+        == (6, 12, 20)
     with pytest.raises(ConfigError, match="increasing"):
         load_convergence_config(write_config(tmp_path, conv_ini(grids="16, 8")))
-    with pytest.raises(ConfigError, match="reference"):
-        load_convergence_config(write_config(tmp_path, conv_ini(reference=16)))
+    with pytest.raises(ConfigError, match=">= 3"):
+        load_convergence_config(write_config(tmp_path, conv_ini(grids="2, 8")))
+    with pytest.raises(ConfigError, match=r"unknown keys in \[convergence\]: reference$"):
+        load_convergence_config(write_config(tmp_path, conv_ini(reference=32)))
     with pytest.raises(ConfigError, match="mode"):
         load_convergence_config(write_config(tmp_path, conv_ini(mode="spacetime")))
 
 
 def test_coupled_study_refuses_eps_and_reference(tmp_path):
-    # a coupled study runs each grid at eps = h and no reference grid, so a
-    # file that sets either would be echoed but never used
+    # a coupled study runs each grid at eps = h, so a file that sets eps
+    # would be echoed but never used; no study has a reference grid
     base = "[convergence]\nmode = coupled\ngrids = 4, 8\nfinal_time = 0.01\n"
-    for line in ("eps = 0.5", "reference = 128"):
+    for line, match in (("eps = 0.5", r"\[convergence\] eps = .* coupled mode"),
+                        ("reference = 128", r"unknown keys in \[convergence\]: reference$")):
         path = write_config(tmp_path, base + line + "\n", name="coupled.ini")
-        key = line.split()[0]
-        with pytest.raises(ConfigError, match=rf"\[convergence\] {key} = .* coupled mode"):
+        with pytest.raises(ConfigError, match=match):
             load_convergence_config(path)
         assert main(["convergence", "--config", str(path),
                      "--output", str(tmp_path / "never")]) == 2
     assert not (tmp_path / "never").exists()
     # the defaults, which the config.ini echo writes out, load back
     defaults = load_convergence_config(write_config(
-        tmp_path, base + "eps = 1.0\nreference = 64\n", name="defaults.ini"))
+        tmp_path, base + "eps = 1.0\n", name="defaults.ini"))
     assert defaults == load_convergence_config(write_config(tmp_path, base))
     echo = write_config(tmp_path, _config_text(defaults), name="echo.ini")
     assert load_convergence_config(echo) == defaults
@@ -132,12 +134,16 @@ def test_coupled_study_refuses_eps_and_reference(tmp_path):
     lambda: RunConfig(case="shock_tube"),
     lambda: ConvergenceConfig(mode="bogus"),
     lambda: ConvergenceConfig(grids=()),
-    lambda: ConvergenceConfig(grids=(8, 12)),
-    lambda: ConvergenceConfig(mode="fixed", grids=(8,), reference=8),
+    lambda: ConvergenceConfig(grids=(2, 4)),
+    lambda: ConvergenceConfig(grids=(8, 8)),
     lambda: ConvergenceConfig(mode="coupled", params=SchemeParams(eps=0.5)),
-    lambda: ConvergenceConfig(mode="coupled", reference=128),
-], ids=["output_every", "final_time", "case", "mode", "no_grids", "grid_power",
-        "reference", "coupled_eps", "coupled_reference"])
+    lambda: ConvergenceConfig(mode="fixed", case="vortex"),
+    lambda: ConvergenceConfig(mode="fixed", case="well_prepared", params=SchemeParams(eps=0.5)),
+    lambda: RunConfig(case="moving_vortex", lx=0.7),
+    lambda: ConvergenceConfig(case="moving_vortex", ly=0.79),
+], ids=["output_every", "final_time", "case", "mode", "no_grids", "grid_small",
+        "grid_repeated", "coupled_eps", "fixed_vortex", "fixed_well_prepared",
+        "moving_vortex_lx", "moving_vortex_ly"])
 def test_api_refuses_what_the_loader_refuses(build):
     with pytest.raises(ConfigError):
         build()
@@ -154,6 +160,8 @@ def test_api_refuses_what_the_loader_refuses(build):
     ("run", "eps", "inf", lambda: SchemeParams(eps=np.inf)),
     ("run", "gamma", "inf", lambda: SchemeParams(gamma=np.inf)),
     ("run", "eps", "1e-200", lambda: SchemeParams(eps=1e-200)),
+    ("run", "gamma", "1.001", lambda: RunConfig(params=SchemeParams(gamma=1.001))),
+    ("run", "gamma", "1e300", lambda: RunConfig(params=SchemeParams(gamma=1e300))),
     ("convergence", "lx", 0, lambda: ConvergenceConfig(lx=0.0)),
     ("convergence", "final_time", "inf", lambda: ConvergenceConfig(final_time=np.inf)),
 ])
@@ -176,6 +184,28 @@ def test_out_of_range_values_are_refused_at_the_config_boundary(
     assert not (tmp_path / "out").exists()
 
 
+def test_overflowing_initial_data_are_refused_naming_the_bound(tmp_path, capsys):
+    # gamma = 1.001 overflows the printed vortex density's peak; at
+    # gamma = 1e300 the peak rounds to 1, but the pressure one rounding unit
+    # above it does not fit in a double.  Both once failed after the start.
+    for gamma in ("1.001", "1e300"):
+        path = write_config(tmp_path, good_run_ini(gamma=gamma))
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "never")]) == 2
+        err = capsys.readouterr().err
+        assert "peak initial density" in err and "exceeds the largest double 1.7976931348623157e+308" in err
+    assert not (tmp_path / "never").exists()
+    # the moving vortex's balanced density stays near 1 as gamma -> 1
+    assert RunConfig(case="moving_vortex", params=SchemeParams(gamma=1.001)).params.gamma == 1.001
+
+
+def test_moving_vortex_refuses_a_domain_that_cuts_it(tmp_path, capsys):
+    path = write_config(tmp_path, good_run_ini(case="moving_vortex", lx=0.7))
+    assert main(["run", "--config", str(path), "--output", str(tmp_path / "never")]) == 2
+    assert "lx and ly >= 2 r2 = 0.8" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+    assert RunConfig(case="moving_vortex", lx=0.8, ly=0.8).lx == 0.8
+
+
 def test_every_key_round_trips_through_the_echo(tmp_path):
     params = SchemeParams(gamma=1.4, eps=0.125)
     configs = {
@@ -184,8 +214,8 @@ def test_every_key_round_trips_through_the_echo(tmp_path):
             final_time=0.25, output="elsewhere", output_every=4,
             emit_fields=True, emit_svg=True),
         load_convergence_config: ConvergenceConfig(
-            mode="fixed", case="well_prepared", grids=(4, 16), lx=2.0, ly=1.5,
-            params=params, final_time=0.25, reference=32, output="study"),
+            mode="fixed", case="moving_vortex", grids=(4, 16), lx=2.0, ly=1.5,
+            params=params, final_time=0.25, output="study"),
     }
     for load, cfg in configs.items():
         for f in fields(cfg):
@@ -409,34 +439,6 @@ def test_well_prepared_case_runs(tmp_path):
     assert all(d.min_density > 0.0 for d in result.diags)
 
 
-def test_restrict_to_coarse():
-    fine = build_mesh(8, 8, 1.0, 1.0)
-    coarse = build_mesh(4, 4, 1.0, 1.0)
-    const = np.full(64, 3.7)
-    np.testing.assert_allclose(restrict_to_coarse(const, fine, coarse), 3.7)
-
-    values = np.zeros(64)
-    # children of coarse cell (0, 0) are fine cells (0,0), (1,0), (0,1), (1,1)
-    values[0 + 8 * 0] = 1.0
-    values[1 + 8 * 0] = 2.0
-    values[0 + 8 * 1] = 3.0
-    values[1 + 8 * 1] = 4.0
-    coarse_vals = restrict_to_coarse(values, fine, coarse)
-    assert coarse_vals[0] == pytest.approx(2.5)
-
-    rng = np.random.default_rng(61)
-    q = rng.normal(size=64)
-    mass_fine = fine.cell_volume * q.sum()
-    rq = restrict_to_coarse(q, fine, coarse)
-    mass_coarse = coarse.cell_volume * rq.sum()
-    assert mass_coarse == pytest.approx(mass_fine, abs=1e-14)
-
-    with pytest.raises(ValueError, match="refinement"):
-        restrict_to_coarse(np.zeros(7 * 7), build_mesh(7, 7, 1.0, 1.0), coarse)
-    with pytest.raises(ValueError, match="domain"):
-        restrict_to_coarse(np.zeros(64), build_mesh(8, 8, 2.0, 1.0), coarse)
-
-
 def test_convergence_study_coupled_layout(tmp_path):
     cfg = ConvergenceConfig(mode="coupled", grids=(4, 8), final_time=0.01,
                             params=SchemeParams(gamma=2.0))
@@ -455,16 +457,54 @@ def test_convergence_study_coupled_layout(tmp_path):
 
 
 def test_convergence_study_single_grid_has_errors_no_eoc(tmp_path):
-    cfg = ConvergenceConfig(mode="fixed", grids=(4,), reference=8,
+    cfg = ConvergenceConfig(mode="fixed", case="moving_vortex", grids=(4,),
                             final_time=0.01)
     rows = convergence_study(cfg, output_dir=tmp_path / "single")
     assert len(rows) == 1
-    assert rows[0]["rho"] > 0.0
-    assert rows[0]["eoc_rho"] is None
+    assert rows[0]["rho_supl2"] > 0.0
+    assert rows[0]["eoc_rho_supl2"] is None
+
+
+def test_convergence_csv_has_one_header_in_both_modes(tmp_path):
+    headers = set()
+    for mode in ("coupled", "fixed"):
+        cfg = ConvergenceConfig(mode=mode, case="moving_vortex", grids=(4, 8),
+                                final_time=0.01)
+        convergence_study(cfg, output_dir=tmp_path / mode)
+        headers.add((tmp_path / mode / "convergence.csv").read_text().splitlines()[2])
+    assert headers == {"n,h,eps,rel_energy_sup,eoc,rho_l2l2,eoc,rho_supl2,eoc,"
+                       "u_l2l2,eoc,u_supl2,eoc"}
+
+
+def test_fixed_study_measures_against_the_exact_compressible_solution(tmp_path):
+    # The exact moving vortex's density is 1 + O(eps^2), not 1: a fixed study
+    # measures against it, a coupled study against unit density at eps = h.
+    study = {}
+    for mode in ("coupled", "fixed"):
+        cfg = ConvergenceConfig(mode=mode, case="moving_vortex", grids=(8,),
+                                final_time=0.01)
+        study[mode] = convergence_study(cfg, output_dir=tmp_path / mode)[0]
+    assert study["coupled"]["eps"] == 0.125 and study["fixed"]["eps"] == 1.0
+    mesh = build_mesh(8, 8, 1.0, 1.0)
+    exact = moving_vortex(mesh, 2.0, 1.0)
+    gap = np.sqrt(mesh.cell_volume * ((exact.rho - 1.0) ** 2).sum())
+    # two steps move the density far less than its distance from 1 (0.07x)
+    assert study["fixed"]["rho_supl2"] < 0.2 * gap
+
+
+@pytest.mark.parametrize("case", ["vortex", "well_prepared"])
+def test_fixed_study_refuses_a_case_without_exact_solution(tmp_path, capsys, case):
+    path = write_config(tmp_path, f"[convergence]\nmode = fixed\ncase = {case}\n"
+                                  f"grids = 4, 8\neps = 0.5\n")
+    assert main(["convergence", "--config", str(path),
+                 "--output", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "moving_vortex" in err
+    assert not (tmp_path / "never").exists()
 
 
 def test_convergence_study_fixed_reports_the_scheme_eps(tmp_path):
-    cfg = ConvergenceConfig(mode="fixed", grids=(4,), reference=8,
+    cfg = ConvergenceConfig(mode="fixed", case="moving_vortex", grids=(4,),
                             final_time=0.01, params=SchemeParams(eps=0.5))
     rows = convergence_study(cfg, output_dir=tmp_path / "fixed")
     assert rows[0]["eps"] == 0.5
@@ -540,7 +580,7 @@ def test_well_prepared_eps_at_least_one_rejected_everywhere(tmp_path):
     assert initial_state(RunConfig(case="well_prepared",
                                    params=SchemeParams(eps=0.5)), mesh).rho.min() > 0.0
     fixed = ("[convergence]\nmode = fixed\ncase = well_prepared\ngrids = 8\n"
-             "reference = 16\neps = 1.0\n")
+             "eps = 1.0\n")
     with pytest.raises(ConfigError, match="eps"):
         load_convergence_config(write_config(tmp_path, fixed, name="fixed.ini"))
     # a coupled study runs at eps = lx / n: 4 / 4 = 1 on its first grid
