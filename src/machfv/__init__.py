@@ -11,10 +11,10 @@ remains accurate uniformly as ``eps`` tends to zero (asymptotic preserving).
 
 from types import ModuleType as _ModuleType
 
-from .mesh import (StructuredMesh, build_mesh, project, gather_to_faces,
+from .mesh import (StructuredMesh, build_mesh, gather_to_faces,
                    scatter_to_cells, flux_divergence, face_average,
                    face_jump, face_average_normal, cell_gradient,
-                   cell_divergence, face_gradient, face_gradient_normal)
+                   cell_divergence, face_gradient_normal)
 from .eos import GasLaw, PositivityError
 from .flux import (FaceFluxes, assemble_fluxes, stabilisation_velocity,
                    split_normal_velocity, mass_flux, momentum_flux,
@@ -23,9 +23,9 @@ from .stepper import (State, SchemeParams, StepDiagnostics, ConditionReport,
                       SolverError, auto_eta, density_residual, solve_density,
                       compute_dt, enforce_conditions, step, advance)
 from .diagnostics import (EnergyReport, energy_report, relative_energy,
-                          relative_energy_to_limit, flow_mach, ErrorReport,
+                          relative_energy_to_limit, ErrorReport,
                           error_norms, eoc, EnergyAudit, audit_energy_balances)
-from .cases import (VortexSpec, MOVING_VELOCITY, angular_velocity,
+from .cases import (MOVING_VELOCITY, angular_velocity,
                     incompressible_pressure, vortex_density, vortex_compressible_init,
                     vortex_incompressible_exact, moving_vortex,
                     well_prepared_perturbation)

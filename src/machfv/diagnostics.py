@@ -82,11 +82,6 @@ def relative_energy_to_limit(mesh: StructuredMesh, gas: GasLaw, rho, u, v,
     return relative_energy(mesh, gas, rho, u, 1.0, v, eps)
 
 
-def flow_mach(gas: GasLaw, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Local Mach number |u| / sqrt(p'(rho)) per cell."""
-    return np.sqrt(_dot(u) / gas.pressure_derivative(rho))
-
-
 @dataclass(frozen=True)
 class ErrorReport:
     """Space-time error norms of a trajectory against an exact solution."""
@@ -108,8 +103,9 @@ def error_norms(mesh: StructuredMesh, gas: GasLaw, states, exact_velocity,
     ``states`` is the list of accepted states including the initial one.
     ``exact_velocity`` is a cell vector field (steady) or a callable t ->
     field, ``exact_density`` a constant, a cell field or a callable t ->
-    field, each already projected on the mesh; the default unit density is
-    the incompressible limit.  The relative energy is taken against both.
+    field, each already evaluated at the cell centres; the default unit
+    density is the incompressible limit.  The relative energy is taken
+    against both.
     Time integrals use the left-endpoint rule on the step partition; sup
     norms run over the states after the first step.
     """

@@ -33,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cases import (VortexSpec, moving_vortex, peak_density, vortex_compressible_init,
+from .cases import (R2, moving_vortex, peak_density, vortex_compressible_init,
                     vortex_incompressible_exact, well_prepared_perturbation)
 from .diagnostics import ErrorReport, energy_report, eoc, error_norms, total_momentum
 from .mesh import StructuredMesh, build_mesh, cell_grid
@@ -63,7 +63,7 @@ def _check_case(cfg, eps: float):
         raise ConfigError(
             f"case 'well_prepared' needs eps < 1, got eps = {eps!r}: its "
             f"density 1 + eps^2 g, with max|g| = 1, is not positive at eps >= 1")
-    span = 2.0 * VortexSpec().r2
+    span = 2.0 * R2
     if case == "moving_vortex" and not min(cfg.lx, cfg.ly) >= span:
         raise ConfigError(
             f"[{cfg.section}] case 'moving_vortex' needs lx and ly >= 2 r2 = {span!r}, got "
@@ -256,8 +256,7 @@ def initial_state(cfg: RunConfig, mesh: StructuredMesh):
         return vortex_compressible_init(mesh, cfg.params.gamma, cfg.params.eps)
     if cfg.case == "moving_vortex":
         return moving_vortex(mesh, cfg.params.gamma, cfg.params.eps)
-    v0, _ = vortex_incompressible_exact(mesh)
-    return well_prepared_perturbation(mesh, v0, cfg.params.eps)
+    return well_prepared_perturbation(mesh, cfg.params.eps)
 
 
 @dataclass

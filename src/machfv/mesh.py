@@ -12,6 +12,8 @@ every per-face quantity is reported with that K-side orientation; the jump
 is ``q_L - q_K``.  Every face is interior and its dual volume equals the
 cell volume, so the face weight |face| / |K| = |face| / |D| is 1/hx on the
 x-block and 1/hy on the y-block; the cell boundary measure is 2 (hx + hy).
+A cell field of a function of (x, y) is its value at ``cell_centers()``, the
+midpoint rule.
 
 Only this module knows the layout and the weight.  Its operators are slice
 arithmetic on these views: an L side is the grid shifted by one cell (two
@@ -41,10 +43,6 @@ class StructuredMesh:
     def n_cells(self) -> int:
         return self.nx * self.ny
 
-    @property
-    def n_faces(self) -> int:
-        return 2 * self.n_cells
-
     def cell_centers(self):
         """Flat (row-major) arrays of the cell centre coordinates."""
         xc = (np.arange(self.nx) + 0.5) * self.hx
@@ -68,14 +66,6 @@ def build_mesh(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0) -> Structured
     return StructuredMesh(nx=nx, ny=ny, lx=lx, ly=ly, hx=hx, hy=hy,
                           cell_volume=hx * hy,
                           boundary_measure=2.0 * (hx + hy))
-
-
-def project(mesh: StructuredMesh, f) -> np.ndarray:
-    """Project a function f(x, y) onto piecewise constants by the midpoint rule.
-
-    ``f`` is evaluated at the cell centres and must accept numpy arrays.
-    """
-    return np.asarray(f(*mesh.cell_centers()), dtype=float)
 
 
 def cell_grid(mesh: StructuredMesh, q) -> np.ndarray:
@@ -227,11 +217,6 @@ def face_gradient_normal(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
     for block, weight in zip(grad, face_weight(mesh)):
         block *= weight
     return grad
-
-
-def face_gradient(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
-    """Face gradient as a per-face vector in the stored orientation, (2, n_cells, 2)."""
-    return face_gradient_normal(mesh, q)[..., None] * np.eye(2)[:, None]
 
 
 def cell_divergence(mesh: StructuredMesh, phi: np.ndarray) -> np.ndarray:

@@ -5,35 +5,31 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from machfv import (MOVING_VELOCITY, RunConfig, SchemeParams, VortexSpec,
+from machfv import (MOVING_VELOCITY, RunConfig, SchemeParams,
                     angular_velocity, build_mesh, cell_divergence,
-                    density_residual, incompressible_pressure, moving_vortex, project,
+                    density_residual, incompressible_pressure, moving_vortex,
                     run_case, step, vortex_compressible_init, vortex_density,
                     vortex_incompressible_exact, well_prepared_perturbation)
-from machfv.cases import peak_density
+from machfv.cases import A1, A2, A3, R1, R2, peak_density
 from machfv.mesh import cell_grid
 from machfv.driver import initial_state
 
-SPEC = VortexSpec()
-
 
 def test_vortex_spec_constants():
-    assert SPEC.a1 == pytest.approx(0.5)       # amplitude / r1
-    assert SPEC.a2 == pytest.approx(0.2)       # -amplitude r2 / (r1 - r2)
-    assert SPEC.a3 == pytest.approx(-0.5)      # amplitude / (r1 - r2)
-    with pytest.raises(ValueError):
-        VortexSpec(r1=0.4, r2=0.2)
+    assert A1 == pytest.approx(0.5)       # AMPLITUDE / R1
+    assert A2 == pytest.approx(0.2)       # -AMPLITUDE R2 / (R1 - R2)
+    assert A3 == pytest.approx(-0.5)      # AMPLITUDE / (R1 - R2)
 
 
 def test_angular_velocity_profile():
     assert angular_velocity(0.0) == 0.0
-    assert angular_velocity(SPEC.r1) == pytest.approx(0.1)   # peak = amplitude
+    assert angular_velocity(R1) == pytest.approx(0.1)   # peak = amplitude
     assert angular_velocity(0.1) == pytest.approx(0.05)
     assert angular_velocity(0.3) == pytest.approx(0.05)      # a2 + 0.3 a3
-    assert angular_velocity(SPEC.r2) == pytest.approx(0.0, abs=1e-15)
+    assert angular_velocity(R2) == pytest.approx(0.0, abs=1e-15)
     assert angular_velocity(0.7) == 0.0
     # continuity at both radii
-    for r in (SPEC.r1, SPEC.r2):
+    for r in (R1, R2):
         left = angular_velocity(r - 1e-12)
         right = angular_velocity(r + 1e-12)
         assert left == pytest.approx(right, abs=1e-10)
@@ -45,15 +41,15 @@ def test_incompressible_pressure_closed_form_matches_quadrature():
 
     radii = np.linspace(1e-3, 0.8, 100)
     for r in radii:
-        breaks = [p for p in (SPEC.r1, SPEC.r2) if p < r]
+        breaks = [p for p in (R1, R2) if p < r]
         ref, err = quad(integrand, 0.0, r, points=breaks or None, limit=200)
         assert incompressible_pressure(r) == pytest.approx(ref, abs=1e-10)
     assert incompressible_pressure(0.0) == 0.0
-    assert incompressible_pressure(SPEC.r1) == pytest.approx(0.005)
+    assert incompressible_pressure(R1) == pytest.approx(0.005)
 
 
 def test_incompressible_pressure_plateau_and_monotonicity():
-    plateau = incompressible_pressure(SPEC.r2)
+    plateau = incompressible_pressure(R2)
     # closed form of pi(r2): -0.02 + 0.04 ln 2
     assert plateau == pytest.approx(-0.02 + 0.04 * np.log(2.0), rel=1e-13)
     for r in (0.4, 0.5, 1.0, 10.0):
@@ -155,7 +151,7 @@ def test_incompressible_exact_discrete_divergence_refines():
 def test_well_prepared_perturbation_sizes():
     mesh = build_mesh(16, 16, 1.0, 1.0)
     v0, _ = vortex_incompressible_exact(mesh)
-    state = well_prepared_perturbation(mesh, v0, eps=0.1)
+    state = well_prepared_perturbation(mesh, eps=0.1)
     assert np.abs(state.rho - 1.0).max() == pytest.approx(0.01, rel=1e-12)
     assert np.abs(state.u - v0).max() == pytest.approx(0.1, rel=1e-12)
     # the velocity perturbation is discretely divergence-free
@@ -164,14 +160,31 @@ def test_well_prepared_perturbation_sizes():
 
 
 def test_initial_data_have_no_projection_or_amplitude_options():
-    # the midpoint projection and unit amplitudes are the only ones
+    # the midpoint projection, unit amplitudes and the paper's vortex geometry
+    # are the only ones
     mesh = build_mesh(8, 8, 1.0, 1.0)
     v0, _ = vortex_incompressible_exact(mesh)
     for build in (lambda: vortex_compressible_init(mesh, 2.0, 1.0, rule="midpoint"),
                   lambda: vortex_incompressible_exact(mesh, rule="midpoint"),
-                  lambda: well_prepared_perturbation(mesh, v0, 0.1, amplitudes=(1.0, 1.0))):
+                  lambda: well_prepared_perturbation(mesh, 0.1, amplitudes=(1.0, 1.0)),
+                  lambda: well_prepared_perturbation(mesh, v0, 0.1),
+                  lambda: vortex_compressible_init(mesh, 2.0, 1.0, spec=None),
+                  lambda: moving_vortex(mesh, 2.0, 1.0, 0.0, spec=None),
+                  lambda: vortex_incompressible_exact(mesh, spec=None),
+                  lambda: angular_velocity(0.1, spec=None),
+                  lambda: incompressible_pressure(0.1, spec=None),
+                  lambda: peak_density("vortex", 2.0, 1.0, spec=None)):
         with pytest.raises(TypeError):
             build()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+@pytest.mark.parametrize("init", [vortex_compressible_init, moving_vortex])
+def test_vortex_constructors_refuse_gamma_at_most_one(init, gamma):
+    # both densities have the exponent 1/(gamma - 1); the moving vortex used
+    # to divide by zero at gamma = 1 and return a state at gamma = 0.5
+    with pytest.raises(ValueError, match="gamma"):
+        init(build_mesh(8, 8, 1.0, 1.0), gamma, 1.0)
 
 
 def test_moving_vortex_at_t_is_the_initial_state_shifted_by_u_t():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from machfv import (GasLaw, SchemeParams, State, audit_energy_balances,
-                    build_mesh, energy_report, eoc, error_norms, flow_mach,
+                    build_mesh, energy_report, eoc, error_norms,
                     relative_energy, relative_energy_to_limit, step,
                     vortex_compressible_init)
 from machfv import flux
@@ -51,8 +51,6 @@ def test_velocity_reductions_equal_axis_sum_forms_bit_for_bit():
     bregman = gas.relative_internal_energy(rho, 1.0)
     assert relative_energy(mesh, gas, rho, u, 1.0, v, 0.1) == float(
         vol * (0.5 * rho * ((u - v) ** 2).sum(axis=1) + bregman / 0.1 ** 2).sum())
-    expected_mach = np.sqrt((u ** 2).sum(axis=1) / gas.pressure_derivative(rho))
-    assert flow_mach(gas, rho, u).tobytes() == expected_mach.tobytes()
 
 
 def test_total_momentum_sums_each_component():
@@ -95,19 +93,6 @@ def test_relative_energy_eps_scaling_and_positivity():
         uu = rng.normal(size=(16, 2))
         vv = rng.normal(size=(16, 2))
         assert relative_energy_to_limit(mesh, gas, rr, uu, vv, 0.7) >= 0.0
-
-
-def test_flow_mach_values():
-    gas = GasLaw(2.0)
-    rho = np.ones(3)
-    u = np.array([[0.0, 0.0], [1.0, 0.0], [0.6, 0.8]])
-    mach = flow_mach(gas, rho, u)
-    assert mach[0] == 0.0
-    assert mach[1] == pytest.approx(1.0 / np.sqrt(2.0))
-    assert mach[2] == pytest.approx(1.0 / np.sqrt(2.0))
-    gas14 = GasLaw(1.4)
-    np.testing.assert_allclose(flow_mach(gas14, rho, u),
-                               np.linalg.norm(u, axis=1) / np.sqrt(1.4))
 
 
 def test_error_norms_zero_for_exact_trajectory():

@@ -1,13 +1,12 @@
-"""Mesh construction, projection and discrete operator tests."""
+"""Mesh construction and discrete operator tests."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from machfv import (build_mesh, cell_divergence, cell_gradient, face_average,
-                    face_average_normal, face_gradient, face_gradient_normal,
-                    face_jump, flux_divergence, gather_to_faces, project,
-                    scatter_to_cells)
+                    face_average_normal, face_gradient_normal, face_jump,
+                    flux_divergence, gather_to_faces, scatter_to_cells)
 from machfv.mesh import face_weight, mean_flux_divergence_inverse
 
 from conftest import random_positive_state
@@ -18,7 +17,6 @@ from oracles import loop_cell_divergence, loop_cell_gradient
 def test_build_mesh_counts_and_sizes():
     mesh = build_mesh(4, 4, 1.0, 1.0)
     assert mesh.n_cells == 16
-    assert mesh.n_faces == 32  # 2 * nx * ny on a periodic quad mesh
     assert mesh.hx == 0.25 and mesh.hy == 0.25
     assert mesh.cell_volume == pytest.approx(0.0625)
 
@@ -52,7 +50,7 @@ def test_gather_puts_every_cell_on_four_faces_and_each_pair_once(nx, ny):
     cells = np.arange(mesh.n_cells)
     k, l = gather_to_faces(mesh, cells)
     assert k is cells  # every face's K side is its own cell: no copy
-    assert l.shape == (2, mesh.n_cells) and 2 * mesh.n_cells == mesh.n_faces
+    assert l.shape == (2, mesh.n_cells)
     k = np.broadcast_to(k, l.shape)
     counts = (np.bincount(k.ravel(), minlength=mesh.n_cells)
               + np.bincount(l.ravel(), minlength=mesh.n_cells))
@@ -60,7 +58,7 @@ def test_gather_puts_every_cell_on_four_faces_and_each_pair_once(nx, ny):
     assert (k != l).all()
     # each (K, L) unordered pair appears exactly once
     pairs = {tuple(sorted(p)) for p in zip(k.ravel().tolist(), l.ravel().tolist())}
-    assert len(pairs) == mesh.n_faces
+    assert len(pairs) == 2 * mesh.n_cells
     expected_k, expected_l = face_cells(mesh)
     np.testing.assert_array_equal(k, expected_k)
     np.testing.assert_array_equal(l, expected_l)
@@ -85,21 +83,6 @@ def test_face_weight_is_inverse_center_distance():
 def test_total_volume_matches_domain():
     mesh = build_mesh(5, 7, 1.3, 0.7)
     assert mesh.n_cells * mesh.cell_volume == pytest.approx(1.3 * 0.7, rel=1e-14)
-
-
-def test_project_constant_and_linear():
-    # first cell of this mesh is [0, 0.5]^2, so the midpoint of x is 0.25
-    mesh = build_mesh(3, 3, 1.5, 1.5)
-    const = project(mesh, lambda x, y: 2.5 + 0.0 * x)
-    np.testing.assert_array_equal(const, np.full(9, 2.5))
-    vals = project(mesh, lambda x, y: x)
-    assert vals[0] == pytest.approx(0.25, abs=1e-14)
-
-
-def test_project_has_no_rule_option(mesh44):
-    # the midpoint rule is the only projection
-    with pytest.raises(TypeError):
-        project(mesh44, lambda x, y: x, rule="midpoint")
 
 
 def test_face_average_and_jump_values(mesh44):
@@ -154,18 +137,15 @@ def test_face_gradient_single_jump():
     f = 0, 0  # first x-face: K = cell 0, L = cell 1
     q[1] = 2.0
     q[0] = 1.0
-    grad = face_gradient(mesh, q)
-    assert grad[f][0] == pytest.approx(2.0)  # [[q]] / hx
-    assert grad[f][1] == 0.0
-    assert face_gradient_normal(mesh, q)[f] == pytest.approx(2.0)
+    assert face_gradient_normal(mesh, q)[f] == pytest.approx(2.0)  # [[q]] / hx
 
 
 def test_face_gradient_linearity(mesh44):
     rng = np.random.default_rng(5)
     q1 = rng.normal(size=mesh44.n_cells)
     q2 = rng.normal(size=mesh44.n_cells)
-    lhs = face_gradient(mesh44, 2.0 * q1 - 3.0 * q2)
-    rhs = 2.0 * face_gradient(mesh44, q1) - 3.0 * face_gradient(mesh44, q2)
+    lhs = face_gradient_normal(mesh44, 2.0 * q1 - 3.0 * q2)
+    rhs = 2.0 * face_gradient_normal(mesh44, q1) - 3.0 * face_gradient_normal(mesh44, q2)
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 

@@ -3,12 +3,13 @@
     python3 tools/trajectory_digest.py
 
 Imports machfv from this checkout's src/ and runs, without writing output:
-the vortex at 32^2 to t = 0.05 with eps = 1, 1e-2 and 1e-4, and the seed-0
-inputs of both benchmark workloads (perfbench/workloads.py).  For each run it
-prints the number of steps and a sha256 over the exact bytes of every
-step's dt, eta, Newton iterations, final residual and energy report, then
-of the final rho and u; the last line is a sha256 over all runs.  Run it in
-two checkouts: equal output means equal trajectories.  Total mass and
+the vortex at 32^2 to t = 0.05 with eps = 1, 1e-2 and 1e-4, the seed-0
+inputs of both benchmark workloads (perfbench/workloads.py), and the moving
+vortex and the well-prepared case at 32^2 to t = 0.05 with eps = 1e-2.  For
+each run it prints the number of steps and a sha256 over the exact bytes of
+every step's dt, eta, Newton iterations, final residual and energy report,
+then of the final rho and u; the last line is a sha256 over all runs.  Run
+it in two checkouts: equal output means equal trajectories.  Total mass and
 momentum are left out, being sums whose round-off is not part of the
 trajectory.
 """
@@ -37,6 +38,10 @@ def runs():
         keys = run_keys(workload, 0)
         params = SchemeParams(gamma=keys.pop("gamma"), eps=keys.pop("eps"))
         yield f"{name}_seed0", RunConfig(**keys, params=params)
+    for case in ("moving_vortex", "well_prepared"):
+        yield (f"{case}_32",
+               RunConfig(case=case, nx=32, ny=32, final_time=0.05,
+                         params=SchemeParams(gamma=2.0, eps=1e-2)))
 
 
 def trajectory_digest(result) -> str:
