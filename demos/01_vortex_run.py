@@ -48,14 +48,14 @@ def main():
     print(f"done: {len(diags)} accepted steps, final t = {result.final_state.time:.6f}")
     print(f"initial energy {report0.total:.10f} "
           f"(kinetic {report0.kinetic:.3e}, internal/eps^2 {report0.internal_scaled:.6f})")
-    print(f"final   energy {diags[-1].total_energy:.10f} "
-          f"(dissipated {report0.total - diags[-1].total_energy:.3e})")
+    print(f"final   energy {diags[-1].energy.total:.10f} "
+          f"(dissipated {report0.total - diags[-1].energy.total:.3e})")
 
     mass_drift = max(abs(d.total_mass - mass0) for d in diags) / mass0
-    decl = all(b.total_energy <= a.total_energy for a, b in zip(diags, diags[1:]))
+    decl = all(b.energy.total <= a.energy.total for a, b in zip(diags, diags[1:]))
     print(f"relative mass drift over the run: {mass_drift:.2e}")
     print(f"energy monotone non-increasing:   {decl}")
-    print(f"kinetic energy kept: {diags[-1].kinetic_energy / report0.kinetic:.4f} of KE(0)")
+    print(f"kinetic energy kept: {diags[-1].energy.kinetic / report0.kinetic:.4f} of KE(0)")
     print(f"minimum density seen: {min(d.min_density for d in diags):.6f}")
 
     etas = np.array([d.eta_used for d in diags])

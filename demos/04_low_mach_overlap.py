@@ -41,7 +41,7 @@ def main():
         s0 = result.states[0]
         ke0 = energy_report(mesh, params.gas(), s0.rho, s0.u, params.eps).kinetic
         times = [0.0] + [d.time for d in result.diags]
-        ratios = [1.0] + [d.kinetic_energy / ke0 for d in result.diags]
+        ratios = [1.0] + [d.energy.kinetic / ke0 for d in result.diags]
         series.append((f"eps = {eps:g}", times, ratios))
         curves[eps] = np.interp(grid, times, ratios)
         vol = mesh.cell_volume

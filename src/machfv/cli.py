@@ -18,7 +18,6 @@ import sys
 
 from .driver import (ConfigError, InequalityViolation, convergence_study,
                      load_convergence_config, load_run_config, run_case)
-from .eos import PositivityError
 from .stepper import SolverError
 
 EXIT_OK = 0
@@ -70,7 +69,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, PositivityError) as err:
+    except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
     except InequalityViolation as err:

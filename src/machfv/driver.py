@@ -144,6 +144,12 @@ class ConvergenceConfig:
             raise ConfigError(
                 f"[convergence] eps = {self.params.eps!r} has no effect in coupled "
                 f"mode, which runs each grid at eps = h; leave eps unset")
+        if self.mode == "coupled":  # eps = h = lx / n, from the first grid to the last
+            for n in (self.grids[0], self.grids[-1]):
+                try:
+                    replace(self.params, eps=self.lx / n)
+                except ValueError as err:
+                    raise ConfigError(f"[convergence] lx = {self.lx!r}: {err}") from None
         # Coupled studies run at eps = h, the largest on the first grid.
         _check_case(self, self.params.eps if self.mode == "fixed"
                     else self.lx / self.grids[0])
@@ -400,10 +406,10 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
         if assert_inequalities:
             _check_step_inequalities(diag, baseline)
         ke0 = baseline["ke0"]
-        ke_ratio = diag.kinetic_energy / ke0 if ke0 > 0.0 else float("nan")
+        ke_ratio = diag.energy.kinetic / ke0 if ke0 > 0.0 else float("nan")
         rows.append([
-            diag.step_index, diag.time, diag.dt_used, diag.total_energy,
-            diag.total_entropy, diag.total_mass, diag.min_density,
+            diag.step_index, diag.time, diag.dt_used, diag.energy.total,
+            diag.energy.entropy_total, diag.total_mass, diag.min_density,
             diag.newton_iters, diag.final_residual,
             diag.conditions.eta_ok, diag.conditions.flux_cfl_ok,
             diag.conditions.dt_cfl_ok, ke_ratio,

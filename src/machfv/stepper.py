@@ -100,12 +100,11 @@ class SchemeParams:
     def __post_init__(self):
         if not 1.0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be > 1 and finite, got {self.gamma}")
-        if not 0.0 < self.eps < np.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        # The scheme divides by eps^2, which must not underflow.
-        if self.eps ** 2 < np.finfo(float).tiny:
-            raise ValueError(f"eps must be at least {np.sqrt(np.finfo(float).tiny):.3g}, "
-                             f"below which eps^2 underflows, got {self.eps}")
+        # The divisor eps^2 must neither underflow nor overflow (eps ** 2 could raise).
+        low, high = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max)
+        if not low <= self.eps <= high:
+            raise ValueError(f"eps must lie in [{low:.3g}, {high:.3g}], outside which "
+                             f"eps^2 underflows or overflows, got {self.eps}")
 
     def gas(self) -> GasLaw:
         return GasLaw(self.gamma)
@@ -132,21 +131,15 @@ class ConditionReport:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step record; energies are totals of the stated functionals.
-
-    ``energy`` is the end-of-step report, which the next step reuses as its
-    start-of-step report.
-    """
+    """Per-step record; ``energy`` is the end-of-step energy report, which the
+    next step reuses as its start-of-step report."""
 
     step_index: int
     time: float
     dt_used: float
     eta_used: float
-    total_energy: float
-    total_entropy: float
     total_mass: float
     total_momentum: np.ndarray
-    kinetic_energy: float
     min_density: float
     energy_decrement: float
     entropy_decrement: float
@@ -286,22 +279,23 @@ def _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs, atol):
     return _gmres(apply, precond, rhs, atol)
 
 
-def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
-                  params: SchemeParams, eta: float, u_normal: np.ndarray | None = None):
+def _admitted(rho: np.ndarray) -> bool:
+    return 0.0 < rho.min() and rho.max() < np.inf  # positive and finite; NaN fails both
+
+
+def solve_density(mesh: StructuredMesh, state: State, dt: float,
+                  params: SchemeParams, eta: float, u_normal: np.ndarray):
     """Solve the implicit mass balance for the end-of-step density.
 
-    Damped Newton with a positivity-preserving backtracking line search;
-    each Newton direction comes from matrix-free preconditioned GMRES.
-    Raises SolverError, carrying the residual, when the line search cannot
-    reduce the residual or NEWTON_MAX_ITER iterations do not reach the
-    tolerance.  ``u_normal`` is face_average_normal(mesh, state.u) when the
-    caller already has it.  Returns (rho_next, iterations,
-    residual_inf_norm, fluxes_at_solution).
+    Damped Newton with a backtracking line search that evaluates only
+    admitted (positive, finite) candidates; each Newton direction comes from
+    matrix-free preconditioned GMRES.  ``u_normal`` is
+    face_average_normal(mesh, state.u).  Raises SolverError, carrying the
+    residual, when the line search cannot reduce the residual or
+    NEWTON_MAX_ITER iterations do not reach the tolerance.  Returns
+    (rho_next, iterations, residual_inf_norm, fluxes_at_solution).
     """
-    rho_old = state.rho
-    if u_normal is None:
-        u_normal = face_average_normal(mesh, state.u)
-    eps = params.eps
+    rho_old, gas, eps = state.rho, params.gas(), params.eps
 
     # The residual cannot be verified below its double-precision evaluation
     # noise.  The stabilisation velocity amplifies pressure round-off by
@@ -331,7 +325,7 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
         alpha = 1.0
         for _ in range(MAX_LINESEARCH_HALVINGS):
             cand = rho + alpha * delta
-            if cand.min() > 0.0:
+            if _admitted(cand):
                 cres, cflux = _residual_and_fluxes(mesh, gas, cand, rho_old,
                                                    u_normal, dt, eta, eps)
                 cnorm = np.abs(cres).max()
@@ -351,24 +345,21 @@ def solve_density(mesh: StructuredMesh, gas: GasLaw, state: State, dt: float,
     return rho, iters, norm, fluxes
 
 
-def compute_dt(mesh: StructuredMesh, gas: GasLaw, state: State,
-               params: SchemeParams, eta: float,
-               u_normal: np.ndarray | None = None) -> float:
+def compute_dt(mesh: StructuredMesh, state: State, params: SchemeParams,
+               eta: float, u_normal: np.ndarray) -> float:
     """Explicit surrogate of the sufficient flux-CFL bound.
 
     dt = CFL_SAFETY * (beta_face / 4) * min{1, rho_min/rho_max on the face}
     / D_face minimised over faces, where D_face collects the advective
     speed, the relative density jump and the stabilisation speed
     sqrt((eta/eps^2) |[[p]]|), all at step n; ``u_normal`` is
-    face_average_normal(mesh, state.u) when known.  Faces with D_face = 0
-    impose no restriction; the result is capped at DT_MAX.
+    face_average_normal(mesh, state.u).  Faces with D_face = 0 impose no
+    restriction; the result is capped at DT_MAX.
     """
     rho_k, rho_l = gather_to_faces(mesh, state.rho)
-    p_k, p_l = gather_to_faces(mesh, gas.pressure(state.rho))
+    p_k, p_l = gather_to_faces(mesh, params.gas().pressure(state.rho))
     face_min = np.minimum(rho_k, rho_l)
     face_max = np.maximum(rho_k, rho_l)
-    if u_normal is None:
-        u_normal = face_average_normal(mesh, state.u)
     d_face = (np.abs(u_normal)
               + np.abs(rho_l - rho_k) / face_max
               + np.sqrt((eta / params.eps ** 2) * np.abs(p_l - p_k)))
@@ -416,11 +407,10 @@ def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
     )
 
 
-def _attempt_step(mesh, gas, state, params, dt, eta, u_normal):
-    rho_star, iters, resnorm, fluxes = solve_density(mesh, gas, state, dt, params, eta,
-                                                     u_normal)
+def _attempt_step(mesh, state, params, dt, eta, u_normal):
+    rho_star, iters, resnorm, fluxes = solve_density(mesh, state, dt, params, eta, u_normal)
     rho_next = update_density(mesh, state.rho, fluxes.mass, dt)
-    if not rho_next.min() > 0.0:
+    if not _admitted(rho_next):
         raise SolverError("conservative density update lost positivity or finiteness",
                           resnorm)
     report = enforce_conditions(mesh, state.rho, rho_next, fluxes, dt, eta)
@@ -451,7 +441,7 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     # The start-of-step normal velocity serves the controller and every
     # residual of every attempt.
     u_normal = face_average_normal(mesh, state.u)
-    dt = compute_dt(mesh, gas, state, params, eta, u_normal=u_normal)
+    dt = compute_dt(mesh, state, params, eta, u_normal)
     dt = min(dt, _dt_third_cfl_cap(mesh, state.rho))
     if dt_limit is not None:
         if dt < dt_limit < 2.0 * dt:
@@ -467,9 +457,8 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
         report = None
         for retry in range(MAX_ETA_RETRIES + 1):
             try:
-                result = _attempt_step(mesh, gas, state, params, dt, attempt_eta,
-                                       u_normal)
-            except (SolverError, PositivityError) as err:
+                result = _attempt_step(mesh, state, params, dt, attempt_eta, u_normal)
+            except SolverError as err:
                 # An earlier eta retry's report is stale: this error ended
                 # the attempt.
                 failure = str(err)
@@ -509,11 +498,8 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
         time=new_state.time,
         dt_used=dt,
         eta_used=eta,
-        total_energy=after.total,
-        total_entropy=after.entropy_total,
         total_mass=mesh.cell_volume * rho_next.sum(),
         total_momentum=diagnostics.total_momentum(mesh, rho_next, u_next),
-        kinetic_energy=after.kinetic,
         min_density=float(rho_next.min()),
         energy_decrement=before.total - after.total,
         entropy_decrement=before.entropy_total - after.entropy_total,

@@ -211,7 +211,7 @@ def test_audit_vortex_step_remainder_and_identity():
         assert audit.max_velocity_mismatch <= 1e-11
         # assembled decrement agrees with the recorded double-precision one
         assert abs(float(audit.assembled_decrement) - diag.energy_decrement) \
-            <= 1e-12 * max(1.0, abs(diag.total_energy))
+            <= 1e-12 * max(1.0, abs(diag.energy.total))
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-2])

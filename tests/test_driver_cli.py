@@ -42,6 +42,10 @@ def test_load_run_config_errors(tmp_path):
         load_run_config(write_config(tmp_path, good_run_ini(gamma=0.5)))
     with pytest.raises(ConfigError, match=r"\[run\] nx"):
         load_run_config(write_config(tmp_path, good_run_ini(nx="eight")))
+    path = write_config(tmp_path, good_run_ini(emit_fields="maybe"))
+    with pytest.raises(ConfigError, match=r"\[run\] emit_fields = 'maybe': expected a boolean$"):
+        load_run_config(path)
+    assert main(["run", "--config", str(path)]) == 2
     with pytest.raises(ConfigError, match="unknown keys"):
         load_run_config(write_config(tmp_path, good_run_ini(typo=1)))
     # removed options are unknown keys, named in the error
@@ -160,15 +164,20 @@ def test_api_refuses_what_the_loader_refuses(build):
     ("run", "eps", "inf", lambda: SchemeParams(eps=np.inf)),
     ("run", "gamma", "inf", lambda: SchemeParams(gamma=np.inf)),
     ("run", "eps", "1e-200", lambda: SchemeParams(eps=1e-200)),
+    ("run", "eps", "1e200", lambda: SchemeParams(eps=1e200)),
     ("run", "gamma", "1.001", lambda: RunConfig(params=SchemeParams(gamma=1.001))),
     ("run", "gamma", "1e300", lambda: RunConfig(params=SchemeParams(gamma=1e300))),
     ("convergence", "lx", 0, lambda: ConvergenceConfig(lx=0.0)),
     ("convergence", "final_time", "inf", lambda: ConvergenceConfig(final_time=np.inf)),
+    ("convergence", "lx", "1e-300", lambda: ConvergenceConfig(lx=1e-300)),
+    ("convergence", "lx", "1e300", lambda: ConvergenceConfig(lx=1e300)),
 ])
 def test_out_of_range_values_are_refused_at_the_config_boundary(
         tmp_path, capsys, section, key, value, build):
     # each once failed late (a traceback, a solver failure) or not at all
-    # (final_time = inf ran 0 steps; eps = 1e-200 divided by an eps^2 of 0)
+    # (final_time = inf ran 0 steps; eps = 1e-200 divided by an eps^2 of 0;
+    # eps = 1e200, and a coupled study's eps = lx / n at lx = 1e300, raised
+    # OverflowError from eps ** 2; lx = 1e-300 failed at the first run)
     with pytest.raises(ValueError, match=key):  # ConfigError is a ValueError
         build()
     if section == "convergence":
@@ -531,6 +540,16 @@ def test_write_line_chart_degenerate_series(tmp_path):
     write_line_chart(path, "flat", "x", "y", [("f", [0.0, 1.0], [2.0, 2.0])])
     root = ET.parse(path).getroot()
     assert root.tag.endswith("svg")
+
+
+def test_one_step_run_writes_both_charts(tmp_path):
+    # one step gives each chart a single point, so its x range is empty
+    cfg = load_run_config(write_config(tmp_path, good_run_ini(final_time=1e-4)))
+    result = run_case(cfg, output_dir=tmp_path / "out")
+    assert len(result.diags) == 1
+    for name in ("energy.svg", "ke_ratio.svg"):
+        root = ET.parse(tmp_path / "out" / name).getroot()
+        assert any(child.tag.endswith("polyline") for child in root.iter())
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):

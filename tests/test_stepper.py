@@ -108,7 +108,7 @@ def vortex_first_step(n, eps, ny=None, lx=1.0):
     params = SchemeParams(gamma=2.0, eps=eps)
     state = vortex_compressible_init(mesh, params.gamma, eps)
     eta = auto_eta(mesh, state.rho)
-    dt = min(compute_dt(mesh, params.gas(), state, params, eta),
+    dt = min(compute_dt(mesh, state, params, eta, face_average_normal(mesh, state.u)),
              _dt_third_cfl_cap(mesh, state.rho))
     return mesh, params, state, eta, dt
 
@@ -235,8 +235,8 @@ def test_gmres_zero_rhs_returns_zeros_without_iterating():
 def test_solve_density_uniform_converges_immediately(mesh44):
     state = uniform_state(mesh44)
     params = SchemeParams()
-    rho, iters, norm, _ = solve_density(mesh44, params.gas(), state, 0.01,
-                                        params, eta=3.3)
+    rho, iters, norm, _ = solve_density(mesh44, state, 0.01, params, 3.3,
+                                        face_average_normal(mesh44, state.u))
     assert iters <= 1
     np.testing.assert_array_equal(rho, state.rho)
 
@@ -247,8 +247,9 @@ def test_solve_density_matches_dense_oracle_on_vortex(monkeypatch):
     params = SchemeParams(gamma=2.0, eps=1.0)
     state = vortex_compressible_init(mesh, params.gamma, params.eps)
     eta = auto_eta(mesh, state.rho)
-    dt = compute_dt(mesh, params.gas(), state, params, eta)
-    rho, _, norm, _ = solve_density(mesh, params.gas(), state, dt, params, eta)
+    u_normal = face_average_normal(mesh, state.u)
+    dt = compute_dt(mesh, state, params, eta, u_normal)
+    rho, _, norm, _ = solve_density(mesh, state, dt, params, eta, u_normal)
     assert norm <= 1e-10
     ref, _, _ = dense_newton(state.rho, state.u, 16, 16, 1.0, 1.0,
                              gamma=2.0, eps=1.0, eta=eta, dt=dt)
@@ -261,8 +262,8 @@ def test_solve_density_conserves_mass(mesh88):
     u_old = 0.3 * rng.normal(size=(mesh88.n_cells, 2))
     state = State(time=0.0, rho=rho_old, u=u_old)
     params = SchemeParams(gamma=1.4, eps=0.8)
-    rho, _, _, fluxes = solve_density(mesh88, params.gas(), state, 0.002,
-                                      params, eta=4.0)
+    rho, _, _, fluxes = solve_density(mesh88, state, 0.002, params, 4.0,
+                                      face_average_normal(mesh88, state.u))
     mass_old = mesh88.cell_volume * rho_old.sum()
     mass_new = mesh88.cell_volume * rho.sum()
     assert abs(mass_new - mass_old) <= 1e-12 * abs(mass_old)
@@ -276,7 +277,7 @@ def test_solve_density_reports_nonconvergence(monkeypatch):
     state = vortex_compressible_init(mesh, params.gamma, params.eps)
     with pytest.raises(SolverError):
         # one iteration cannot absorb an O(1) residual at this dt
-        solve_density(mesh, params.gas(), state, 0.05, params, eta=3.3)
+        solve_density(mesh, state, 0.05, params, 3.3, face_average_normal(mesh, state.u))
 
 
 def test_solve_density_raises_when_line_search_fails(monkeypatch):
@@ -291,7 +292,7 @@ def test_solve_density_raises_when_line_search_fails(monkeypatch):
 
     monkeypatch.setattr(stepper, "_solve_mass_balance", zero_direction)
     with pytest.raises(SolverError, match="line search") as err:
-        solve_density(mesh, params.gas(), state, dt, params, eta)
+        solve_density(mesh, state, dt, params, eta, face_average_normal(mesh, state.u))
     assert err.value.final_residual > 0.0
     assert len(solves) == 1
 
@@ -314,7 +315,8 @@ def test_solve_density_assembles_fluxes_once_per_residual(monkeypatch):
 
     monkeypatch.setattr(stepper, "assemble_fluxes", counted_assemble)
     monkeypatch.setattr(stepper, "_solve_mass_balance", recorded_solve)
-    rho, iters, _, _ = solve_density(mesh, params.gas(), state, dt, params, eta)
+    rho, iters, _, _ = solve_density(mesh, state, dt, params, eta,
+                                     face_average_normal(mesh, state.u))
     # every direction was taken in full, so each iteration made one trial
     full_steps = state.rho
     for delta in directions:
@@ -323,6 +325,27 @@ def test_solve_density_assembles_fluxes_once_per_residual(monkeypatch):
     assert iters == len(directions) >= 2
     assert len(callers) == 1 + iters
     assert set(callers) == {"_residual_and_fluxes"}
+
+
+def test_solve_density_rejects_a_non_finite_candidate(monkeypatch):
+    # an infinite Newton direction makes every line-search candidate
+    # infinite in one cell: none is admitted, so none reaches the gas law
+    mesh, params, state, eta, dt = vortex_first_step(16, 1e-2)
+
+    def infinite_direction(mesh, dt, d_dk, d_dl, rhs, atol):
+        delta = np.zeros_like(rhs)
+        delta[3] = np.inf
+        return delta, 0
+
+    monkeypatch.setattr(stepper, "_solve_mass_balance", infinite_direction)
+    with pytest.raises(SolverError, match="line search"):
+        solve_density(mesh, state, dt, params, eta, face_average_normal(mesh, state.u))
+
+
+def test_step_refuses_a_non_positive_time_step():
+    mesh, params, state, _, _ = vortex_first_step(8, 1.0)
+    with pytest.raises(SolverError, match="non-positive time step 0.0"):
+        step(mesh, state, params, dt_limit=0.0)
 
 
 def test_step_computes_the_normal_velocity_once(monkeypatch):
@@ -355,7 +378,7 @@ def test_attempt_step_rejects_non_finite_conservative_update(monkeypatch):
 
     monkeypatch.setattr(stepper, "solve_density", nan_flux)
     with pytest.raises(SolverError, match="positivity or finiteness"):
-        stepper._attempt_step(mesh, params.gas(), state, params, dt, eta,
+        stepper._attempt_step(mesh, state, params, dt, eta,
                               face_average_normal(mesh, state.u))
 
 
@@ -401,8 +424,8 @@ def test_update_velocity_conserves_momentum(mesh88):
                   u=0.4 * rng.normal(size=(mesh88.n_cells, 2)))
     params = SchemeParams(gamma=1.4, eps=1.0)
     gas = params.gas()
-    rho_next, _, _, fluxes = solve_density(mesh88, gas, state, 0.002, params,
-                                           eta=4.0)
+    rho_next, _, _, fluxes = solve_density(mesh88, state, 0.002, params, 4.0,
+                                           face_average_normal(mesh88, state.u))
     u_next = update_velocity(mesh88, gas, state.rho, state.u, rho_next, fluxes, 0.002,
                              1.0)
     mom_old = mesh88.cell_volume * (state.rho[:, None] * state.u).sum(axis=0)
@@ -436,7 +459,7 @@ def test_update_velocity_equals_broadcast_form_bit_for_bit():
 def test_compute_dt_uniform_rest_hits_cap(mesh44):
     state = uniform_state(mesh44, u0=(0.0, 0.0))
     params = SchemeParams()
-    dt = compute_dt(mesh44, params.gas(), state, params, eta=3.3)
+    dt = compute_dt(mesh44, state, params, 3.3, face_average_normal(mesh44, state.u))
     assert dt == DT_MAX
 
 
@@ -445,7 +468,7 @@ def test_compute_dt_unit_advection_gives_h_over_16():
     mesh = build_mesh(16, 16, 1.0, 1.0)
     state = uniform_state(mesh, rho0=1.0, u0=(1.0, 0.0))
     params = SchemeParams()
-    dt = compute_dt(mesh, params.gas(), state, params, eta=3.3)
+    dt = compute_dt(mesh, state, params, 3.3, face_average_normal(mesh, state.u))
     assert dt == pytest.approx(CFL_SAFETY * mesh.hx / 16.0, rel=1e-14)
     assert dt < DT_MAX
 
@@ -454,7 +477,7 @@ def test_compute_dt_monotone_in_eta():
     mesh = build_mesh(8, 8, 1.0, 1.0)
     params = SchemeParams()
     state = vortex_compressible_init(mesh, 2.0, 1.0)
-    dts = [compute_dt(mesh, params.gas(), state, params, eta)
+    dts = [compute_dt(mesh, state, params, eta, face_average_normal(mesh, state.u))
            for eta in (3.3, 6.6, 13.2)]
     assert dts[0] >= dts[1] >= dts[2]
 
@@ -517,7 +540,8 @@ def test_step_recovers_from_failed_solve_by_halving_dt(monkeypatch):
     monkeypatch.setattr(stepper, "NEWTON_MAX_ITER", 1)
     mesh, params, state, eta, dt_controller = vortex_first_step(32, 1.0)
     with pytest.raises(SolverError):
-        solve_density(mesh, params.gas(), state, dt_controller, params, eta)
+        solve_density(mesh, state, dt_controller, params, eta,
+                      face_average_normal(mesh, state.u))
     _, diag = step(mesh, state, params)
     assert diag.conditions.all_ok
     assert diag.dt_used == dt_controller / 32.0
@@ -533,7 +557,7 @@ def test_step_rejection_names_the_error_that_ended_the_last_attempt(monkeypatch)
                                       flux_cfl_margin=0.1, dt_cfl_margin=0.1)
     attempts = []
 
-    def alternate(mesh, gas, state, params, dt, eta, u_normal):
+    def alternate(mesh, state, params, dt, eta, u_normal):
         attempts.append(dt)
         if len(attempts) % 2:
             return state.rho, 1, 0.0, None, bad_eta
@@ -556,7 +580,7 @@ def test_step_rejection_names_the_violated_conditions(monkeypatch):
                                        flux_cfl_margin=-0.1, dt_cfl_margin=0.1)
     attempts = []
 
-    def flux_cfl_fails(mesh, gas, state, params, dt, eta, u_normal):
+    def flux_cfl_fails(mesh, state, params, dt, eta, u_normal):
         attempts.append((dt, eta))
         return state.rho, 1, 0.0, None, bad_flux
 
@@ -618,9 +642,9 @@ def test_short_runs_energy_monotone_and_positive():
         for _ in range(steps):
             state, diag = step(mesh, state, params)
             assert diag.min_density > 0.0
-            assert diag.total_energy <= energy * (1.0 + 1e-12)
+            assert diag.energy.total <= energy * (1.0 + 1e-12)
             assert diag.conditions.all_ok
-            energy = diag.total_energy
+            energy = diag.energy.total
 
 
 def test_advance_conserves_mass_and_momentum():
