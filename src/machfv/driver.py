@@ -21,19 +21,26 @@ the exact compressible solution, which only the moving vortex has.
 
 Field snapshots are binary: write_field_snapshot writes one uncompressed
 fields/stepNNNNNN.npz per snapshot, in process, holding rho, ux and uy as
-(ny, nx) arrays and the time and mesh as 0-d arrays.  np.savez stamps no
-time on its entries, so repeated runs write byte-identical files.
+(ny, nx) arrays and the time and mesh as 0-d arrays.  Its bytes are exactly
+np.savez's for the same arrays: a mesh fixes every header, size and offset,
+so np.savez writes a template once per mesh and each snapshot refills the
+array bytes and CRC-32s of rho, ux, uy and time in a copy of it.  np.savez
+stamps no time on its entries, so repeated runs write byte-identical files.
 """
 
 import configparser
+import functools
 import hashlib
+import io
+import struct
+import zlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
-from .cases import (R2, moving_vortex, peak_density, vortex_compressible_init,
+from .cases import (CENTER, R2, moving_vortex, peak_density, vortex_compressible_init,
                     vortex_incompressible_exact, well_prepared_perturbation)
 from .diagnostics import ErrorReport, energy_report, eoc, error_norms, total_momentum
 from .mesh import StructuredMesh, build_mesh, cell_grid
@@ -53,7 +60,7 @@ class InequalityViolation(RuntimeError):
 
 
 def _check_case(cfg, eps: float):
-    """Reject an unknown case, a domain that cuts the moving vortex, or an
+    """Reject an unknown case, a domain that cuts the vortex, or an
     eps and gamma at which its initial density is not positive or overflows."""
     case, gamma = cfg.case, cfg.params.gamma
     if case not in CASES:
@@ -63,11 +70,13 @@ def _check_case(cfg, eps: float):
         raise ConfigError(
             f"case 'well_prepared' needs eps < 1, got eps = {eps!r}: its "
             f"density 1 + eps^2 g, with max|g| = 1, is not positive at eps >= 1")
-    span = 2.0 * R2
-    if case == "moving_vortex" and not min(cfg.lx, cfg.ly) >= span:
+    # The vortex at rest reaches CENTER + R2; the moving one must miss its images.
+    name, span = (("2 r2", 2.0 * R2) if case == "moving_vortex"
+                  else ("centre + r2", max(CENTER) + R2))
+    if not min(cfg.lx, cfg.ly) >= span:
         raise ConfigError(
-            f"[{cfg.section}] case 'moving_vortex' needs lx and ly >= 2 r2 = {span!r}, got "
-            f"{cfg.lx!r} x {cfg.ly!r}: the vortex would overlap its periodic images")
+            f"[{cfg.section}] case {case!r} needs lx and ly >= {name} = {span!r}, got "
+            f"{cfg.lx!r} x {cfg.ly!r}: the vortex would reach past one period of the domain")
     # The pressure law is read one rounding unit above the peak, since every
     # density the solver computes carries that error: at gamma = 1e300 the
     # peak rounds to 1, where p = 1 is finite, but p(1 + 2^-52) is not.
@@ -283,11 +292,41 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _snapshot_template(nx, ny, lx, ly):
+    """np.savez's bytes for zero fields at time 0, and for rho, ux, uy and time the
+    (start, array start, end) of its .npy bytes and the offsets of its CRC-32
+    (PKWARE APPNOTE.TXT 4.3.7, 4.3.12, 4.3.16).  Typed: an int lx saves as int."""
+    grid = np.zeros((ny, nx))
+    buf = io.BytesIO()
+    np.savez(buf, rho=grid, ux=grid, uy=grid, time=0.0, nx=nx, ny=ny, lx=lx, ly=ly)
+    data = buf.getvalue()
+    entry, = struct.unpack_from("<I", data, len(data) - 22 + 16)  # central directory
+    members = []
+    for nbytes in (grid.nbytes,) * 3 + (8,):
+        size, name_len, extra_len, comment_len = struct.unpack_from("<I3H", data, entry + 24)
+        local, = struct.unpack_from("<I", data, entry + 42)
+        start = local + 30 + sum(struct.unpack_from("<2H", data, local + 26))
+        members.append((start, start + size - nbytes, start + size, (local + 14, entry + 16)))
+        entry += 46 + name_len + extra_len + comment_len
+    return data, tuple(members)
+
+
 def write_field_snapshot(path, mesh: StructuredMesh, state):
-    """Binary snapshot of `state`: rho, ux, uy as (ny, nx) arrays, time and mesh as 0-d."""
-    np.savez(path, rho=cell_grid(mesh, state.rho), ux=cell_grid(mesh, state.u[:, 0]),
-             uy=cell_grid(mesh, state.u[:, 1]), time=state.time, nx=mesh.nx,
-             ny=mesh.ny, lx=mesh.lx, ly=mesh.ly)
+    """Binary snapshot of `state`: rho, ux, uy as (ny, nx) arrays, time and mesh
+    as 0-d, byte for byte what np.savez writes, including its .npz suffix rule."""
+    data, members = _snapshot_template(mesh.nx, mesh.ny, mesh.lx, mesh.ly)
+    buf = bytearray(data)
+    values = (cell_grid(mesh, state.rho), cell_grid(mesh, state.u[:, 0]),
+              cell_grid(mesh, state.u[:, 1]), state.time)
+    for value, (start, array_start, end, crc_offsets) in zip(values, members):
+        view = np.frombuffer(buf, np.float64, (end - array_start) // 8, array_start)
+        view.reshape(np.shape(value))[...] = value  # C order, as np.save writes
+        crc = zlib.crc32(memoryview(buf)[start:end])
+        for offset in crc_offsets:
+            struct.pack_into("<I", buf, offset, crc)
+    with open(path if str(path).endswith(".npz") else f"{path}.npz", "wb") as fh:
+        fh.write(buf)
 
 
 def write_line_chart(path, title, xlabel, ylabel, series):

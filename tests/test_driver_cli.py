@@ -1,6 +1,7 @@
 """Config parsing, run orchestration, file outputs, CLI exit codes."""
 
 import xml.etree.ElementTree as ET
+import zipfile
 from dataclasses import fields, replace
 
 import numpy as np
@@ -171,13 +172,16 @@ def test_api_refuses_what_the_loader_refuses(build):
     ("convergence", "final_time", "inf", lambda: ConvergenceConfig(final_time=np.inf)),
     ("convergence", "lx", "1e-300", lambda: ConvergenceConfig(lx=1e-300)),
     ("convergence", "lx", "1e300", lambda: ConvergenceConfig(lx=1e300)),
+    ("run", "lx", "0.8", lambda: RunConfig(lx=0.8)),
+    ("convergence", "ly", "0.85", lambda: ConvergenceConfig(ly=0.85)),
 ])
 def test_out_of_range_values_are_refused_at_the_config_boundary(
         tmp_path, capsys, section, key, value, build):
     # each once failed late (a traceback, a solver failure) or not at all
     # (final_time = inf ran 0 steps; eps = 1e-200 divided by an eps^2 of 0;
     # eps = 1e200, and a coupled study's eps = lx / n at lx = 1e300, raised
-    # OverflowError from eps ** 2; lx = 1e-300 failed at the first run)
+    # OverflowError from eps ** 2; lx = 1e-300 failed at the first run; a
+    # vortex cut by the periodic seam at lx = 0.8 ran as if it were whole)
     with pytest.raises(ValueError, match=key):  # ConfigError is a ValueError
         build()
     if section == "convergence":
@@ -213,6 +217,22 @@ def test_moving_vortex_refuses_a_domain_that_cuts_it(tmp_path, capsys):
     assert "lx and ly >= 2 r2 = 0.8" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
     assert RunConfig(case="moving_vortex", lx=0.8, ly=0.8).lx == 0.8
+
+
+def test_vortex_at_rest_refuses_a_domain_that_cuts_it(tmp_path, capsys):
+    # The vortex centred at (0.5, 0.5) with outer radius 0.4 reaches 0.9 in x
+    # and y, and a smaller domain's periodic seam cuts it.  Such runs once
+    # exited 0: at 64^2, eps = 0.1 and ly = 1, the initial max |div u| was
+    # 0.64 at lx = 0.8 and 6.3 at lx = 0.5, against 0.092 at lx = 1.
+    path = write_config(tmp_path, good_run_ini(ly=0.85))
+    assert main(["run", "--config", str(path), "--output", str(tmp_path / "never")]) == 2
+    assert "case 'vortex' needs lx and ly >= centre + r2 = 0.9" in capsys.readouterr().err
+    wp = SchemeParams(eps=0.5)
+    with pytest.raises(ConfigError, match="case 'well_prepared' needs lx and ly >= centre"):
+        RunConfig(case="well_prepared", lx=0.8, params=wp)
+    assert RunConfig(lx=0.9, ly=0.9).lx == 0.9
+    assert ConvergenceConfig(lx=0.9, ly=0.9).ly == 0.9
+    assert RunConfig(case="well_prepared", lx=0.9, ly=0.9, params=wp).lx == 0.9
 
 
 def test_every_key_round_trips_through_the_echo(tmp_path):
@@ -438,6 +458,63 @@ def test_field_snapshot_roundtrip(tmp_path):
         np.testing.assert_array_equal(snap["uy"], u[:, 1].reshape(3, 4))
         assert (snap["time"], snap["nx"], snap["ny"], snap["lx"], snap["ly"]) == \
             (0.125, 4, 3, 1.0, 0.75)
+
+
+def savez_snapshot(path, mesh, state):
+    """The snapshot as np.savez writes it."""
+    shape = (mesh.ny, mesh.nx)
+    np.savez(path, rho=state.rho.reshape(shape), ux=state.u[:, 0].reshape(shape),
+             uy=state.u[:, 1].reshape(shape), time=state.time, nx=mesh.nx, ny=mesh.ny,
+             lx=mesh.lx, ly=mesh.ly)
+
+
+def random_state(rng, mesh):
+    n = mesh.n_cells
+    return State(rng.uniform(0.0, 10.0), rng.uniform(0.5, 2.0, n), rng.standard_normal((n, 2)))
+
+
+def test_field_snapshot_bytes_are_np_savez_bytes(tmp_path):
+    rng = np.random.default_rng(7)
+    big = build_mesh(64, 64)
+    # back to the first mesh after the others, and an int lx (saved as an
+    # integer) after the equal float one: a stale template would show
+    meshes = [big, build_mesh(5, 3, 1.0, 0.75), build_mesh(24, 20, 1.01, 0.97),
+              build_mesh(3, 7), big, build_mesh(4, 3, 1.0, 0.75), build_mesh(4, 3, 1, 0.75)]
+    for mesh in meshes:
+        for _ in range(3):
+            state = random_state(rng, mesh)
+            write_field_snapshot(tmp_path / "snap.npz", mesh, state)
+            savez_snapshot(tmp_path / "ref.npz", mesh, state)
+            assert (tmp_path / "snap.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
+            with zipfile.ZipFile(tmp_path / "snap.npz") as archive:
+                assert archive.testzip() is None
+
+
+def test_field_snapshot_path_gets_the_npz_suffix(tmp_path):
+    mesh = build_mesh(5, 3, 1.0, 0.75)
+    state = random_state(np.random.default_rng(3), mesh)
+    write_field_snapshot(tmp_path / "snap", mesh, state)
+    write_field_snapshot(str(tmp_path / "snap.dat"), mesh, state)
+    savez_snapshot(tmp_path / "ref", mesh, state)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.npz", "snap.dat.npz", "snap.npz"]
+    for name in ("snap.npz", "snap.dat.npz"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "ref.npz").read_bytes()
+
+
+def test_in_run_snapshots_reuse_one_template(tmp_path, monkeypatch):
+    calls = []
+    savez = np.savez
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return savez(*args, **kwargs)
+
+    monkeypatch.setattr(np, "savez", counted)
+    cfg = snapshot_run_config()
+    result = run_case(cfg, output_dir=tmp_path / "out")
+    assert len(result.diags) >= 5 and cfg.output_every == 1
+    assert len(list((tmp_path / "out" / "fields").iterdir())) == len(result.diags) + 1
+    assert len(calls) <= 1
 
 
 def test_well_prepared_case_runs(tmp_path):
