@@ -12,8 +12,9 @@ part (exact on uniform regions, where the stabilisation term makes the
 operator a stiff pressure Laplacian at low Mach).  A time-step controller and
 three per-step stability conditions (stabilisation strength, a quarter-CFL on
 the mass fluxes, a third-CFL on the cell boundary measure) keep the discrete
-energy and entropy functionals non-increasing; violated conditions trigger
-eta doubling (at most 3 retries) and dt halving (at most 8).
+energy and entropy functionals non-increasing.  An attempt that fails the
+solve or a condition is rejected, and the step retries it at half the dt (at
+most 8 times).
 
 A step needs numpy only.  The assembled scipy CSR form of the Newton
 operator, which the tests check the solver against, is tests/csr_oracle.py.
@@ -39,7 +40,6 @@ ETA_SAFETY = 1.1
 CFL_SAFETY = 0.9
 BETA = 0.05
 DT_MAX = 0.1
-MAX_ETA_RETRIES = 3
 MAX_DT_HALVINGS = 8
 MAX_LINESEARCH_HALVINGS = 20
 # Newton's residual tolerance, before solve_density scales it by the density
@@ -347,14 +347,16 @@ def solve_density(mesh: StructuredMesh, state: State, dt: float,
 
 def compute_dt(mesh: StructuredMesh, state: State, params: SchemeParams,
                eta: float, u_normal: np.ndarray) -> float:
-    """Explicit surrogate of the sufficient flux-CFL bound.
+    """The controller's time step: explicit surrogates of the two CFL bounds.
 
-    dt = CFL_SAFETY * (beta_face / 4) * min{1, rho_min/rho_max on the face}
-    / D_face minimised over faces, where D_face collects the advective
-    speed, the relative density jump and the stabilisation speed
-    sqrt((eta/eps^2) |[[p]]|), all at step n; ``u_normal`` is
+    The flux-CFL surrogate is CFL_SAFETY * (beta_face / 4) * min{1, rho_min/
+    rho_max on the face} / D_face minimised over faces, where D_face collects
+    the advective speed, the relative density jump and the stabilisation
+    speed sqrt((eta/eps^2) |[[p]]|), all at step n; ``u_normal`` is
     face_average_normal(mesh, state.u).  Faces with D_face = 0 impose no
-    restriction; the result is capped at DT_MAX.
+    restriction.  The third-CFL surrogate is CFL_SAFETY * (1/3 - BETA) *
+    rho_min |K|/|dK| at step n; the post-solve check still guards the
+    implicit density.  The result is capped at DT_MAX.
     """
     rho_k, rho_l = gather_to_faces(mesh, state.rho)
     p_k, p_l = gather_to_faces(mesh, params.gas().pressure(state.rho))
@@ -368,14 +370,9 @@ def compute_dt(mesh: StructuredMesh, state: State, params: SchemeParams,
     ratio = np.minimum(1.0, face_min / face_max)
     with np.errstate(divide="ignore"):  # d_face = 0 gives inf: no restriction
         dt_faces = CFL_SAFETY * 0.25 * beta_face * ratio / d_face
-    return float(min(DT_MAX, dt_faces.min()))
-
-
-def _dt_third_cfl_cap(mesh: StructuredMesh, rho: np.ndarray) -> float:
-    # Explicit step-n surrogate of the third-CFL condition; the post-solve
-    # check still guards the implicit density.
-    geom = mesh.boundary_measure / mesh.cell_volume
-    return float(CFL_SAFETY * (1.0 / 3.0 - BETA) * rho.min() / geom)
+    dt_third = (CFL_SAFETY * (1.0 / 3.0 - BETA) * state.rho.min()
+                / (mesh.boundary_measure / mesh.cell_volume))
+    return float(min(DT_MAX, dt_faces.min(), dt_third))
 
 
 def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
@@ -408,12 +405,19 @@ def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
 
 
 def _attempt_step(mesh, state, params, dt, eta, u_normal):
+    """One attempt at a step of size dt: the density solve, the conservative
+    update and the three conditions.  Raises SolverError, carrying the
+    residual, when any of them fails."""
     rho_star, iters, resnorm, fluxes = solve_density(mesh, state, dt, params, eta, u_normal)
     rho_next = update_density(mesh, state.rho, fluxes.mass, dt)
     if not _admitted(rho_next):
         raise SolverError("conservative density update lost positivity or finiteness",
                           resnorm)
     report = enforce_conditions(mesh, state.rho, rho_next, fluxes, dt, eta)
+    if not report.all_ok:
+        raise SolverError(
+            f"stability conditions violated (eta_ok={report.eta_ok}, "
+            f"flux_cfl_ok={report.flux_cfl_ok}, dt_cfl_ok={report.dt_cfl_ok})", resnorm)
     return rho_next, iters, resnorm, fluxes, report
 
 
@@ -425,15 +429,15 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     ``before`` is the energy report of ``state`` when the caller already has
     it (the previous step's ``diag.energy``); otherwise it is computed here.
 
-    The controller dt is additionally capped by the explicit surrogate of
-    the third-CFL condition and by dt_limit (used to land on a final time).
-    When dt_limit lies strictly between one and two controller steps, the
-    step takes dt_limit / 2, so the last two steps share the remainder: a
-    sliver step is too short for the dt-scaled stabilisation to hold the
-    density at 1 + O(eps^2).
-    Condition violations double eta and then halve dt; a step that still
-    violates after MAX_DT_HALVINGS halvings raises SolverError, and so does
-    an accepted step whose explicit velocity update is not finite.
+    The controller dt is additionally capped by dt_limit (used to land on a
+    final time).  When dt_limit lies strictly between one and two controller
+    steps, the step takes dt_limit / 2, so the last two steps share the
+    remainder: a sliver step is too short for the dt-scaled stabilisation to
+    hold the density at 1 + O(eps^2).
+    A rejected attempt halves dt; a step still rejected after
+    MAX_DT_HALVINGS halvings raises SolverError naming the error that ended
+    its last attempt, and so does an accepted step whose explicit velocity
+    update is not finite.
     """
     gas = params.gas()
     eta = auto_eta(mesh, state.rho)
@@ -442,7 +446,6 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     # residual of every attempt.
     u_normal = face_average_normal(mesh, state.u)
     dt = compute_dt(mesh, state, params, eta, u_normal)
-    dt = min(dt, _dt_third_cfl_cap(mesh, state.rho))
     if dt_limit is not None:
         if dt < dt_limit < 2.0 * dt:
             dt = 0.5 * dt_limit
@@ -450,37 +453,17 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     if not dt > 0.0:
         raise SolverError(f"non-positive time step {dt}")
 
-    accepted = None
-    failure = "step was never attempted"
     for _ in range(MAX_DT_HALVINGS + 1):
-        attempt_eta = eta
-        report = None
-        for retry in range(MAX_ETA_RETRIES + 1):
-            try:
-                result = _attempt_step(mesh, state, params, dt, attempt_eta, u_normal)
-            except SolverError as err:
-                # An earlier eta retry's report is stale: this error ended
-                # the attempt.
-                failure = str(err)
-                result = report = None
-                break
-            report = result[4]
-            if report.eta_ok or retry == MAX_ETA_RETRIES:
-                break
-            attempt_eta *= 2.0
-        if report is not None and report.all_ok:
-            accepted = result
-            eta = attempt_eta
+        try:
+            rho_next, iters, resnorm, fluxes, report = _attempt_step(
+                mesh, state, params, dt, eta, u_normal)
             break
-        if report is not None:
-            failure = (f"stability conditions violated (eta_ok={report.eta_ok}, "
-                       f"flux_cfl_ok={report.flux_cfl_ok}, dt_cfl_ok={report.dt_cfl_ok})")
+        except SolverError as err:
+            failure = err
         dt *= 0.5
-    if accepted is None:
-        raise SolverError(
-            f"step rejected after {MAX_DT_HALVINGS} dt halvings: {failure}")
+    else:
+        raise SolverError(f"step rejected after {MAX_DT_HALVINGS} dt halvings: {failure}")
 
-    rho_next, iters, resnorm, fluxes, report = accepted
     u_next = update_velocity(mesh, gas, state.rho, state.u, rho_next, fluxes, dt,
                              params.eps)
     try:
@@ -525,7 +508,7 @@ def advance(mesh: StructuredMesh, state: State, params: SchemeParams,
                          f"state.time {state.time}")
     diags = []
     states = [state] if collect_states else None
-    margin = 1e-12 * max(1.0, abs(final_time))
+    margin = 1e-12 * abs(final_time)
     report = None
     while state.time < final_time - margin:
         new_state, diag = step(mesh, state, params,

@@ -211,6 +211,13 @@ def test_overflowing_initial_data_are_refused_naming_the_bound(tmp_path, capsys)
     assert RunConfig(case="moving_vortex", params=SchemeParams(gamma=1.001)).params.gamma == 1.001
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the vortex at gamma = 1.01 "
+                   "and eps = 1 peaks at 1.1e25 and runs away, but is accepted")
+def test_vortex_with_runaway_density_ratio_is_refused():
+    with pytest.raises(ConfigError):
+        RunConfig(case="vortex", params=SchemeParams(gamma=1.01, eps=1.0))
+
+
 def test_moving_vortex_refuses_a_domain_that_cuts_it(tmp_path, capsys):
     path = write_config(tmp_path, good_run_ini(case="moving_vortex", lx=0.7))
     assert main(["run", "--config", str(path), "--output", str(tmp_path / "never")]) == 2
@@ -627,6 +634,20 @@ def test_one_step_run_writes_both_charts(tmp_path):
     for name in ("energy.svg", "ke_ratio.svg"):
         root = ET.parse(tmp_path / "out" / name).getroot()
         assert any(child.tag.endswith("polyline") for child in root.iter())
+
+
+def test_final_time_below_the_landing_margin_takes_one_step(tmp_path, capsys):
+    # advance once stopped within 1e-12 of final_time in absolute terms, so a
+    # run to 1e-13 exited 0 after no step and a study of it had no error to
+    # measure
+    path = write_config(tmp_path, good_run_ini(final_time=1e-13))
+    assert main(["run", "--config", str(path), "--output", str(tmp_path / "run")]) == 0
+    assert "1 steps to t=1e-13" in capsys.readouterr().out
+    rows = (tmp_path / "run" / "diagnostics.csv").read_text().strip().split("\n")
+    assert rows[3].startswith("1,1e-13,1e-13,") and len(rows) == 4
+    study = write_config(tmp_path, "[convergence]\nmode = coupled\ngrids = 4, 8\n"
+                         "final_time = 1e-13\n", name="study.ini")
+    assert main(["convergence", "--config", str(study), "--output", str(tmp_path / "study")]) == 0
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):

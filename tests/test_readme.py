@@ -31,6 +31,7 @@ def test_readme_states_the_scheme_constants():
     text = README.read_text()
     for module, name in ((stepper, "ETA_SAFETY"), (stepper, "CFL_SAFETY"),
                          (stepper, "BETA"), (stepper, "DT_MAX"),
+                         (stepper, "MAX_DT_HALVINGS"),
                          (stepper, "NEWTON_TOL"), (stepper, "NEWTON_MAX_ITER"),
                          (flux, "VISCOUS_SCALE"), (cases, "CENTER"), (cases, "R1"),
                          (cases, "R2"), (cases, "AMPLITUDE")):

@@ -1,7 +1,7 @@
 """Semi-implicit step tests: residual, solver, velocity update, conditions."""
 
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ from machfv import (GasLaw, SchemeParams, SolverError, State, advance,
                     vortex_compressible_init)
 from machfv import diagnostics, stepper
 from machfv.flux import VISCOUS_SCALE
-from machfv.stepper import (BETA, CFL_SAFETY, DT_MAX, _dt_third_cfl_cap, _gmres,
-                            _mass_flux_coefficients, _solve_mass_balance)
+from machfv.stepper import (BETA, CFL_SAFETY, DT_MAX, _gmres, _mass_flux_coefficients,
+                            _solve_mass_balance)
 from machfv import assemble_fluxes, face_average_normal
 
 from csr_oracle import density_jacobian
@@ -108,8 +108,7 @@ def vortex_first_step(n, eps, ny=None, lx=1.0):
     params = SchemeParams(gamma=2.0, eps=eps)
     state = vortex_compressible_init(mesh, params.gamma, eps)
     eta = auto_eta(mesh, state.rho)
-    dt = min(compute_dt(mesh, state, params, eta, face_average_normal(mesh, state.u)),
-             _dt_third_cfl_cap(mesh, state.rho))
+    dt = compute_dt(mesh, state, params, eta, face_average_normal(mesh, state.u))
     return mesh, params, state, eta, dt
 
 
@@ -456,10 +455,21 @@ def test_update_velocity_equals_broadcast_form_bit_for_bit():
     assert u_next.tobytes() == expected.tobytes()
 
 
-def test_compute_dt_uniform_rest_hits_cap(mesh44):
+def test_compute_dt_uniform_rest_hits_third_cfl_surrogate(mesh44):
+    # no face restricts dt at rest; 0.9 (1/3 - 0.05) 1.2 / 16 ~ 0.0191 binds
     state = uniform_state(mesh44, u0=(0.0, 0.0))
     params = SchemeParams()
     dt = compute_dt(mesh44, state, params, 3.3, face_average_normal(mesh44, state.u))
+    assert dt == pytest.approx(CFL_SAFETY * (1.0 / 3.0 - BETA) * 1.2 / 16.0, rel=1e-14)
+    assert dt < DT_MAX
+
+
+def test_compute_dt_uniform_rest_hits_cap():
+    # 4 x 4 cells over an 8 x 8 domain: the third-CFL surrogate is ~0.153
+    mesh = build_mesh(4, 4, 8.0, 8.0)
+    state = uniform_state(mesh, u0=(0.0, 0.0))
+    params = SchemeParams()
+    dt = compute_dt(mesh, state, params, 3.3, face_average_normal(mesh, state.u))
     assert dt == DT_MAX
 
 
@@ -547,52 +557,68 @@ def test_step_recovers_from_failed_solve_by_halving_dt(monkeypatch):
     assert diag.dt_used == dt_controller / 32.0
 
 
-def test_step_rejection_names_the_error_that_ended_the_last_attempt(monkeypatch):
-    # each dt tries eta once, gets eta_ok=False, doubles eta and then fails
-    # in the solver: the final message must carry that solver error, not the
-    # stale condition report of the retry before it
-    mesh, params, state, _, _ = vortex_first_step(16, 1.0)
-    bad_eta = stepper.ConditionReport(eta_ok=False, flux_cfl_ok=True,
-                                      dt_cfl_ok=True, eta_margin=-1.0,
-                                      flux_cfl_margin=0.1, dt_cfl_margin=0.1)
-    attempts = []
+def failing_conditions(monkeypatch, report_for):
+    """Patch enforce_conditions to return report_for(real_report, call
+    number); returns the list of (dt, eta) of its calls."""
+    enforce = stepper.enforce_conditions
+    calls = []
 
-    def alternate(mesh, state, params, dt, eta, u_normal):
-        attempts.append(dt)
-        if len(attempts) % 2:
-            return state.rho, 1, 0.0, None, bad_eta
-        raise SolverError("forced solve failure", 1.0)
+    def patched(mesh, rho_old, rho_next, fluxes, dt, eta):
+        calls.append((dt, eta))
+        return report_for(enforce(mesh, rho_old, rho_next, fluxes, dt, eta), len(calls))
 
-    monkeypatch.setattr(stepper, "_attempt_step", alternate)
-    with pytest.raises(SolverError) as excinfo:
-        step(mesh, state, params)
-    assert len(attempts) == 2 * (stepper.MAX_DT_HALVINGS + 1)
-    assert "forced solve failure" in str(excinfo.value)
-    assert "stability conditions" not in str(excinfo.value)
+    monkeypatch.setattr(stepper, "enforce_conditions", patched)
+    return calls
 
 
 def test_step_rejection_names_the_violated_conditions(monkeypatch):
-    # every attempt solves but fails the flux CFL: eta is not retried, dt is
-    # halved MAX_DT_HALVINGS times, and the message names the failed flags
-    mesh, params, state, _, _ = vortex_first_step(16, 1.0)
-    bad_flux = stepper.ConditionReport(eta_ok=True, flux_cfl_ok=False,
-                                       dt_cfl_ok=True, eta_margin=0.1,
-                                       flux_cfl_margin=-0.1, dt_cfl_margin=0.1)
-    attempts = []
-
-    def flux_cfl_fails(mesh, state, params, dt, eta, u_normal):
-        attempts.append((dt, eta))
-        return state.rho, 1, 0.0, None, bad_flux
-
-    monkeypatch.setattr(stepper, "_attempt_step", flux_cfl_fails)
+    # every attempt fails the flux CFL: dt is halved MAX_DT_HALVINGS times at
+    # one eta, and the message names the failed flags
+    mesh, params, state, eta, dt = vortex_first_step(16, 1.0)
+    calls = failing_conditions(
+        monkeypatch, lambda report, _: replace(report, flux_cfl_ok=False))
     with pytest.raises(SolverError, match=(
             r"step rejected after 8 dt halvings: stability conditions violated "
             r"\(eta_ok=True, flux_cfl_ok=False, dt_cfl_ok=True\)$")):
         step(mesh, state, params)
-    assert len(attempts) == stepper.MAX_DT_HALVINGS + 1
-    dts, etas = zip(*attempts)
-    assert len(set(etas)) == 1
+    assert len(calls) == stepper.MAX_DT_HALVINGS + 1
+    dts, etas = zip(*calls)
+    assert dts[0] == dt and set(etas) == {eta}
     assert all(later == 0.5 * earlier for earlier, later in zip(dts, dts[1:]))
+
+
+def test_step_recovers_from_failed_eta_condition_by_halving_dt(monkeypatch):
+    # condition (1) fails on the first attempt only: the step halves dt and
+    # keeps the controller's eta
+    mesh, params, state, eta, dt = vortex_first_step(16, 1.0)
+    calls = failing_conditions(
+        monkeypatch, lambda report, call: replace(report, eta_ok=call > 1))
+    _, diag = step(mesh, state, params)
+    assert calls == [(dt, eta), (0.5 * dt, eta)]
+    assert diag.dt_used == 0.5 * dt
+    assert diag.eta_used == auto_eta(mesh, state.rho)
+    assert diag.conditions.all_ok
+
+
+def test_step_rejection_names_the_error_that_ended_the_last_attempt(monkeypatch):
+    # every attempt but the last fails a condition, and the last fails in the
+    # solver: the final message carries that solver error
+    mesh, params, state, _, _ = vortex_first_step(16, 1.0)
+    failing_conditions(monkeypatch, lambda report, _: replace(report, eta_ok=False))
+    solve = stepper.solve_density
+    attempts = []
+
+    def fails_last(*args):
+        attempts.append(args)
+        if len(attempts) == stepper.MAX_DT_HALVINGS + 1:
+            raise SolverError("forced solve failure", 1.0)
+        return solve(*args)
+
+    monkeypatch.setattr(stepper, "solve_density", fails_last)
+    with pytest.raises(SolverError, match=(
+            r"step rejected after 8 dt halvings: forced solve failure$")):
+        step(mesh, state, params)
+    assert len(attempts) == stepper.MAX_DT_HALVINGS + 1
 
 
 def test_short_final_step_keeps_density_deviation():
