@@ -8,9 +8,9 @@ Two subcommands:
 * ``machfv convergence --config conv.ini [--output DIR]``
   runs a grid sequence and writes convergence.csv with EOC columns.
 
-Exit codes: 0 success, 2 invalid config, 3 solver failure (nonlinear solve
-did not converge or density positivity was lost), 4 an asserted stability
-inequality failed.
+Exit codes: 0 success, 2 invalid config or output path, 3 solver failure (a
+step rejected at every dt halving, or a non-finite velocity update), 4 an
+asserted conservation or decay inequality failed.
 """
 
 import argparse
@@ -37,8 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="INI file with a [run] section")
     run_p.add_argument("--output", default=None, help="output directory (overrides config)")
     run_p.add_argument("--assert-inequalities", action="store_true",
-                       help="fail (exit 4) if any step violates conservation, "
-                            "energy/entropy decay, positivity, or the stability conditions")
+                       help="fail (exit 4) if a step breaks conservation or energy/entropy decay")
 
     conv_p = sub.add_parser("convergence", help="run a grid sequence and tabulate EOCs")
     conv_p.add_argument("--config", required=True,
@@ -54,10 +53,8 @@ def main(argv=None) -> int:
             cfg = load_run_config(args.config)
             result = run_case(cfg, output_dir=args.output,
                               assert_inequalities=args.assert_inequalities)
-            last = result.diags[-1] if result.diags else None
-            steps = last.step_index if last else 0
-            print(f"run complete: {steps} steps to t={result.final_state.time!r}, "
-                  f"outputs in {result.output_dir}")
+            print(f"run complete: {result.final_state.step_index} steps to "
+                  f"t={result.final_state.time!r}, outputs in {result.output_dir}")
         else:
             cfg = load_convergence_config(args.config)
             rows = convergence_study(cfg, output_dir=args.output)

@@ -14,13 +14,14 @@ three per-step stability conditions (stabilisation strength, a quarter-CFL on
 the mass fluxes, a third-CFL on the cell boundary measure) keep the discrete
 energy and entropy functionals non-increasing.  An attempt that fails the
 solve or a condition is rejected, and the step retries it at half the dt (at
-most 8 times).
+most 8 times).  advance yields each accepted step of a march to final_time.
 
 A step needs numpy only.  The assembled scipy CSR form of the Newton
 operator, which the tests check the solver against, is tests/csr_oracle.py.
 """
 
 import importlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,9 @@ class SchemeParams:
     eps: float = 1.0
 
     def __post_init__(self):
+        for name, value in (("gamma", self.gamma), ("eps", self.eps)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 1.0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be > 1 and finite, got {self.gamma}")
         # The divisor eps^2 must neither underflow nor overflow (eps ** 2 could raise).
@@ -124,9 +128,6 @@ class ConditionReport:
     @property
     def all_ok(self) -> bool:
         return self.eta_ok and self.flux_cfl_ok and self.dt_cfl_ok
-
-    def as_tuple(self):
-        return (self.eta_ok, self.flux_cfl_ok, self.dt_cfl_ok)
 
 
 @dataclass
@@ -495,29 +496,19 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     return new_state, diag
 
 
-def advance(mesh: StructuredMesh, state: State, params: SchemeParams,
-            final_time: float, collect_states: bool = False, on_step=None):
+def advance(mesh: StructuredMesh, state: State, params: SchemeParams, final_time: float):
     """March from state.time to final_time, clipping the last step.
 
-    Returns (final_state, diagnostics_list, states_or_None).  ``on_step`` is
-    called as on_step(state_before, state_after, diag) after every accepted
-    step.
+    A generator: yields (new_state, diag) once per accepted step.  A
+    final_time not finite or not past state.time raises on the first next().
     """
     if not state.time < final_time < np.inf:
         raise ValueError(f"final_time {final_time} must be finite and exceed "
                          f"state.time {state.time}")
-    diags = []
-    states = [state] if collect_states else None
     margin = 1e-12 * abs(final_time)
     report = None
     while state.time < final_time - margin:
-        new_state, diag = step(mesh, state, params,
-                               dt_limit=final_time - state.time, before=report)
+        state, diag = step(mesh, state, params,
+                           dt_limit=final_time - state.time, before=report)
         report = diag.energy
-        if on_step is not None:
-            on_step(state, new_state, diag)
-        diags.append(diag)
-        state = new_state
-        if collect_states:
-            states.append(state)
-    return state, diags, states
+        yield state, diag

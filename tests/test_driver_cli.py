@@ -13,7 +13,7 @@ from machfv.driver import (ConfigError, ConvergenceConfig, InequalityViolation,
                            RunConfig, _config_text, convergence_study, initial_state,
                            load_convergence_config, load_run_config,
                            run_case, write_field_snapshot, write_line_chart)
-from machfv.stepper import SchemeParams, SolverError, State
+from machfv.stepper import SchemeParams, SolverError, State, advance
 
 def write_config(tmp_path, text, name="config.ini"):
     path = tmp_path / name
@@ -152,6 +152,39 @@ def test_coupled_study_refuses_eps_and_reference(tmp_path):
 def test_api_refuses_what_the_loader_refuses(build):
     with pytest.raises(ConfigError):
         build()
+
+
+@pytest.mark.parametrize("key, build", [
+    ("emit_fields", lambda: RunConfig(emit_fields="false")),
+    ("output_every", lambda: RunConfig(output_every=2.5)),
+    ("nx", lambda: RunConfig(nx=16.0)),
+    ("ny", lambda: RunConfig(ny=True)),
+    ("lx", lambda: RunConfig(lx=True)),
+    ("final_time", lambda: RunConfig(final_time="0.1")),
+    ("output", lambda: RunConfig(output=None)),
+    ("grids", lambda: ConvergenceConfig(grids=(8.0, 16))),
+    ("grids", lambda: ConvergenceConfig(grids=[8, 16])),
+    ("mode", lambda: ConvergenceConfig(mode=b"fixed")),
+    ("gamma", lambda: SchemeParams(gamma="2")),
+    ("eps", lambda: SchemeParams(eps=True)),
+], ids=["bool_text", "int_fraction", "int_float", "int_bool", "float_bool", "float_text",
+        "str_none", "grids_float", "grids_list", "str_bytes", "gamma_text", "eps_bool"])
+def test_api_refuses_a_value_of_another_type_than_its_field(key, build):
+    # each was accepted (and echoed as a config that loads differently or
+    # not at all) or failed later with a TypeError; the configs name the key
+    # as a ConfigError, SchemeParams as a plain ValueError
+    params = key in ("gamma", "eps")
+    with pytest.raises(ValueError, match=rf"^{key} must be a real number" if params
+                       else rf"^\[\w+\] {key} = .*: expected ") as excinfo:
+        build()
+    assert isinstance(excinfo.value, ConfigError) is not params
+
+
+def test_api_admits_numpy_numbers_and_an_integer_length():
+    cfg = RunConfig(nx=np.int64(8), ny=np.int32(8), lx=1, final_time=np.float64(0.1),
+                    params=SchemeParams(gamma=np.float32(2.0), eps=1))
+    assert (cfg.nx, cfg.lx, cfg.params.eps) == (8, 1, 1)
+    assert ConvergenceConfig(grids=(np.int64(4), 8)).grids == (4, 8)
 
 
 @pytest.mark.parametrize("section, key, value, build", [
@@ -329,6 +362,20 @@ def test_in_run_snapshots_load_back_to_collected_states(tmp_path):
             assert (snap["lx"], snap["ly"]) == (mesh.lx, mesh.ly)
 
 
+def test_collected_states_are_the_initial_state_and_what_advance_yields():
+    cfg = snapshot_run_config(emit_fields=False)
+    result = run_case(cfg, collect_states=True, write_outputs=False)
+    state0 = initial_state(cfg, result.mesh)
+    expected = [state0] + [state for state, _ in
+                           advance(result.mesh, state0, cfg.params, cfg.final_time)]
+    assert len(result.states) == len(expected) == len(result.diags) + 1
+    for mine, ref in zip(result.states, expected):
+        assert (mine.time, mine.step_index) == (ref.time, ref.step_index)
+        assert mine.rho.tobytes() == ref.rho.tobytes()
+        assert mine.u.tobytes() == ref.u.tobytes()
+    assert result.final_state is result.states[-1]
+
+
 def test_repeated_runs_write_identical_field_trees(tmp_path):
     cfg = snapshot_run_config()
     trees = []
@@ -416,15 +463,10 @@ def first_step_and_baseline():
 @pytest.mark.parametrize("violate, message", [
     (lambda d, b: dict(energy_decrement=-1e-9 * b["energy0"]), "energy increased by"),
     (lambda d, b: dict(entropy_decrement=-1e-9 * b["energy0"]), "entropy increased by"),
-    (lambda d, b: dict(min_density=0.0), r"density positivity lost \(min 0.0\)"),
-    (lambda d, b: dict(min_density=float("nan")), r"density positivity lost \(min nan\)"),
     (lambda d, b: dict(total_mass=b["mass0"] * (1.0 + 1e-9)), "total mass drifted"),
     (lambda d, b: dict(total_momentum=d.total_momentum
                        + [0.0, 1e-9 * b["momentum_scale"]]), "total momentum drifted"),
-    (lambda d, b: dict(conditions=replace(d.conditions, flux_cfl_ok=False)),
-     r"stability conditions violated \(True, False, True\)"),
-], ids=["energy", "entropy", "positivity", "positivity_nan", "mass", "momentum",
-        "conditions"])
+], ids=["energy", "entropy", "mass", "momentum"])
 def test_inequality_guard_names_each_violation(violate, message):
     diag, baseline = first_step_and_baseline()
     assert diag.step_index == 1
@@ -440,10 +482,27 @@ def test_inequality_guard_allows_round_off_and_lists_every_problem():
     driver._check_step_inequalities(
         replace(diag, energy_decrement=-0.5 * slack, entropy_decrement=-0.5 * slack),
         baseline)
-    bad = replace(diag, energy_decrement=-2.0 * slack, min_density=-1.0)
+    bad = replace(diag, energy_decrement=-2.0 * slack, entropy_decrement=-2.0 * slack)
     with pytest.raises(InequalityViolation,
-                       match=r"^step 1: energy increased by .*; density positivity lost"):
+                       match=r"^step 1: energy increased by .*; entropy increased by"):
         driver._check_step_inequalities(bad, baseline)
+
+
+@pytest.mark.parametrize("patch, message", [
+    (("update_density", lambda mesh, rho, *rest: np.zeros_like(rho)),
+     "conservative density update lost positivity or finiteness"),
+    (("update_density", lambda mesh, rho, *rest: np.full_like(rho, np.nan)),
+     "conservative density update lost positivity or finiteness"),
+    (("enforce_conditions",
+      lambda *args: stepper.ConditionReport(True, False, True, 1.0, -1.0, 1.0)),
+     r"stability conditions violated \(eta_ok=True, flux_cfl_ok=False, dt_cfl_ok=True\)"),
+], ids=["positivity", "positivity_nan", "conditions"])
+def test_stepper_refuses_each_violation_without_the_flag(monkeypatch, patch, message):
+    # The guard leaves positivity and the three conditions to the stepper,
+    # which refuses them on every run, asserted or not.
+    monkeypatch.setattr(stepper, *patch)
+    with pytest.raises(SolverError, match=rf"^step rejected after 8 dt halvings: {message}$"):
+        run_case(snapshot_run_config(final_time=0.005), write_outputs=False)
 
 
 def test_field_snapshot_roundtrip(tmp_path):
@@ -660,6 +719,39 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "run complete" in captured.out
     assert (out / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "convergence"])
+@pytest.mark.parametrize("where", ["flag_file", "flag_below_file", "config_file"])
+def test_output_path_that_cannot_be_a_directory_is_a_config_error(
+        tmp_path, capsys, monkeypatch, command, where):
+    # mkdir's OSError used to end in a traceback (exit 1)
+    afile = write_config(tmp_path, "a regular file", name="afile")
+    output = afile / "sub" if where == "flag_below_file" else afile
+    text = (good_run_ini(output=output) if command == "run" else
+            f"[convergence]\nmode = coupled\ngrids = 4, 8\noutput = {output}\n")
+    argv = [command, "--config", str(write_config(tmp_path, text))]
+    if where != "config_file":
+        argv += ["--output", str(output)]
+    monkeypatch.setattr(driver, "advance", lambda *args: pytest.fail("a step was taken"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output directory {str(output)!r} cannot be made")
+    assert afile.read_text() == "a regular file"
+
+
+def test_fields_path_that_cannot_be_a_directory_is_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "fields").write_text("a regular file")
+    monkeypatch.setattr(driver, "advance", lambda *args: pytest.fail("a step was taken"))
+    argv = ["run", "--config", str(write_config(tmp_path, good_run_ini())),
+            "--output", str(out)]
+    assert main(argv) == 2
+    fields_dir = str(out / "fields")
+    assert capsys.readouterr().err.startswith(
+        f"config error: output directory {fields_dir!r} cannot be made")
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):

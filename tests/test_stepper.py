@@ -627,11 +627,14 @@ def test_short_final_step_keeps_density_deviation():
     mesh = build_mesh(16, 16, 1.0, 1.0)
     params = SchemeParams(gamma=2.0, eps=1e-4)
     state = vortex_compressible_init(mesh, params.gamma, params.eps)
-    state, _, _ = advance(mesh, state, params, 0.01)
+    state, _ = list(advance(mesh, state, params, 0.01))[-1]
     deviation = np.abs(state.rho - 1.0).max() / params.eps ** 2
     _, probe = step(mesh, state, params)
-    final, _, _ = advance(mesh, state, params,
-                          state.time + probe.dt_used + 5e-7)
+    steps = list(advance(mesh, state, params, state.time + probe.dt_used + 5e-7))
+    # the last two steps share the remainder
+    assert len(steps) == 2
+    assert steps[0][1].dt_used == pytest.approx(steps[1][1].dt_used, rel=1e-12)
+    final, _ = steps[-1]
     assert np.abs(final.rho - 1.0).max() / params.eps ** 2 <= 2.0 * deviation
 
 
@@ -651,8 +654,11 @@ def test_advance_reuses_each_end_of_step_energy_report(monkeypatch):
         return report(*args)
 
     monkeypatch.setattr(diagnostics, "energy_report", counted)
-    _, diags, _ = advance(mesh, state, params, stepped.time)
-    assert len(diags) == 3 and len(calls) == 4
+    steps = advance(mesh, state, params, stepped.time)
+    assert not calls  # a generator does no work before the first next()
+    diags = [diag for _, diag in steps]
+    # one report per end of step, plus the start-of-run report
+    assert len(diags) == 3 and len(calls) == len(diags) + 1
     for mine, ref in zip(diags, manual):
         assert mine.energy_decrement == ref.energy_decrement
         assert mine.entropy_decrement == ref.entropy_decrement
@@ -680,20 +686,24 @@ def test_advance_conserves_mass_and_momentum():
     mass0 = mesh.cell_volume * state.rho.sum()
     mom0 = mesh.cell_volume * (state.rho[:, None] * state.u).sum(axis=0)
     mom_scale = mesh.cell_volume * np.abs(state.rho[:, None] * state.u).sum()
-    final, diags, _ = advance(mesh, state, params, 0.02)
-    assert final.time == pytest.approx(0.02, abs=1e-12)
-    for diag in diags:
+    steps = list(advance(mesh, state, params, 0.02))
+    assert steps[-1][0].time == pytest.approx(0.02, abs=1e-12)
+    # one (state, diag) per accepted step, in order
+    assert [s.step_index for s, _ in steps] == list(range(1, len(steps) + 1))
+    for new_state, diag in steps:
+        assert diag.step_index == new_state.step_index and diag.time == new_state.time
         assert abs(diag.total_mass - mass0) <= 1e-12 * mass0
         assert np.abs(diag.total_momentum - mom0).max() <= 1e-12 * mom_scale
 
 
 def test_advance_rejects_bad_final_time(mesh44):
-    state = uniform_state(mesh44)
-    with pytest.raises(ValueError):
-        advance(mesh44, state, SchemeParams(), 0.0)
+    steps = advance(mesh44, uniform_state(mesh44), SchemeParams(), 0.0)
+    with pytest.raises(ValueError, match="must be finite and exceed state.time"):
+        next(steps)
 
 
 def test_advance_rejects_infinite_final_time(mesh44):
     # an infinite final time made the landing margin infinite: 0 steps, no error
+    steps = advance(mesh44, uniform_state(mesh44), SchemeParams(), np.inf)
     with pytest.raises(ValueError, match="finite"):
-        advance(mesh44, uniform_state(mesh44), SchemeParams(), np.inf)
+        next(steps)
