@@ -8,9 +8,9 @@ Two subcommands:
 * ``machfv convergence --config conv.ini [--output DIR]``
   runs a grid sequence and writes convergence.csv with EOC columns.
 
-Exit codes: 0 success, 2 invalid config or output path, 3 solver failure (a
-step rejected at every dt halving, or a non-finite velocity update), 4 an
-asserted conservation or decay inequality failed.
+Exit codes: 0 success, 2 invalid config or unwritable output path, 3 solver
+failure (a step rejected at every dt halving, or a non-finite velocity
+update), 4 an asserted conservation or decay inequality failed.
 """
 
 import argparse
@@ -53,18 +53,20 @@ def main(argv=None) -> int:
             cfg = load_run_config(args.config)
             result = run_case(cfg, output_dir=args.output,
                               assert_inequalities=args.assert_inequalities)
-            print(f"run complete: {result.final_state.step_index} steps to "
-                  f"t={result.final_state.time!r}, outputs in {result.output_dir}")
+            summary = [f"run complete: {result.final_state.step_index} steps to "
+                       f"t={result.final_state.time!r}, outputs in {result.output_dir}"]
         else:
             cfg = load_convergence_config(args.config)
-            rows = convergence_study(cfg, output_dir=args.output)
-            for row in rows:
-                print(f"n={row['n']:5d} h={row['h']:.5g} eps={row['eps']:.5g} "
-                      + " ".join(f"{k}={v:.4e}" for k, v in row.items()
-                                 if k not in ("n", "h", "eps") and v is not None
-                                 and not k.startswith("eoc_")))
+            summary = [f"n={row['n']:5d} h={row['h']:.5g} eps={row['eps']:.5g} "
+                       + " ".join(f"{k}={v:.4e}" for k, v in row.items()
+                                  if k not in ("n", "h", "eps") and v is not None
+                                  and not k.startswith("eoc_"))
+                       for row in convergence_study(cfg, output_dir=args.output)]
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:  # open and mkdir name the path in the message
+        print(f"output error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
@@ -72,6 +74,8 @@ def main(argv=None) -> int:
     except InequalityViolation as err:
         print(f"inequality violation: {err}", file=sys.stderr)
         return EXIT_INEQUALITY
+    # Printed outside the mapping: a closed stdout is not an output path.
+    print("\n".join(summary))
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ would swamp the tolerances the audit is meant to certify.  Its own formulas
 are the remainders, their closed form and the kinetic and total balances.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,9 +91,6 @@ class ErrorReport:
     rho_supl2: float
     u_l2l2: float
     u_supl2: float
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def error_norms(mesh: StructuredMesh, gas: GasLaw, states, exact_velocity,

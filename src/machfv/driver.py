@@ -35,7 +35,7 @@ import io
 import numbers
 import struct
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
@@ -187,12 +187,10 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
 
 
 def _to_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
 
 
 def _integral(value) -> bool:
@@ -280,17 +278,9 @@ def _config_text(cfg) -> str:
     return "".join(lines)
 
 
-def _make_dir(path: Path):
-    """mkdir -p, with a path that cannot be a directory as a ConfigError."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"output directory {str(path)!r} cannot be made: {err.strerror}") from err
-
-
 def _echo_config(cfg, out: Path) -> str:
     """Make `out`, echo `cfg` into out/config.ini and return the echo's sha256."""
-    _make_dir(out)
+    out.mkdir(parents=True, exist_ok=True)
     text = _config_text(cfg)
     (out / "config.ini").write_text(text)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -434,7 +424,9 @@ def _check_step_inequalities(diag, baseline):
 def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
              collect_states: bool = False, write_outputs: bool = True) -> RunResult:
     """Advance one configured case and (optionally) write its outputs: one loop
-    over advance's accepted steps, then diagnostics.csv and the charts."""
+    over advance's accepted steps, then diagnostics.csv and the charts from the
+    kept diags.  A path that cannot be made or written raises its OSError, for
+    config.ini and the output directories before any step."""
     mesh = build_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
     state0 = initial_state(cfg, mesh)
     report0 = energy_report(mesh, cfg.params.gas(), state0.rho, state0.u, cfg.params.eps)
@@ -459,29 +451,22 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
         cfg_hash = _echo_config(cfg, out)
         # An earlier run into this directory must not leave snapshots or
         # charts beside this run's config.ini.  Only regular files go: a
-        # directory in the way fails at the write that needs its name.
+        # directory in the way stays, and the write that needs its name
+        # raises its OSError.
         for stale in [*out.glob("fields/step[0-9][0-9][0-9][0-9][0-9][0-9].npz"),
                       out / "energy.svg", out / "ke_ratio.svg"]:
             if stale.is_file():
                 stale.unlink()
     if snapshots:
-        _make_dir(out / "fields")
+        (out / "fields").mkdir(exist_ok=True)
         snapshot(state0)
 
-    rows, diags = [], []
+    diags = []
     states = [state0] if collect_states else None
     state = state0
     for state, diag in advance(mesh, state0, cfg.params, cfg.final_time):
         if assert_inequalities:
             _check_step_inequalities(diag, baseline)
-        ke_ratio = diag.energy.kinetic / ke0 if ke0 > 0.0 else float("nan")
-        rows.append([
-            diag.step_index, diag.time, diag.dt_used, diag.energy.total,
-            diag.energy.entropy_total, diag.total_mass, diag.min_density,
-            diag.newton_iters, diag.final_residual,
-            diag.conditions.eta_ok, diag.conditions.flux_cfl_ok,
-            diag.conditions.dt_cfl_ok, ke_ratio,
-        ])
         if snapshots and diag.step_index % cfg.output_every == 0:
             snapshot(state)
         diags.append(diag)
@@ -489,17 +474,22 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
             states.append(state)
 
     if write_outputs:
+        ke_ratios = [d.energy.kinetic / ke0 if ke0 > 0.0 else float("nan") for d in diags]
         _write_csv(out / "diagnostics.csv", cfg_hash, "all quantities nondimensional",
                    "step,time,dt,total_energy,total_entropy,total_mass,"
                    "min_density,newton_iters,final_residual,cond_eta,"
                    "cond_flux_cfl,cond_dt_cfl,ke_ratio",
-                   [map(_fmt, row) for row in rows])
+                   [map(_fmt, (d.step_index, d.time, d.dt_used, d.energy.total,
+                               d.energy.entropy_total, d.total_mass, d.min_density,
+                               d.newton_iters, d.final_residual, d.conditions.eta_ok,
+                               d.conditions.flux_cfl_ok, d.conditions.dt_cfl_ok, ke))
+                    for d, ke in zip(diags, ke_ratios)])
         if cfg.emit_svg:
-            times = [r[1] for r in rows]
-            write_line_chart(out / "energy.svg", "Total energy", "time",
-                             "energy", [("total energy", times, [r[3] for r in rows])])
+            times = [d.time for d in diags]
+            write_line_chart(out / "energy.svg", "Total energy", "time", "energy",
+                             [("total energy", times, [d.energy.total for d in diags])])
             write_line_chart(out / "ke_ratio.svg", "Kinetic energy ratio", "time",
-                             "KE(t)/KE(0)", [("ke ratio", times, [r[12] for r in rows])])
+                             "KE(t)/KE(0)", [("ke ratio", times, ke_ratios)])
 
     return RunResult(mesh=mesh, config=cfg, final_state=state,
                      diags=diags, states=states,
@@ -521,7 +511,7 @@ def _point_errors(cfg: ConvergenceConfig, n: int, eps: float, out_sub) -> dict:
         density = lambda t: moving_vortex(mesh, gamma, eps, t).rho
     report = error_norms(mesh, run_cfg.params.gas(), result.states, velocity, eps,
                          exact_density=density)
-    return report.as_dict()
+    return asdict(report)
 
 
 def convergence_study(cfg: ConvergenceConfig, output_dir=None):

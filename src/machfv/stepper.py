@@ -350,8 +350,8 @@ def compute_dt(mesh: StructuredMesh, state: State, params: SchemeParams,
                eta: float, u_normal: np.ndarray) -> float:
     """The controller's time step: explicit surrogates of the two CFL bounds.
 
-    The flux-CFL surrogate is CFL_SAFETY * (beta_face / 4) * min{1, rho_min/
-    rho_max on the face} / D_face minimised over faces, where D_face collects
+    The flux-CFL surrogate is CFL_SAFETY * (beta_face / 4) * (rho_min /
+    rho_max on the face) / D_face minimised over faces, where D_face collects
     the advective speed, the relative density jump and the stabilisation
     speed sqrt((eta/eps^2) |[[p]]|), all at step n; ``u_normal`` is
     face_average_normal(mesh, state.u).  Faces with D_face = 0 impose no
@@ -368,9 +368,8 @@ def compute_dt(mesh: StructuredMesh, state: State, params: SchemeParams,
               + np.sqrt((eta / params.eps ** 2) * np.abs(p_l - p_k)))
     # |dK|/|K| is uniform, so beta_face is a single number.
     beta_face = mesh.cell_volume / mesh.boundary_measure
-    ratio = np.minimum(1.0, face_min / face_max)
     with np.errstate(divide="ignore"):  # d_face = 0 gives inf: no restriction
-        dt_faces = CFL_SAFETY * 0.25 * beta_face * ratio / d_face
+        dt_faces = CFL_SAFETY * 0.25 * beta_face * (face_min / face_max) / d_face
     dt_third = (CFL_SAFETY * (1.0 / 3.0 - BETA) * state.rho.min()
                 / (mesh.boundary_measure / mesh.cell_volume))
     return float(min(DT_MAX, dt_faces.min(), dt_third))

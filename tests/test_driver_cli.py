@@ -1,5 +1,7 @@
 """Config parsing, run orchestration, file outputs, CLI exit codes."""
 
+import io
+import sys
 import xml.etree.ElementTree as ET
 import zipfile
 from dataclasses import fields, replace
@@ -36,6 +38,19 @@ def test_load_run_config_roundtrip(tmp_path):
     assert cfg.case == "vortex" and cfg.nx == 12 and cfg.ny == 8
     assert cfg.params.eps == 0.25 and cfg.params.gamma == 2.0
     assert cfg.output_every == 3 and cfg.emit_fields and cfg.emit_svg
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("Yes", True), ("TRUE", True), ("On", True), ("1", True),
+    ("NO", False), ("False", False), ("Off", False), ("0", False),
+    ("2", None), ("maybe", None)])
+def test_booleans_load_with_configparsers_spellings(tmp_path, raw, value):
+    path = write_config(tmp_path, good_run_ini(emit_svg=raw))
+    if value is None:
+        with pytest.raises(ConfigError, match=rf"emit_svg = '{raw}': expected a boolean$"):
+            load_run_config(path)
+    else:
+        assert load_run_config(path).emit_svg is value
 
 
 def test_load_run_config_errors(tmp_path):
@@ -320,11 +335,13 @@ def test_run_case_outputs(tmp_path):
                    for p in (out / "fields").glob("step*.npz"))
     expected = [0] + [s for s in range(1, len(result.diags) + 1) if s % 3 == 0]
     assert steps == expected
-    # SVG charts parse as XML and contain polylines
+    # SVG charts parse as XML, with one polyline point per accepted step
     for name in ("energy.svg", "ke_ratio.svg"):
         root = ET.parse(out / name).getroot()
         assert root.tag.endswith("svg")
-        assert any(child.tag.endswith("polyline") for child in root.iter())
+        lines = [child for child in root.iter() if child.tag.endswith("polyline")]
+        assert len(lines) == 1
+        assert len(lines[0].get("points").split()) == len(result.diags) >= 2
 
 
 def test_run_outputs_bit_identical(tmp_path):
@@ -721,6 +738,12 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert (out / "diagnostics.csv").exists()
 
 
+def assert_output_error(err, path):
+    """One stderr line: `output error: ` and the OSError, which names `path`."""
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert repr(str(path)) in err
+
+
 @pytest.mark.parametrize("command", ["run", "convergence"])
 @pytest.mark.parametrize("where", ["flag_file", "flag_below_file", "config_file"])
 def test_output_path_that_cannot_be_a_directory_is_a_config_error(
@@ -735,8 +758,7 @@ def test_output_path_that_cannot_be_a_directory_is_a_config_error(
         argv += ["--output", str(output)]
     monkeypatch.setattr(driver, "advance", lambda *args: pytest.fail("a step was taken"))
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: output directory {str(output)!r} cannot be made")
+    assert_output_error(capsys.readouterr().err, output)
     assert afile.read_text() == "a regular file"
 
 
@@ -749,9 +771,55 @@ def test_fields_path_that_cannot_be_a_directory_is_a_config_error(
     argv = ["run", "--config", str(write_config(tmp_path, good_run_ini())),
             "--output", str(out)]
     assert main(argv) == 2
-    fields_dir = str(out / "fields")
-    assert capsys.readouterr().err.startswith(
-        f"config error: output directory {fields_dir!r} cannot be made")
+    assert_output_error(capsys.readouterr().err, out / "fields")
+    assert (out / "fields").read_text() == "a regular file"
+
+
+@pytest.mark.parametrize("name, before_any_step", [
+    ("config.ini", True), ("fields/step000000.npz", True),
+    ("fields/step000001.npz", False), ("diagnostics.csv", False),
+    ("energy.svg", False), ("ke_ratio.svg", False)])
+def test_run_output_file_that_is_a_directory_exits_2(
+        tmp_path, capsys, monkeypatch, name, before_any_step):
+    # config.ini and the step-0 snapshot fail before any step, the rest later
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg_path = write_config(tmp_path, good_run_ini(output_every=1))
+    if before_any_step:
+        monkeypatch.setattr(driver, "advance", lambda *args: pytest.fail("a step was taken"))
+    assert main(["run", "--config", str(cfg_path), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_output_error(captured.err, out / name)
+    assert (out / name).is_dir()
+    # the library raises the OSError itself
+    with pytest.raises(IsADirectoryError):
+        run_case(load_run_config(cfg_path), output_dir=out)
+
+
+def test_convergence_csv_that_is_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "study"
+    (out / "convergence.csv").mkdir(parents=True)
+    path = write_config(tmp_path, "[convergence]\nmode = coupled\ngrids = 4, 8\n"
+                                  "final_time = 0.01\n")
+    assert main(["convergence", "--config", str(path), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_output_error(captured.err, out / "convergence.csv")
+    # every grid ran before the table was written
+    assert (out / "grid_0008" / "diagnostics.csv").is_file()
+
+
+def test_closed_stdout_is_not_an_output_error(tmp_path, monkeypatch):
+    class ClosedStdout(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    path = write_config(tmp_path, good_run_ini(emit_fields="false", emit_svg="false"))
+    with pytest.raises(BrokenPipeError):
+        main(["run", "--config", str(path), "--output", str(tmp_path / "out")])
+    assert (tmp_path / "out" / "diagnostics.csv").is_file()
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):
