@@ -19,22 +19,17 @@ measured by error_norms against the exact solution of its case: eps = h
 against the incompressible limit (mode "coupled"), or a fixed eps against
 the exact compressible solution, which only the moving vortex has.
 
-Field snapshots are binary: write_field_snapshot writes one uncompressed
-fields/stepNNNNNN.npz per snapshot, in process, holding rho, ux and uy as
-(ny, nx) arrays and the time and mesh as 0-d arrays.  Its bytes are exactly
-np.savez's for the same arrays: a mesh fixes every header, size and offset,
-so np.savez writes a template once per mesh and each snapshot refills the
-array bytes and CRC-32s of rho, ux, uy and time in a copy of it.  np.savez
-stamps no time on its entries, so repeated runs write byte-identical files.
+Field snapshots are binary: write_field_snapshot writes one
+fields/stepNNNNNN.npy per snapshot, in process, one np.save of a 0-d
+structured record holding rho, ux and uy as (ny, nx) fields and the time and
+mesh as scalars, so np.load(path)["rho"] reads a field back.  The dtype is
+spelled out, so the bytes do not depend on the platform, and np.save stamps
+no time, so repeated runs write byte-identical files.
 """
 
 import configparser
-import functools
 import hashlib
-import io
 import numbers
-import struct
-import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
@@ -317,41 +312,18 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def _snapshot_template(nx, ny, lx, ly):
-    """np.savez's bytes for zero fields at time 0, and for rho, ux, uy and time the
-    (start, array start, end) of its .npy bytes and the offsets of its CRC-32
-    (PKWARE APPNOTE.TXT 4.3.7, 4.3.12, 4.3.16).  Typed: an int lx saves as int."""
-    grid = np.zeros((ny, nx))
-    buf = io.BytesIO()
-    np.savez(buf, rho=grid, ux=grid, uy=grid, time=0.0, nx=nx, ny=ny, lx=lx, ly=ly)
-    data = buf.getvalue()
-    entry, = struct.unpack_from("<I", data, len(data) - 22 + 16)  # central directory
-    members = []
-    for nbytes in (grid.nbytes,) * 3 + (8,):
-        size, name_len, extra_len, comment_len = struct.unpack_from("<I3H", data, entry + 24)
-        local, = struct.unpack_from("<I", data, entry + 42)
-        start = local + 30 + sum(struct.unpack_from("<2H", data, local + 26))
-        members.append((start, start + size - nbytes, start + size, (local + 14, entry + 16)))
-        entry += 46 + name_len + extra_len + comment_len
-    return data, tuple(members)
-
-
 def write_field_snapshot(path, mesh: StructuredMesh, state):
-    """Binary snapshot of `state`: rho, ux, uy as (ny, nx) arrays, time and mesh
-    as 0-d, byte for byte what np.savez writes, including its .npz suffix rule."""
-    data, members = _snapshot_template(mesh.nx, mesh.ny, mesh.lx, mesh.ly)
-    buf = bytearray(data)
-    values = (cell_grid(mesh, state.rho), cell_grid(mesh, state.u[:, 0]),
-              cell_grid(mesh, state.u[:, 1]), state.time)
-    for value, (start, array_start, end, crc_offsets) in zip(values, members):
-        view = np.frombuffer(buf, np.float64, (end - array_start) // 8, array_start)
-        view.reshape(np.shape(value))[...] = value  # C order, as np.save writes
-        crc = zlib.crc32(memoryview(buf)[start:end])
-        for offset in crc_offsets:
-            struct.pack_into("<I", buf, offset, crc)
-    with open(path if str(path).endswith(".npz") else f"{path}.npz", "wb") as fh:
-        fh.write(buf)
+    """Binary snapshot of `state`: one np.save of a 0-d structured record holding
+    rho, ux and uy as (ny, nx) fields and the time and mesh as scalars.  np.save
+    appends .npy to a path that lacks it."""
+    grid = (mesh.ny, mesh.nx)
+    record = np.array((cell_grid(mesh, state.rho), cell_grid(mesh, state.u[:, 0]),
+                       cell_grid(mesh, state.u[:, 1]), state.time,
+                       mesh.nx, mesh.ny, mesh.lx, mesh.ly),
+                      [("rho", "<f8", grid), ("ux", "<f8", grid), ("uy", "<f8", grid),
+                       ("time", "<f8"), ("nx", "<i8"), ("ny", "<i8"),
+                       ("lx", "<f8"), ("ly", "<f8")])
+    np.save(path, record)
 
 
 def write_line_chart(path, title, xlabel, ylabel, series):
@@ -444,7 +416,7 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
     snapshots = write_outputs and cfg.emit_fields
 
     def snapshot(state):
-        write_field_snapshot(out / "fields" / f"step{state.step_index:06d}.npz",
+        write_field_snapshot(out / "fields" / f"step{state.step_index:06d}.npy",
                              mesh, state)
 
     if write_outputs:
@@ -453,7 +425,7 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
         # charts beside this run's config.ini.  Only regular files go: a
         # directory in the way stays, and the write that needs its name
         # raises its OSError.
-        for stale in [*out.glob("fields/step[0-9][0-9][0-9][0-9][0-9][0-9].npz"),
+        for stale in [*out.glob("fields/step[0-9][0-9][0-9][0-9][0-9][0-9].npy"),
                       out / "energy.svg", out / "ke_ratio.svg"]:
             if stale.is_file():
                 stale.unlink()

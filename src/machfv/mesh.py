@@ -21,23 +21,39 @@ slices split at the wrap-around), and cells collect their neighbours' faces
 by in-place adds of shifted slices, in a fixed summation order.
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class StructuredMesh:
-    """Periodic uniform Cartesian mesh on [0, lx) x [0, ly)."""
+    """Periodic uniform Cartesian mesh on [0, lx) x [0, ly); the spacings, cell
+    volume and boundary measure follow from nx, ny, lx and ly."""
 
     nx: int
     ny: int
     lx: float
     ly: float
-    hx: float
-    hy: float
-    cell_volume: float
-    boundary_measure: float
+    hx: float = field(init=False)
+    hy: float = field(init=False)
+    cell_volume: float = field(init=False)
+    boundary_measure: float = field(init=False)
+
+    def __post_init__(self):
+        # 3 cells a direction make a cell's two faces in it distinct faces
+        # of distinct neighbours; a bool is an Integral below 3.
+        if not all(isinstance(n, numbers.Integral) and n >= 3 for n in (self.nx, self.ny)):
+            raise ValueError(f"mesh needs integer nx >= 3 and ny >= 3, "
+                             f"got {self.nx!r} x {self.ny!r}")
+        if not (0.0 < self.lx < np.inf and 0.0 < self.ly < np.inf):
+            raise ValueError(f"domain lengths must be positive and finite, "
+                             f"got lx={self.lx!r}, ly={self.ly!r}")
+        hx, hy = self.lx / self.nx, self.ly / self.ny
+        for name, value in (("hx", hx), ("hy", hy), ("cell_volume", hx * hy),
+                            ("boundary_measure", 2.0 * (hx + hy))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_cells(self) -> int:
@@ -52,20 +68,8 @@ class StructuredMesh:
 
 
 def build_mesh(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0) -> StructuredMesh:
-    """Build a periodic uniform mesh with nx x ny cells.
-
-    Both directions need at least 3 cells so that the two faces of a cell in
-    one direction are distinct faces of distinct neighbours.
-    """
-    if nx < 3 or ny < 3:
-        raise ValueError(f"mesh needs nx >= 3 and ny >= 3, got {nx} x {ny}")
-    if lx <= 0.0 or ly <= 0.0:
-        raise ValueError(f"domain lengths must be positive, got lx={lx}, ly={ly}")
-    hx = lx / nx
-    hy = ly / ny
-    return StructuredMesh(nx=nx, ny=ny, lx=lx, ly=ly, hx=hx, hy=hy,
-                          cell_volume=hx * hy,
-                          boundary_measure=2.0 * (hx + hy))
+    """Build a periodic uniform mesh with nx x ny cells on [0, lx) x [0, ly)."""
+    return StructuredMesh(nx, ny, lx, ly)
 
 
 def cell_grid(mesh: StructuredMesh, q) -> np.ndarray:

@@ -3,7 +3,6 @@
 import io
 import sys
 import xml.etree.ElementTree as ET
-import zipfile
 from dataclasses import fields, replace
 
 import numpy as np
@@ -332,7 +331,7 @@ def test_run_case_outputs(tmp_path):
     assert echo.nx == cfg.nx and echo.params.eps == cfg.params.eps
     # snapshots appear at step 0 and every third step thereafter
     steps = sorted(int(p.stem.split("step")[1])
-                   for p in (out / "fields").glob("step*.npz"))
+                   for p in (out / "fields").glob("step*.npy"))
     expected = [0] + [s for s in range(1, len(result.diags) + 1) if s % 3 == 0]
     assert steps == expected
     # SVG charts parse as XML, with one polyline point per accepted step
@@ -367,16 +366,16 @@ def test_in_run_snapshots_load_back_to_collected_states(tmp_path):
     result = run_case(snapshot_run_config(), output_dir=out, collect_states=True)
     mesh = result.mesh
     written = sorted(p.name for p in (out / "fields").iterdir())
-    assert written == [f"step{state.step_index:06d}.npz" for state in result.states]
+    assert written == [f"step{state.step_index:06d}.npy" for state in result.states]
     assert len(written) == len(result.diags) + 1
     for state in result.states:
-        with np.load(out / "fields" / f"step{state.step_index:06d}.npz") as snap:
-            np.testing.assert_array_equal(snap["rho"].ravel(), state.rho)
-            np.testing.assert_array_equal(snap["ux"].ravel(), state.u[:, 0])
-            np.testing.assert_array_equal(snap["uy"].ravel(), state.u[:, 1])
-            assert snap["time"] == state.time
-            assert (snap["nx"], snap["ny"]) == (mesh.nx, mesh.ny)
-            assert (snap["lx"], snap["ly"]) == (mesh.lx, mesh.ly)
+        snap = np.load(out / "fields" / f"step{state.step_index:06d}.npy")
+        np.testing.assert_array_equal(snap["rho"].ravel(), state.rho)
+        np.testing.assert_array_equal(snap["ux"].ravel(), state.u[:, 0])
+        np.testing.assert_array_equal(snap["uy"].ravel(), state.u[:, 1])
+        assert snap["time"] == state.time
+        assert (snap["nx"], snap["ny"]) == (mesh.nx, mesh.ny)
+        assert (snap["lx"], snap["ly"]) == (mesh.lx, mesh.ly)
 
 
 def test_collected_states_are_the_initial_state_and_what_advance_yields():
@@ -406,14 +405,14 @@ def test_repeated_runs_write_identical_field_trees(tmp_path):
 
 def test_snapshot_write_error_reaches_the_caller(tmp_path):
     out = tmp_path / "out"
-    (out / "fields" / "step000002.npz").mkdir(parents=True)
+    (out / "fields" / "step000002.npy").mkdir(parents=True)
     with pytest.raises(IsADirectoryError):
         run_case(snapshot_run_config(), output_dir=out)
     # the error comes from the write at step 2, after the earlier outputs
     assert (out / "config.ini").is_file()
     assert sorted(p.name for p in (out / "fields").iterdir()) == [
-        f"step{k:06d}.npz" for k in range(3)]
-    assert (out / "fields" / "step000002.npz").is_dir()
+        f"step{k:06d}.npy" for k in range(3)]
+    assert (out / "fields" / "step000002.npy").is_dir()
 
 
 def test_rerun_into_one_directory_removes_the_earlier_runs_outputs(tmp_path):
@@ -423,16 +422,16 @@ def test_rerun_into_one_directory_removes_the_earlier_runs_outputs(tmp_path):
     run_case(load_run_config(write_config(tmp_path, good_run_ini(output_every=1))),
              output_dir=out)
     assert sorted(p.name for p in (out / "fields").iterdir()) == [
-        f"step{k:06d}.npz" for k in range(3)]
+        f"step{k:06d}.npy" for k in range(3)]
     own = [out / "notes.txt", out / "fields" / "notes.txt",
-           out / "fields" / "step_reference.npz"]
+           out / "fields" / "step_reference.npy"]
     for path in own:
         path.write_text("kept")
     cfg = load_run_config(write_config(tmp_path, good_run_ini(emit_svg="false")))
     result = run_case(cfg, output_dir=out)
     assert len(result.diags) == 2
     assert sorted(p.name for p in (out / "fields").iterdir()) == [
-        "notes.txt", "step000000.npz", "step_reference.npz"]
+        "notes.txt", "step000000.npy", "step_reference.npy"]
     assert not (out / "energy.svg").exists()
     assert not (out / "ke_ratio.svg").exists()
     echo = load_run_config(out / "config.ini")
@@ -455,7 +454,7 @@ def test_inequality_violation_mid_run_surfaces_unchanged(tmp_path, monkeypatch, 
     assert excinfo.value is raised
     # the snapshots before the failing step are all written: steps 0-2
     assert sorted(p.name for p in (tmp_path / "api" / "fields").iterdir()) == [
-        f"step{k:06d}.npz" for k in range(3)]
+        f"step{k:06d}.npy" for k in range(3)]
 
     cfg_path = write_config(tmp_path, good_run_ini(nx=16, ny=16, eps=0.1,
                                                    final_time=0.02, output_every=1,
@@ -525,30 +524,28 @@ def test_stepper_refuses_each_violation_without_the_flag(monkeypatch, patch, mes
 def test_field_snapshot_roundtrip(tmp_path):
     mesh = build_mesh(4, 3, 1.0, 0.75)
     rho = 1.0 + np.arange(12, dtype=float) / 7.0
-    u = np.stack([np.arange(12) / 3.0, -np.arange(12) / 11.0], axis=1)
-    path = tmp_path / "field.npz"
-    write_field_snapshot(path, mesh, State(0.125, rho, u, step_index=5))
-    with np.load(path) as snap:
-        assert sorted(snap.files) == ["lx", "ly", "nx", "ny", "rho", "time", "ux", "uy"]
-        for name in ("rho", "ux", "uy"):
-            assert snap[name].shape == (3, 4) and snap[name].dtype == np.float64
-        for name in ("time", "lx", "ly"):
-            assert snap[name].shape == () and snap[name].dtype == np.float64
-        for name in ("nx", "ny"):
-            assert snap[name].shape == () and snap[name].dtype.kind == "i"
-        np.testing.assert_array_equal(snap["rho"], rho.reshape(3, 4))
-        np.testing.assert_array_equal(snap["ux"], u[:, 0].reshape(3, 4))
-        np.testing.assert_array_equal(snap["uy"], u[:, 1].reshape(3, 4))
-        assert (snap["time"], snap["nx"], snap["ny"], snap["lx"], snap["ly"]) == \
-            (0.125, 4, 3, 1.0, 0.75)
-
-
-def savez_snapshot(path, mesh, state):
-    """The snapshot as np.savez writes it."""
-    shape = (mesh.ny, mesh.nx)
-    np.savez(path, rho=state.rho.reshape(shape), ux=state.u[:, 0].reshape(shape),
-             uy=state.u[:, 1].reshape(shape), time=state.time, nx=mesh.nx, ny=mesh.ny,
-             lx=mesh.lx, ly=mesh.ly)
+    u = np.stack([np.arange(12) / 3.0, -np.arange(12) / 11.0], axis=1)  # -0.0 first
+    state = State(0.125, rho, u, step_index=5)
+    path = tmp_path / "field.npy"
+    write_field_snapshot(path, mesh, state)
+    snap = np.load(path)
+    # field order, dtypes and shapes
+    assert snap.shape == ()
+    assert snap.dtype == np.dtype([("rho", "<f8", (3, 4)), ("ux", "<f8", (3, 4)),
+                                   ("uy", "<f8", (3, 4)), ("time", "<f8"), ("nx", "<i8"),
+                                   ("ny", "<i8"), ("lx", "<f8"), ("ly", "<f8")])
+    assert snap["rho"].tobytes() == rho.tobytes()
+    assert snap["ux"].tobytes() == u[:, 0].tobytes()
+    assert snap["uy"].tobytes() == u[:, 1].tobytes()
+    assert (snap["time"], snap["nx"], snap["ny"], snap["lx"], snap["ly"]) == \
+        (0.125, 4, 3, 1.0, 0.75)
+    # an int lx is stored as a float: the same bytes as the float mesh's
+    write_field_snapshot(tmp_path / "int_lx.npy", build_mesh(4, 3, 1, 0.75), state)
+    assert (tmp_path / "int_lx.npy").read_bytes() == path.read_bytes()
+    # a state of another mesh's size is refused
+    with pytest.raises(ValueError):
+        write_field_snapshot(tmp_path / "other.npy", build_mesh(5, 3, 1.0, 0.75), state)
+    assert not (tmp_path / "other.npy").exists()
 
 
 def random_state(rng, mesh):
@@ -556,48 +553,15 @@ def random_state(rng, mesh):
     return State(rng.uniform(0.0, 10.0), rng.uniform(0.5, 2.0, n), rng.standard_normal((n, 2)))
 
 
-def test_field_snapshot_bytes_are_np_savez_bytes(tmp_path):
-    rng = np.random.default_rng(7)
-    big = build_mesh(64, 64)
-    # back to the first mesh after the others, and an int lx (saved as an
-    # integer) after the equal float one: a stale template would show
-    meshes = [big, build_mesh(5, 3, 1.0, 0.75), build_mesh(24, 20, 1.01, 0.97),
-              build_mesh(3, 7), big, build_mesh(4, 3, 1.0, 0.75), build_mesh(4, 3, 1, 0.75)]
-    for mesh in meshes:
-        for _ in range(3):
-            state = random_state(rng, mesh)
-            write_field_snapshot(tmp_path / "snap.npz", mesh, state)
-            savez_snapshot(tmp_path / "ref.npz", mesh, state)
-            assert (tmp_path / "snap.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
-            with zipfile.ZipFile(tmp_path / "snap.npz") as archive:
-                assert archive.testzip() is None
-
-
-def test_field_snapshot_path_gets_the_npz_suffix(tmp_path):
+def test_field_snapshot_path_gets_the_npy_suffix(tmp_path):
     mesh = build_mesh(5, 3, 1.0, 0.75)
     state = random_state(np.random.default_rng(3), mesh)
     write_field_snapshot(tmp_path / "snap", mesh, state)
     write_field_snapshot(str(tmp_path / "snap.dat"), mesh, state)
-    savez_snapshot(tmp_path / "ref", mesh, state)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.npz", "snap.dat.npz", "snap.npz"]
-    for name in ("snap.npz", "snap.dat.npz"):
-        assert (tmp_path / name).read_bytes() == (tmp_path / "ref.npz").read_bytes()
-
-
-def test_in_run_snapshots_reuse_one_template(tmp_path, monkeypatch):
-    calls = []
-    savez = np.savez
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return savez(*args, **kwargs)
-
-    monkeypatch.setattr(np, "savez", counted)
-    cfg = snapshot_run_config()
-    result = run_case(cfg, output_dir=tmp_path / "out")
-    assert len(result.diags) >= 5 and cfg.output_every == 1
-    assert len(list((tmp_path / "out" / "fields").iterdir())) == len(result.diags) + 1
-    assert len(calls) <= 1
+    write_field_snapshot(tmp_path / "ref.npy", mesh, state)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.npy", "snap.dat.npy", "snap.npy"]
+    for name in ("snap.npy", "snap.dat.npy"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "ref.npy").read_bytes()
 
 
 def test_well_prepared_case_runs(tmp_path):
@@ -776,8 +740,8 @@ def test_fields_path_that_cannot_be_a_directory_is_a_config_error(
 
 
 @pytest.mark.parametrize("name, before_any_step", [
-    ("config.ini", True), ("fields/step000000.npz", True),
-    ("fields/step000001.npz", False), ("diagnostics.csv", False),
+    ("config.ini", True), ("fields/step000000.npy", True),
+    ("fields/step000001.npy", False), ("diagnostics.csv", False),
     ("energy.svg", False), ("ke_ratio.svg", False)])
 def test_run_output_file_that_is_a_directory_exits_2(
         tmp_path, capsys, monkeypatch, name, before_any_step):

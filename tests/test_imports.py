@@ -60,6 +60,6 @@ def test_cli_run_with_fields_and_charts_needs_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     found = json.loads(proc.stdout.strip().splitlines()[-1])
     assert found == {"code": 0, "scipy_loaded": []}
-    snapshots = sorted((out / "fields").glob("step*.npz"))
-    assert len(snapshots) >= 2 and snapshots[0].name == "step000000.npz"
+    snapshots = sorted((out / "fields").glob("step*.npy"))
+    assert len(snapshots) >= 2 and snapshots[0].name == "step000000.npy"
     assert (out / "energy.svg").is_file() and (out / "ke_ratio.svg").is_file()

@@ -1,5 +1,7 @@
 """Mesh construction and discrete operator tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ import scipy.sparse as sp
 from machfv import (build_mesh, cell_divergence, cell_gradient, face_average,
                     face_average_normal, face_gradient_normal, face_jump,
                     flux_divergence, gather_to_faces, scatter_to_cells)
-from machfv.mesh import face_weight, mean_flux_divergence_inverse
+from machfv.mesh import StructuredMesh, face_weight, mean_flux_divergence_inverse
 
 from conftest import random_positive_state
 from csr_oracle import flux_divergence_matrix
@@ -32,6 +34,22 @@ def test_build_mesh_rejects_small_and_degenerate():
         build_mesh(4, 2, 1.0, 1.0)
     with pytest.raises(ValueError):
         build_mesh(4, 4, 0.0, 1.0)
+
+
+def test_mesh_numbers_cannot_contradict_each_other():
+    # the spacings, volume and boundary measure follow from nx, ny, lx, ly
+    assert replace(build_mesh(8, 8), nx=16) == build_mesh(16, 8)
+    assert replace(build_mesh(8, 8), nx=16).hx == 0.0625
+    with pytest.raises(TypeError):
+        StructuredMesh(2, 2, 1.0, 1.0, 0.5, 0.5, 0.25, 2.0)
+    with pytest.raises(ValueError):
+        StructuredMesh(2, 2, 1.0, 1.0)
+    for args in [(8.5, 8), (8, 8.0), (True, 8), (8, 8, float("nan")),
+                 (8, 8, float("inf")), (8, 8, 1.0, -float("inf"))]:
+        with pytest.raises(ValueError):
+            build_mesh(*args)
+    with pytest.raises(ValueError):
+        replace(build_mesh(8, 8), ly=float("nan"))
 
 
 def face_cells(mesh):
