@@ -4,9 +4,11 @@ Two subcommands:
 
 * ``machfv run --config run.ini [--output DIR] [--assert-inequalities]``
   advances a single case and writes diagnostics.csv (plus optional field
-  snapshots and SVG charts) into the output directory.
+  snapshots and SVG charts) into DIR.
 * ``machfv convergence --config conv.ini [--output DIR]``
-  runs a grid sequence and writes convergence.csv with EOC columns.
+  runs a grid sequence and writes convergence.csv with EOC columns into DIR.
+
+Without --output, DIR is the output_dir default of run_case or convergence_study.
 
 Exit codes: 0 success, 2 invalid config or unwritable output path, 3 solver
 failure (a step rejected at every dt halving, or a non-finite velocity
@@ -35,24 +37,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="advance one case and write diagnostics")
     run_p.add_argument("--config", required=True, help="INI file with a [run] section")
-    run_p.add_argument("--output", default=None, help="output directory (overrides config)")
+    run_p.add_argument("--output", help="output directory")
     run_p.add_argument("--assert-inequalities", action="store_true",
                        help="fail (exit 4) if a step breaks conservation or energy/entropy decay")
 
     conv_p = sub.add_parser("convergence", help="run a grid sequence and tabulate EOCs")
     conv_p.add_argument("--config", required=True,
                         help="INI file with a [convergence] section")
-    conv_p.add_argument("--output", default=None, help="output directory (overrides config)")
+    conv_p.add_argument("--output", help="output directory")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = {} if args.output is None else {"output_dir": args.output}
     try:
         if args.command == "run":
             cfg = load_run_config(args.config)
-            result = run_case(cfg, output_dir=args.output,
-                              assert_inequalities=args.assert_inequalities)
+            result = run_case(cfg, **out, assert_inequalities=args.assert_inequalities)
             summary = [f"run complete: {result.final_state.step_index} steps to "
                        f"t={result.final_state.time!r}, outputs in {result.output_dir}"]
         else:
@@ -61,7 +63,7 @@ def main(argv=None) -> int:
                        + " ".join(f"{k}={v:.4e}" for k, v in row.items()
                                   if k not in ("n", "h", "eps") and v is not None
                                   and not k.startswith("eoc_"))
-                       for row in convergence_study(cfg, output_dir=args.output)]
+                       for row in convergence_study(cfg, **out)]
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

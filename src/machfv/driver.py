@@ -3,21 +3,21 @@
 Configs are INI files of one section.  A run config is a [run] section
 (case, mesh, gas, final time, output options); a convergence config is a
 [convergence] section (mode, case, grid list, gas, final time).  Any other
-section is refused.  The dataclasses RunConfig,
+section is refused.  No config names an output directory: run_case and
+convergence_study take it as output_dir.  The dataclasses RunConfig,
 ConvergenceConfig and SchemeParams are the schema: each key, its type and
-its default is one of their fields, the loader and the config.ini echo
-walk those fields in order, and their __post_init__ checks refuse the same
-values whether they come from a file or from Python (ConfigError, or
-ValueError from SchemeParams outside a file).  Every CSV written here
-starts with a comment line carrying the sha256 of the effective config, so
-outputs are traceable to their inputs; rows are formatted with shortest
-round-trip float representations, which makes repeated runs
-byte-identical.
+its default is one of their fields, the loader and the config.ini echo walk
+those fields in order, and their __post_init__ checks refuse the same values
+whether they come from a file or from Python (ConfigError, or ValueError
+from SchemeParams outside a file).  Every CSV written here starts with a
+comment line carrying the sha256 of the effective config, so outputs are
+traceable to their inputs; rows are formatted with shortest round-trip float
+representations, which makes repeated runs byte-identical.
 
-A convergence study is a list of (n, eps) points, one n x n run each, each
-measured by error_norms against the exact solution of its case: eps = h
-against the incompressible limit (mode "coupled"), or a fixed eps against
-the exact compressible solution, which only the moving vortex has.
+A convergence study runs ConvergenceConfig.runs(), one n x n RunConfig per
+grid, and measures each by error_norms against the exact solution of its
+case: at eps = h against the incompressible limit (mode "coupled"), at a
+fixed eps against the exact compressible solution (only the moving vortex).
 
 Field snapshots are binary: write_field_snapshot writes one
 fields/stepNNNNNN.npy per snapshot, in process, one np.save of a 0-d
@@ -45,6 +45,7 @@ from .stepper import SchemeParams, advance
 CASES = ("vortex", "well_prepared", "moving_vortex")
 INEQUALITY_SLACK = 1e-12
 CONSERVATION_TOL = 1e-12
+PEAK_DENSITY_MAX = 1e4  # the vortex's largest density ratio; the README says why
 
 
 class ConfigError(ValueError):
@@ -55,23 +56,23 @@ class InequalityViolation(RuntimeError):
     """A run violated an asserted stability inequality."""
 
 
-def _check_case(cfg, eps: float):
-    """Reject an unknown case, a domain that cuts the vortex, or an
-    eps and gamma at which its initial density is not positive or overflows."""
-    case, gamma = cfg.case, cfg.params.gamma
+def _check_case(cfg):
+    """Reject an unknown case, a domain that cuts the vortex, or an eps and
+    gamma at which its initial density is not positive, overflows or peaks too high."""
+    case, gamma, eps = cfg.case, cfg.params.gamma, cfg.params.eps
     if case not in CASES:
-        raise ConfigError(f"[{cfg.section}] case must be one of {CASES}, got {case!r}")
+        raise ConfigError(f"[run] case must be one of {CASES}, got {case!r}")
     if case == "well_prepared" and not eps < 1.0:
         # rho = 1 + eps^2 g with max|g| = 1 reaches 0 at eps = 1.
         raise ConfigError(
-            f"case 'well_prepared' needs eps < 1, got eps = {eps!r}: its "
+            f"[run] case 'well_prepared' needs eps < 1, got eps = {eps!r}: its "
             f"density 1 + eps^2 g, with max|g| = 1, is not positive at eps >= 1")
     # The vortex at rest reaches CENTER + R2; the moving one must miss its images.
     name, span = (("2 r2", 2.0 * R2) if case == "moving_vortex"
                   else ("centre + r2", max(CENTER) + R2))
     if not min(cfg.lx, cfg.ly) >= span:
         raise ConfigError(
-            f"[{cfg.section}] case {case!r} needs lx and ly >= {name} = {span!r}, got "
+            f"[run] case {case!r} needs lx and ly >= {name} = {span!r}, got "
             f"{cfg.lx!r} x {cfg.ly!r}: the vortex would reach past one period of the domain")
     # The pressure law is read one rounding unit above the peak, since every
     # density the solver computes carries that error: at gamma = 1e300 the
@@ -82,19 +83,14 @@ def _check_case(cfg, eps: float):
         finite = np.isfinite([peak, top ** gamma, gamma * top ** (gamma - 1.0)]).all()
     if not finite:
         raise ConfigError(
-            f"[{cfg.section}] case {case!r} with gamma = {gamma!r} and eps = {eps!r}: "
+            f"[run] case {case!r} with gamma = {gamma!r} and eps = {eps!r}: "
             f"its peak initial density {peak!r}, or the pressure rho**gamma or its "
             f"derivative one rounding unit above it, exceeds the largest double "
             f"{float(np.finfo(float).max)!r}")
-
-
-def _check_extents(cfg):
-    """Reject a domain length or final time that is not positive and finite."""
-    for name in ("lx", "ly", "final_time"):
-        value = getattr(cfg, name)
-        if not 0.0 < value < np.inf:
-            raise ConfigError(f"[{cfg.section}] {name} must be positive and finite, "
-                              f"got {value!r}")
+    if case == "vortex" and peak > PEAK_DENSITY_MAX:
+        raise ConfigError(f"[run] case 'vortex' with gamma = {gamma!r} and eps = {eps!r}: its "
+                          f"peak initial density {peak!r} exceeds {PEAK_DENSITY_MAX:g} times "
+                          f"its centre value 1, and the controller's dt falls as it rises")
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,6 @@ class RunConfig:
     ly: float = 1.0
     params: SchemeParams = field(default_factory=SchemeParams)
     final_time: float = 0.1
-    output: str = "machfv_out"
     output_every: int = 10
     emit_fields: bool = False
     emit_svg: bool = False
@@ -118,8 +113,11 @@ class RunConfig:
         _check_types(self)
         if self.nx < 3 or self.ny < 3:
             raise ConfigError(f"[run] nx and ny must be >= 3, got {self.nx} x {self.ny}")
-        _check_extents(self)
-        _check_case(self, self.params.eps)
+        for name in ("lx", "ly", "final_time"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ConfigError(f"[run] {name} must be positive and finite, got {value!r}")
+        _check_case(self)
         if self.output_every < 1:
             raise ConfigError(f"[run] output_every must be >= 1, got {self.output_every}")
 
@@ -136,35 +134,40 @@ class ConvergenceConfig:
     ly: float = 1.0
     params: SchemeParams = field(default_factory=SchemeParams)
     final_time: float = 0.1
-    output: str = "machfv_convergence"
 
     def __post_init__(self):
         _check_types(self)
-        _check_extents(self)
         if self.mode not in ("coupled", "fixed"):
             raise ConfigError(f"[convergence] mode must be 'coupled' or 'fixed', got {self.mode!r}")
-        if not self.grids or min(self.grids) < 3:
-            raise ConfigError(f"[convergence] grids must list mesh sizes >= 3, got {self.grids}")
-        if any(b <= a for a, b in zip(self.grids, self.grids[1:])):
-            raise ConfigError(f"[convergence] grids must be strictly increasing, got {self.grids}")
+        if not self.grids or any(b <= a for a, b in zip((0, *self.grids), self.grids)):
+            raise ConfigError(f"[convergence] grids must be > 0 and strictly increasing, "
+                              f"got {self.grids}")
         if self.mode == "coupled" and self.params.eps != SchemeParams.eps:
             raise ConfigError(
                 f"[convergence] eps = {self.params.eps!r} has no effect in coupled "
                 f"mode, which runs each grid at eps = h; leave eps unset")
-        if self.mode == "coupled":  # eps = h = lx / n, from the first grid to the last
-            for n in (self.grids[0], self.grids[-1]):
-                try:
-                    replace(self.params, eps=self.lx / n)
-                except ValueError as err:
-                    raise ConfigError(f"[convergence] lx = {self.lx!r}: {err}") from None
-        # Coupled studies run at eps = h, the largest on the first grid.
-        _check_case(self, self.params.eps if self.mode == "fixed"
-                    else self.lx / self.grids[0])
+        self.runs()  # each grid must be a valid run
         if self.mode == "fixed" and self.case != "moving_vortex":
             raise ConfigError(
                 f"[convergence] fixed mode measures against the exact compressible "
                 f"solution, which case {self.case!r} does not have; use case "
                 f"'moving_vortex'")
+
+    def runs(self) -> list[RunConfig]:
+        """The study's runs, one n x n RunConfig per grid n: at eps = h = lx / n
+        in coupled mode, at the configured eps in fixed mode."""
+        runs, coupled = [], self.mode == "coupled"
+        for n in self.grids:
+            eps = self.lx / n if coupled else self.params.eps
+            try:
+                runs.append(RunConfig(case=self.case, nx=n, ny=n, lx=self.lx, ly=self.ly,
+                                      params=replace(self.params, eps=eps),
+                                      final_time=self.final_time))
+            except ValueError as err:
+                raise ConfigError(f"[convergence] grid {n}, eps = {eps!r}"
+                                  f"{' = lx / n' if coupled else ''}: "
+                                  f"{str(err).removeprefix('[run] ')}") from None
+        return runs
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
@@ -393,7 +396,7 @@ def _check_step_inequalities(diag, baseline):
         raise InequalityViolation(f"step {diag.step_index}: " + "; ".join(problems))
 
 
-def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
+def run_case(cfg: RunConfig, output_dir="machfv_out", assert_inequalities: bool = False,
              collect_states: bool = False, write_outputs: bool = True) -> RunResult:
     """Advance one configured case and (optionally) write its outputs: one loop
     over advance's accepted steps, then diagnostics.csv and the charts from the
@@ -412,7 +415,7 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
     }
     ke0 = report0.kinetic
 
-    out = Path(output_dir if output_dir is not None else cfg.output)
+    out = Path(output_dir)
     snapshots = write_outputs and cfg.emit_fields
 
     def snapshot(state):
@@ -468,14 +471,11 @@ def run_case(cfg: RunConfig, output_dir=None, assert_inequalities: bool = False,
                      output_dir=out if write_outputs else None)
 
 
-def _point_errors(cfg: ConvergenceConfig, n: int, eps: float, out_sub) -> dict:
-    """error_norms of one n x n run at eps against the exact solution of its
-    case: compressible in fixed mode, the incompressible limit in coupled mode."""
-    run_cfg = RunConfig(case=cfg.case, nx=n, ny=n, lx=cfg.lx, ly=cfg.ly,
-                        final_time=cfg.final_time, params=replace(cfg.params, eps=eps),
-                        output=str(out_sub))
-    result = run_case(run_cfg, collect_states=True)
-    mesh, gamma = result.mesh, cfg.params.gamma
+def _point_errors(cfg: ConvergenceConfig, run_cfg: RunConfig, grid_dir) -> dict:
+    """error_norms of one study run against the exact solution of its case:
+    compressible in fixed mode, the incompressible limit in coupled mode."""
+    result = run_case(run_cfg, output_dir=grid_dir, collect_states=True)
+    mesh, gamma, eps = result.mesh, run_cfg.params.gamma, run_cfg.params.eps
     density, velocity = 1.0, lambda t: moving_vortex(mesh, gamma, eps, t).u
     if cfg.case != "moving_vortex":
         velocity = vortex_incompressible_exact(mesh)[0]
@@ -486,25 +486,23 @@ def _point_errors(cfg: ConvergenceConfig, n: int, eps: float, out_sub) -> dict:
     return asdict(report)
 
 
-def convergence_study(cfg: ConvergenceConfig, output_dir=None):
-    """Run the configured grid sequence and tabulate errors with EOC columns.
+def convergence_study(cfg: ConvergenceConfig, output_dir="machfv_convergence"):
+    """Run cfg.runs(), one per grid, and tabulate errors with EOC columns.
 
-    Each grid n is one study point (n, eps): mode "coupled" ties eps = h and
-    measures against the incompressible limit of the case (unit density);
-    mode "fixed" keeps the configured eps and measures against the exact
-    compressible moving vortex.  Both report the error_norms columns, so
-    convergence.csv has one header.  Returns the list of row dicts and
-    writes convergence.csv.
+    Mode "coupled" runs each grid at eps = h and measures against the
+    incompressible limit of the case (unit density); mode "fixed" keeps the
+    configured eps and measures against the exact compressible moving
+    vortex.  Both report the error_norms columns, so convergence.csv has one
+    header.  Returns the list of row dicts and writes convergence.csv.
     """
-    out = Path(output_dir if output_dir is not None else cfg.output)
+    out = Path(output_dir)
     cfg_hash = _echo_config(cfg, out)
 
     columns = [f.name for f in fields(ErrorReport)]
     rows = []
-    for n in cfg.grids:
-        eps = cfg.lx / n if cfg.mode == "coupled" else cfg.params.eps
-        row = {"n": n, "h": cfg.lx / n, "eps": eps}
-        row.update(_point_errors(cfg, n, eps, out / f"grid_{n:04d}"))
+    for run in cfg.runs():
+        row = {"n": run.nx, "h": run.lx / run.nx, "eps": run.params.eps}
+        row.update(_point_errors(cfg, run, out / f"grid_{run.nx:04d}"))
         rows.append(row)
 
     table = [[str(row["n"]), _fmt(row["h"]), _fmt(row["eps"])] for row in rows]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from machfv import build_mesh, driver, moving_vortex, stepper
+from machfv.cases import peak_density
 from machfv.cli import main
 from machfv.driver import (ConfigError, ConvergenceConfig, InequalityViolation,
                            RunConfig, _config_text, convergence_study, initial_state,
@@ -105,6 +106,19 @@ def test_load_config_refuses_unknown_sections(tmp_path):
     assert main(["run", "--config", str(write_config(tmp_path, misspelt))]) == 2
 
 
+@pytest.mark.parametrize("command, text", [
+    ("run", good_run_ini(output="elsewhere")),
+    ("convergence", "[convergence]\nmode = coupled\ngrids = 4, 8\noutput = elsewhere\n")])
+def test_output_is_not_a_config_key(tmp_path, capsys, monkeypatch, command, text):
+    # the output directory is --output or output_dir= alone: a config that
+    # named one was echoed with a path the run did not write to
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", str(path), "--output", str(tmp_path / "never")]) == 2
+    assert capsys.readouterr().err == f"config error: unknown keys in [{command}]: output\n"
+    assert not (tmp_path / "never").exists() and not (tmp_path / "elsewhere").exists()
+
+
 def test_load_convergence_config_errors(tmp_path):
     def conv_ini(**overrides):
         base = {"mode": "fixed", "case": "moving_vortex", "grids": "8, 16",
@@ -154,6 +168,7 @@ def test_coupled_study_refuses_eps_and_reference(tmp_path):
     lambda: ConvergenceConfig(mode="bogus"),
     lambda: ConvergenceConfig(grids=()),
     lambda: ConvergenceConfig(grids=(2, 4)),
+    lambda: ConvergenceConfig(grids=(0, 4)),
     lambda: ConvergenceConfig(grids=(8, 8)),
     lambda: ConvergenceConfig(mode="coupled", params=SchemeParams(eps=0.5)),
     lambda: ConvergenceConfig(mode="fixed", case="vortex"),
@@ -161,7 +176,7 @@ def test_coupled_study_refuses_eps_and_reference(tmp_path):
     lambda: RunConfig(case="moving_vortex", lx=0.7),
     lambda: ConvergenceConfig(case="moving_vortex", ly=0.79),
 ], ids=["output_every", "final_time", "case", "mode", "no_grids", "grid_small",
-        "grid_repeated", "coupled_eps", "fixed_vortex", "fixed_well_prepared",
+        "grid_zero", "grid_repeated", "coupled_eps", "fixed_vortex", "fixed_well_prepared",
         "moving_vortex_lx", "moving_vortex_ly"])
 def test_api_refuses_what_the_loader_refuses(build):
     with pytest.raises(ConfigError):
@@ -175,7 +190,7 @@ def test_api_refuses_what_the_loader_refuses(build):
     ("ny", lambda: RunConfig(ny=True)),
     ("lx", lambda: RunConfig(lx=True)),
     ("final_time", lambda: RunConfig(final_time="0.1")),
-    ("output", lambda: RunConfig(output=None)),
+    ("case", lambda: RunConfig(case=None)),
     ("grids", lambda: ConvergenceConfig(grids=(8.0, 16))),
     ("grids", lambda: ConvergenceConfig(grids=[8, 16])),
     ("mode", lambda: ConvergenceConfig(mode=b"fixed")),
@@ -258,11 +273,24 @@ def test_overflowing_initial_data_are_refused_naming_the_bound(tmp_path, capsys)
     assert RunConfig(case="moving_vortex", params=SchemeParams(gamma=1.001)).params.gamma == 1.001
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the vortex at gamma = 1.01 "
-                   "and eps = 1 peaks at 1.1e25 and runs away, but is accepted")
 def test_vortex_with_runaway_density_ratio_is_refused():
-    with pytest.raises(ConfigError):
+    # At gamma = 1.01 and eps = 1 the printed density peaks at 1.1e25 against 1
+    # at the centre; the run was accepted and took dt = 3.3e-23 at 8^2.
+    with pytest.raises(ConfigError, match=r"peak initial density 1\.1\d*e\+25 exceeds 10000"):
         RunConfig(case="vortex", params=SchemeParams(gamma=1.01, eps=1.0))
+    # just below the bound the vortex is a run that keeps its inequalities
+    params = SchemeParams(gamma=1.0276, eps=1.0)
+    assert 9e3 < peak_density("vortex", params.gamma, params.eps) < driver.PEAK_DENSITY_MAX
+    cfg = RunConfig(case="vortex", nx=8, ny=8, final_time=2e-4, params=params)
+    assert run_case(cfg, assert_inequalities=True, write_outputs=False).final_state.time \
+        == pytest.approx(2e-4, abs=1e-12)
+    # a coupled study checks each grid as a run: at lx = 3, grid 3 runs at eps = 1
+    with pytest.raises(ConfigError, match=r"^\[convergence\] grid 3, eps = 1\.0 = lx / n: "
+                                          r"case 'vortex' with gamma = 1\.01 .* exceeds 10000"):
+        ConvergenceConfig(grids=(3, 6), lx=3.0, ly=3.0, params=SchemeParams(gamma=1.01))
+    # from grid 9 on, eps = 1 / 3 and below, the peak (4.1e3 there) is admitted
+    assert ConvergenceConfig(grids=(9, 12), lx=3.0, ly=3.0,
+                             params=SchemeParams(gamma=1.01)).runs()[0].params.eps == 3.0 / 9
 
 
 def test_moving_vortex_refuses_a_domain_that_cuts_it(tmp_path, capsys):
@@ -294,11 +322,11 @@ def test_every_key_round_trips_through_the_echo(tmp_path):
     configs = {
         load_run_config: RunConfig(
             case="well_prepared", nx=12, ny=10, lx=2.0, ly=1.5, params=params,
-            final_time=0.25, output="elsewhere", output_every=4,
+            final_time=0.25, output_every=4,
             emit_fields=True, emit_svg=True),
         load_convergence_config: ConvergenceConfig(
             mode="fixed", case="moving_vortex", grids=(4, 16), lx=2.0, ly=1.5,
-            params=params, final_time=0.25, output="study"),
+            params=params, final_time=0.25),
     }
     for load, cfg in configs.items():
         for f in fields(cfg):
@@ -589,6 +617,47 @@ def test_convergence_study_coupled_layout(tmp_path):
     assert first_row[4] == ""  # no EOC on the first grid
 
 
+@pytest.mark.parametrize("mode", ["coupled", "fixed"])
+def test_study_runs_exactly_the_configs_of_runs(tmp_path, monkeypatch, mode):
+    cfg = ConvergenceConfig(mode=mode, case="moving_vortex", grids=(4, 6), final_time=0.01,
+                            params=SchemeParams(gamma=1.4))
+    seen, real_run_case = [], driver.run_case
+
+    def recording_run_case(run_cfg, **kwargs):
+        seen.append((run_cfg, kwargs))
+        return real_run_case(run_cfg, **kwargs)
+
+    monkeypatch.setattr(driver, "run_case", recording_run_case)
+    out = tmp_path / "study"
+    rows = convergence_study(cfg, output_dir=out)
+    runs = cfg.runs()
+    assert [run_cfg for run_cfg, _ in seen] == runs
+    assert [kwargs for _, kwargs in seen] == [
+        dict(output_dir=out / f"grid_{n:04d}", collect_states=True) for n in (4, 6)]
+    assert [(run.nx, run.ny) for run in runs] == [(4, 4), (6, 6)]
+    eps = [1.0 / 4, 1.0 / 6] if mode == "coupled" else [1.0, 1.0]
+    assert [run.params.eps for run in runs] == [row["eps"] for row in rows] == eps
+    for run in runs:
+        assert (run.case, run.params.gamma, run.final_time) == ("moving_vortex", 1.4, 0.01)
+        assert load_run_config(out / f"grid_{run.nx:04d}" / "config.ini") == run
+
+
+def test_study_outputs_do_not_depend_on_where_the_study_is_written(tmp_path):
+    # each grid's config.ini once echoed its output path, so the echo and the
+    # config_sha256 line of its diagnostics.csv changed with the directory
+    cfg = ConvergenceConfig(mode="coupled", grids=(4, 8), final_time=0.01)
+    trees = []
+    for out in (tmp_path / "a", tmp_path / "deeper" / "still" / "b"):
+        convergence_study(cfg, output_dir=out)
+        trees.append({p.relative_to(out): p.read_bytes() if p.is_file() else None
+                      for p in out.rglob("*")})
+    assert sorted(map(str, trees[0])) == [
+        "config.ini", "convergence.csv", "grid_0004", "grid_0004/config.ini",
+        "grid_0004/diagnostics.csv", "grid_0008", "grid_0008/config.ini",
+        "grid_0008/diagnostics.csv"]
+    assert trees[0] == trees[1]
+
+
 def test_convergence_study_single_grid_has_errors_no_eoc(tmp_path):
     cfg = ConvergenceConfig(mode="fixed", case="moving_vortex", grids=(4,),
                             final_time=0.01)
@@ -700,6 +769,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "run complete" in captured.out
     assert (out / "diagnostics.csv").exists()
+    # the echo names no output path and loads back to the run's config
+    assert not any(line.startswith("output ")
+                   for line in (out / "config.ini").read_text().splitlines())
+    assert load_run_config(out / "config.ini") == load_run_config(cfg_path)
 
 
 def assert_output_error(err, path):
@@ -709,17 +782,15 @@ def assert_output_error(err, path):
 
 
 @pytest.mark.parametrize("command", ["run", "convergence"])
-@pytest.mark.parametrize("where", ["flag_file", "flag_below_file", "config_file"])
+@pytest.mark.parametrize("where", ["flag_file", "flag_below_file"])
 def test_output_path_that_cannot_be_a_directory_is_a_config_error(
         tmp_path, capsys, monkeypatch, command, where):
     # mkdir's OSError used to end in a traceback (exit 1)
     afile = write_config(tmp_path, "a regular file", name="afile")
     output = afile / "sub" if where == "flag_below_file" else afile
-    text = (good_run_ini(output=output) if command == "run" else
-            f"[convergence]\nmode = coupled\ngrids = 4, 8\noutput = {output}\n")
-    argv = [command, "--config", str(write_config(tmp_path, text))]
-    if where != "config_file":
-        argv += ["--output", str(output)]
+    text = (good_run_ini() if command == "run" else
+            "[convergence]\nmode = coupled\ngrids = 4, 8\n")
+    argv = [command, "--config", str(write_config(tmp_path, text)), "--output", str(output)]
     monkeypatch.setattr(driver, "advance", lambda *args: pytest.fail("a step was taken"))
     assert main(argv) == 2
     assert_output_error(capsys.readouterr().err, output)

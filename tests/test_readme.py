@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import machfv
-from machfv import cases, flux, stepper
+from machfv import cases, driver, flux, stepper
 from machfv.driver import load_run_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -34,7 +34,8 @@ def test_readme_states_the_scheme_constants():
                          (stepper, "MAX_DT_HALVINGS"),
                          (stepper, "NEWTON_TOL"), (stepper, "NEWTON_MAX_ITER"),
                          (flux, "VISCOUS_SCALE"), (cases, "CENTER"), (cases, "R1"),
-                         (cases, "R2"), (cases, "AMPLITUDE")):
+                         (cases, "R2"), (cases, "AMPLITUDE"),
+                         (driver, "PEAK_DENSITY_MAX")):
         assert f"`{name} = {getattr(module, name)!r}`" in text, name
 
 
