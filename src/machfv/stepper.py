@@ -2,11 +2,11 @@
 momentum update.
 
 Each step solves the nonlinear mass balance for the end-of-step density with
-a damped semi-smooth Newton method, then updates the velocity explicitly, one
-component at a time, from the momentum balance with the retained fluxes.  A
-Newton system is I/dt plus the divergence of a face flux linear in the two
-adjacent densities.  A restarted GMRES written in numpy applies it
-matrix-free, by the same gather and flux divergence as the residual,
+a semi-smooth Newton method in full steps, then updates the velocity
+explicitly, one component at a time, from the momentum balance with the
+retained fluxes.  A Newton system is I/dt plus the divergence of a face flux
+linear in the two adjacent densities.  A restarted GMRES written in numpy
+applies it matrix-free, by the same gather and flux divergence as the residual,
 preconditioned with the FFT inverse of its face-mean constant-coefficient
 part (exact on uniform regions, where the stabilisation term makes the
 operator a stiff pressure Laplacian at low Mach).  A time-step controller and
@@ -42,7 +42,6 @@ CFL_SAFETY = 0.9
 BETA = 0.05
 DT_MAX = 0.1
 MAX_DT_HALVINGS = 8
-MAX_LINESEARCH_HALVINGS = 20
 # Newton's residual tolerance, before solve_density scales it by the density
 # and adds the round-off floor, and its iteration cap.
 NEWTON_TOL = 1e-10
@@ -62,11 +61,7 @@ def __getattr__(name):
 
 
 class SolverError(RuntimeError):
-    """Nonlinear solve or step acceptance failed; carries the last residual."""
-
-    def __init__(self, message, final_residual=None):
-        super().__init__(message)
-        self.final_residual = final_residual
+    """Nonlinear solve or step acceptance failed; the message says how."""
 
 
 @dataclass(frozen=True)
@@ -288,13 +283,13 @@ def solve_density(mesh: StructuredMesh, state: State, dt: float,
                   params: SchemeParams, eta: float, u_normal: np.ndarray):
     """Solve the implicit mass balance for the end-of-step density.
 
-    Damped Newton with a backtracking line search that evaluates only
-    admitted (positive, finite) candidates; each Newton direction comes from
-    matrix-free preconditioned GMRES.  ``u_normal`` is
-    face_average_normal(mesh, state.u).  Raises SolverError, carrying the
-    residual, when the line search cannot reduce the residual or
-    NEWTON_MAX_ITER iterations do not reach the tolerance.  Returns
-    (rho_next, iterations, residual_inf_norm, fluxes_at_solution).
+    Newton in full steps; each direction comes from matrix-free
+    preconditioned GMRES.  ``u_normal`` is face_average_normal(mesh,
+    state.u).  Raises SolverError when a full step is not admitted
+    (positive, finite) or does not reduce the residual, or when
+    NEWTON_MAX_ITER iterations do not reach the tolerance; the step then
+    retries at half the dt.  Returns (rho_next, iterations,
+    residual_inf_norm, fluxes_at_solution).
     """
     rho_old, gas, eps = state.rho, params.gas(), params.eps
 
@@ -311,7 +306,7 @@ def solve_density(mesh: StructuredMesh, state: State, dt: float,
     noise = fp_eps * (rho_scale / dt + 4.0 * cmax * rho_scale
                       * (u_scale + VISCOUS_SCALE + 2.0 * kappa * p_scale))
     tol = NEWTON_TOL * max(1.0, rho_scale) + 10.0 * noise
-    # An inexact direction is caught by the residual check and line search.
+    # An inexact direction is caught by the residual checks below.
     lin_tol = 0.1 * tol
 
     rho = rho_old.copy()
@@ -323,26 +318,21 @@ def solve_density(mesh: StructuredMesh, state: State, dt: float,
         iters += 1
         d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho, fluxes, dt, eta, eps)
         delta, _ = _solve_mass_balance(mesh, dt, d_dk, d_dl, -res, lin_tol)
-        alpha = 1.0
-        for _ in range(MAX_LINESEARCH_HALVINGS):
-            cand = rho + alpha * delta
-            if _admitted(cand):
-                cres, cflux = _residual_and_fluxes(mesh, gas, cand, rho_old,
-                                                   u_normal, dt, eta, eps)
-                cnorm = np.abs(cres).max()
-                if cnorm <= (1.0 - 1e-4 * alpha) * norm or cnorm <= tol:
-                    rho, res, fluxes, norm = cand, cres, cflux, cnorm
-                    break
-            alpha *= 0.5
-        else:
-            raise SolverError(
-                f"line search could not reduce the residual {norm:.3e} "
-                f"at Newton iteration {iters}", norm)
+        rho = rho + delta
+        if not _admitted(rho):
+            raise SolverError(f"Newton iteration {iters}: the full step is not "
+                              f"positive and finite (residual {norm:.3e})")
+        res, fluxes = _residual_and_fluxes(mesh, gas, rho, rho_old, u_normal, dt, eta, eps)
+        cnorm = np.abs(res).max()
+        if not (cnorm <= (1.0 - 1e-4) * norm or cnorm <= tol):
+            raise SolverError(f"Newton iteration {iters} did not reduce the residual "
+                              f"{norm:.3e} (full step: {cnorm:.3e})")
+        norm = cnorm
 
     if norm > tol:
         raise SolverError(
             f"density solve did not converge: residual {norm:.3e} > {tol:.3e} "
-            f"after {iters} iterations", norm)
+            f"after {iters} iterations")
     return rho, iters, norm, fluxes
 
 
@@ -406,18 +396,17 @@ def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
 
 def _attempt_step(mesh, state, params, dt, eta, u_normal):
     """One attempt at a step of size dt: the density solve, the conservative
-    update and the three conditions.  Raises SolverError, carrying the
-    residual, when any of them fails."""
+    update and the three conditions.  Raises SolverError when any of them
+    fails."""
     rho_star, iters, resnorm, fluxes = solve_density(mesh, state, dt, params, eta, u_normal)
     rho_next = update_density(mesh, state.rho, fluxes.mass, dt)
     if not _admitted(rho_next):
-        raise SolverError("conservative density update lost positivity or finiteness",
-                          resnorm)
+        raise SolverError("conservative density update lost positivity or finiteness")
     report = enforce_conditions(mesh, state.rho, rho_next, fluxes, dt, eta)
     if not report.all_ok:
         raise SolverError(
             f"stability conditions violated (eta_ok={report.eta_ok}, "
-            f"flux_cfl_ok={report.flux_cfl_ok}, dt_cfl_ok={report.dt_cfl_ok})", resnorm)
+            f"flux_cfl_ok={report.flux_cfl_ok}, dt_cfl_ok={report.dt_cfl_ok})")
     return rho_next, iters, resnorm, fluxes, report
 
 
@@ -470,8 +459,7 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
         new_state = State(time=state.time + dt, rho=rho_next, u=u_next,
                           step_index=state.step_index + 1)
     except ValueError as err:  # State names the non-finite field
-        raise SolverError(f"step {state.step_index + 1} at dt={dt:.3e}: {err}",
-                          resnorm) from None
+        raise SolverError(f"step {state.step_index + 1} at dt={dt:.3e}: {err}") from None
 
     if before is None:
         before = diagnostics.energy_report(mesh, gas, state.rho, state.u, params.eps)

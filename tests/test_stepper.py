@@ -279,26 +279,35 @@ def test_solve_density_reports_nonconvergence(monkeypatch):
         solve_density(mesh, state, 0.05, params, 3.3, face_average_normal(mesh, state.u))
 
 
-def test_solve_density_raises_when_line_search_fails(monkeypatch):
-    # a zero Newton direction cannot reduce the residual: the solve must
-    # stop after that one linear solve and report the residual
+def test_solve_density_raises_when_the_full_newton_step_does_not_reduce_the_residual(
+        monkeypatch):
+    # a zero Newton direction cannot reduce the residual: the solve must stop
+    # after that one linear solve and its one candidate, naming the residual
     mesh, params, state, eta, dt = vortex_first_step(16, 1e-2)
-    solves = []
+    solves, assemblies = [], []
+    assemble = stepper.assemble_fluxes
 
     def zero_direction(mesh, dt, d_dk, d_dl, rhs, atol):
         solves.append(atol)
         return np.zeros_like(rhs), 0
 
+    def counted_assemble(*args):
+        assemblies.append(args)
+        return assemble(*args)
+
     monkeypatch.setattr(stepper, "_solve_mass_balance", zero_direction)
-    with pytest.raises(SolverError, match="line search") as err:
+    monkeypatch.setattr(stepper, "assemble_fluxes", counted_assemble)
+    with pytest.raises(SolverError, match=(
+            r"^Newton iteration 1 did not reduce the residual (\S+) \(full step: \1\)$")):
         solve_density(mesh, state, dt, params, eta, face_average_normal(mesh, state.u))
-    assert err.value.final_residual > 0.0
     assert len(solves) == 1
+    # the initial residual and the one candidate
+    assert len(assemblies) == 2
 
 
 def test_solve_density_assembles_fluxes_once_per_residual(monkeypatch):
     # the Newton coefficients reuse the fluxes of the current iterate: one
-    # assembly for the initial residual and one per line-search trial
+    # assembly for the initial residual and one per Newton iteration
     mesh, params, state, eta, dt = vortex_first_step(32, 1.0)
     callers, directions = [], []
     assemble, solve = stepper.assemble_fluxes, stepper._solve_mass_balance
@@ -327,18 +336,29 @@ def test_solve_density_assembles_fluxes_once_per_residual(monkeypatch):
 
 
 def test_solve_density_rejects_a_non_finite_candidate(monkeypatch):
-    # an infinite Newton direction makes every line-search candidate
-    # infinite in one cell: none is admitted, so none reaches the gas law
+    # an infinite Newton direction makes the full step infinite in one cell:
+    # it is not admitted, so it never reaches the gas law
     mesh, params, state, eta, dt = vortex_first_step(16, 1e-2)
+    assemblies = []
+    assemble = stepper.assemble_fluxes
 
     def infinite_direction(mesh, dt, d_dk, d_dl, rhs, atol):
         delta = np.zeros_like(rhs)
         delta[3] = np.inf
         return delta, 0
 
+    def counted_assemble(*args):
+        assemblies.append(args)
+        return assemble(*args)
+
     monkeypatch.setattr(stepper, "_solve_mass_balance", infinite_direction)
-    with pytest.raises(SolverError, match="line search"):
+    monkeypatch.setattr(stepper, "assemble_fluxes", counted_assemble)
+    with pytest.raises(SolverError, match=(
+            r"^Newton iteration 1: the full step is not positive and finite "
+            r"\(residual \S+\)$")):
         solve_density(mesh, state, dt, params, eta, face_average_normal(mesh, state.u))
+    # only the initial residual: the candidate never reached the gas law
+    assert len(assemblies) == 1
 
 
 def test_step_refuses_a_non_positive_time_step():
@@ -611,7 +631,7 @@ def test_step_rejection_names_the_error_that_ended_the_last_attempt(monkeypatch)
     def fails_last(*args):
         attempts.append(args)
         if len(attempts) == stepper.MAX_DT_HALVINGS + 1:
-            raise SolverError("forced solve failure", 1.0)
+            raise SolverError("forced solve failure")
         return solve(*args)
 
     monkeypatch.setattr(stepper, "solve_density", fails_last)
@@ -619,6 +639,25 @@ def test_step_rejection_names_the_error_that_ended_the_last_attempt(monkeypatch)
             r"step rejected after 8 dt halvings: forced solve failure$")):
         step(mesh, state, params)
     assert len(attempts) == stepper.MAX_DT_HALVINGS + 1
+
+
+def test_rough_single_steps_take_the_controller_dt():
+    # Newton takes full steps and a refused step halves dt: on rough random
+    # states across gamma, eps and grids the controller's dt must hold, so
+    # every step is accepted at its first attempt
+    rng = np.random.default_rng(20261020)
+    for _ in range(60):
+        n = int(rng.choice([8, 12, 16]))
+        params = SchemeParams(gamma=rng.uniform(1.2, 3.0), eps=10.0 ** rng.uniform(-4.0, 0.0))
+        amplitude = rng.choice([params.eps ** 2, 0.5])
+        mesh = build_mesh(n, n, 1.0, 1.0)
+        rho = 1.0 + amplitude * rng.uniform(-1.0, 1.0, mesh.n_cells)
+        u = rng.uniform(0.0, 3.0) * rng.uniform(-1.0, 1.0, (mesh.n_cells, 2))
+        state = State(time=0.0, rho=rho, u=u)
+        dt = compute_dt(mesh, state, params, auto_eta(mesh, state.rho),
+                        face_average_normal(mesh, state.u))
+        _, diag = step(mesh, state, params)
+        assert diag.dt_used == dt, (n, params, amplitude)
 
 
 def test_short_final_step_keeps_density_deviation():
