@@ -16,9 +16,13 @@ A cell field of a function of (x, y) is its value at ``cell_centers()``, the
 midpoint rule.
 
 Only this module knows the layout and the weight.  Its operators are slice
-arithmetic on these views: an L side is the grid shifted by one cell (two
-slices split at the wrap-around), and cells collect their neighbours' faces
-by in-place adds of shifted slices, in a fixed summation order.
+arithmetic on these views, in a fixed summation order: an L side is the grid
+shifted by one cell, and cells collect their neighbours' faces by in-place
+adds of shifted slices, two slices split at the wrap-around.  The x shifts
+of _face_values and _cell_sums, which every residual runs, are instead one
+contiguous pass over the flat array, pairing each cell with the next one in
+memory, and then a fix of the wrap-around column; each element has the same
+operands as in the column-sliced form, bit for bit.
 """
 
 import numbers
@@ -87,12 +91,15 @@ def _face_values(mesh: StructuredMesh, q, op=None, normal: bool = False):
     """Face array of op(q_L, q_K), or of q_L when op is None, from slices.
 
     normal=True takes a vector field's x component on the x-block and its y
-    component on the y-block.
+    component on the y-block.  The x-block is one pass over the flat grid,
+    with each cell's next one in memory as its L side; the wrap-around
+    column, whose next cell in memory starts the next row, is then refilled.
     """
     grid = cell_grid(mesh, q)
     x_grid, y_grid = (grid[..., 0], grid[..., 1]) if normal else (grid, grid)
     out = np.empty((2,) + x_grid.shape, dtype=grid.dtype)
-    for dst, q_l, q_k in ((out[0, :, :-1], x_grid[:, 1:], x_grid[:, :-1]),
+    x_flat = x_grid.reshape((-1,) + x_grid.shape[2:])
+    for dst, q_l, q_k in ((out[0].reshape(x_flat.shape)[:-1], x_flat[1:], x_flat[:-1]),
                           (out[0, :, -1:], x_grid[:, :1], x_grid[:, -1:]),
                           (out[1, :-1], y_grid[1:], y_grid[:-1]),
                           (out[1, -1:], y_grid[:1], y_grid[-1:])):
@@ -113,14 +120,19 @@ def _cell_sums(k_x, k_y, l_x, l_y, op) -> np.ndarray:
     """Flat cell array of (k_x + k_y) op l_x(left neighbour) op l_y(lower one).
 
     All four are (ny, nx, ...) grids of weighted face values: k_* from the
-    faces where the cell is K, l_* from those where its neighbour is K.
+    faces where the cell is K, l_* from those where its neighbour is K.  The
+    x term is one pass over the flat grid, taking each cell's previous one in
+    memory as its left neighbour; the wrap-around column, whose previous cell
+    in memory ends the row above, is then recomputed from k_x + k_y.
     """
     out = k_x + k_y
-    op(out[:, 1:], l_x[:, :-1], out=out[:, 1:])
+    flat = out.reshape((-1,) + out.shape[2:])
+    op(flat[1:], l_x.reshape(flat.shape)[:-1], out=flat[1:])
+    np.add(k_x[:, :1], k_y[:, :1], out=out[:, :1])
     op(out[:, :1], l_x[:, -1:], out=out[:, :1])
     op(out[1:], l_y[:-1], out=out[1:])
     op(out[:1], l_y[-1:], out=out[:1])
-    return out.reshape((-1,) + out.shape[2:])
+    return flat
 
 
 def gather_to_faces(mesh: StructuredMesh, q):

@@ -18,10 +18,16 @@ most 8 times).  advance yields each accepted step of a march to final_time.
 
 A step needs numpy only.  The assembled scipy CSR form of the Newton
 operator, which the tests check the solver against, is tests/csr_oracle.py.
+
+Under glibc, importing this module raises the C library's mmap and trim
+thresholds for the process, so the memory a step frees is kept for the next
+step.
 """
 
+import ctypes
 import importlib
 import numbers
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +56,16 @@ NEWTON_MAX_ITER = 50
 GMRES_RESTART = 20
 GMRES_MAX_RESTARTS = 5
 SPACE_DIM = 2
+
+# A step frees a few MB of temporaries, which glibc's defaults hand back to
+# the kernel for the next step to fault in again.  M_MMAP_THRESHOLD (-3) at
+# 32 MiB and M_TRIM_THRESHOLD (-1) at 1 GiB keep them.  The trim threshold is
+# set only once glibc took the mmap one (older 32-bit builds cap it at
+# 512 KiB): alone it pins the mmap threshold at 128 KiB, which faults more.
+# Other C libraries are left as they are.  No result depends on this.
+_KEEPS_FREED_MEMORY = (platform.libc_ver()[0] == "glibc"
+                       and ctypes.CDLL(None).mallopt(-3, 32 << 20) == 1
+                       and ctypes.CDLL(None).mallopt(-1, 1 << 30) == 1)
 
 
 def __getattr__(name):

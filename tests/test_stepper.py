@@ -1,7 +1,11 @@
 """Semi-implicit step tests: residual, solver, velocity update, conditions."""
 
+import json
+import os
+import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -746,3 +750,33 @@ def test_advance_rejects_infinite_final_time(mesh44):
     steps = advance(mesh44, uniform_state(mesh44), SchemeParams(), np.inf)
     with pytest.raises(ValueError, match="finite"):
         next(steps)
+
+
+# Three 128^2 runs in one fresh process; prints each run's minor page faults.
+REPEATED_RUNS = """
+import json, resource
+from machfv import RunConfig, SchemeParams, run_case
+cfg = RunConfig(case="vortex", nx=128, ny=128, params=SchemeParams(eps=1e-2),
+                final_time=0.004)
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_case(cfg, write_outputs=False)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not stepper._KEEPS_FREED_MEMORY,
+                    reason="the allocator thresholds are set under glibc only")
+def test_repeated_runs_do_not_fault_their_memory_back_in():
+    # a step's temporaries, freed and reallocated, must come from memory the
+    # process kept: without the allocator settings glibc returned it to the
+    # kernel, and each later run took thousands of faults
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", REPEATED_RUNS], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    faults = json.loads(out.stdout.strip().splitlines()[-1])
+    assert max(faults[1:]) < 500, faults
