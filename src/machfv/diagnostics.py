@@ -1,9 +1,10 @@
 """Energy accounting, error norms, convergence rates and step audits.
 
-The audit replays one accepted step from its retained face fluxes with the
-stepper's own update kernels and mass flux, and checks, cell by cell, the
-discrete internal-energy balance (whose remainder must be nonnegative, being
-a positively weighted sum of squares) and the assembled total-energy identity
+The audit re-solves one accepted step's density, which gives the face fluxes
+the step retained bit for bit, replays the step from them with the stepper's
+own update kernels and mass flux, and checks, cell by cell, the discrete
+internal-energy balance (whose remainder must be nonnegative, being a
+positively weighted sum of squares) and the assembled total-energy identity
 
     (E_new - E_old) / dt = - (1/eps^2) sum_faces |face| [[p]] delta_u
                            - (1/eps^2) sum_cells |K| R
@@ -20,11 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stepper  # which imports this module: its names are read at call time
 from .eos import GasLaw
 from .flux import (VISCOUS_SCALE, FaceFluxes, mass_flux, update_density,
                    update_velocity)
-from .mesh import (StructuredMesh, cell_gradient, face_gradient_normal, face_jump,
-                   flux_divergence, gather_to_faces, scatter_to_cells)
+from .mesh import (StructuredMesh, cell_gradient, face_average_normal,
+                   face_gradient_normal, face_jump, flux_divergence,
+                   gather_to_faces, scatter_to_cells)
 
 
 @dataclass(frozen=True)
@@ -150,12 +153,12 @@ class EnergyAudit:
     """Extended-precision replay of one accepted step.
 
     The balances are verified modulo the measured flux-consistency defect of
-    the nonlinear solve (``max_flux_balance_defect``): the retained fluxes
-    were assembled at the Newton iterate, which agrees with the audited
-    conservative density only up to the solver tolerance.  The defect is
-    computed explicitly and carried through the identities, so the reported
-    residuals isolate the structure of the scheme from the solver's finite
-    precision.
+    the nonlinear solve (``max_flux_balance_defect``): the step's fluxes,
+    which the audit re-solves at its recorded dt and eta, were assembled at
+    the Newton iterate, which agrees with the audited conservative density
+    only up to the solver tolerance.  The defect is computed explicitly and
+    carried through the identities, so the reported residuals isolate the
+    structure of the scheme from the solver's finite precision.
     """
 
     min_internal_remainder: float
@@ -172,11 +175,14 @@ class EnergyAudit:
     max_velocity_mismatch: float
 
 
-def audit_energy_balances(mesh: StructuredMesh, gas: GasLaw, before, after,
-                          fluxes, dt: float, eps: float) -> EnergyAudit:
-    """Audit one step given its before/after states and retained fluxes."""
+def audit_energy_balances(mesh: StructuredMesh, params, before, after,
+                          diag) -> EnergyAudit:
+    """Audit one step given its before/after states and its StepDiagnostics."""
+    fluxes = stepper.solve_density(mesh, before, diag.dt_used, params, diag.eta_used,
+                                   face_average_normal(mesh, before.u))[3]
+    gas, eps = params.gas(), params.eps
     ld = np.longdouble
-    dtl = ld(dt)
+    dtl = ld(diag.dt_used)
     eps2 = ld(eps) ** 2
     s = ld(VISCOUS_SCALE)
     vol = ld(mesh.cell_volume)

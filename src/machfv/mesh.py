@@ -18,11 +18,10 @@ midpoint rule.
 Only this module knows the layout and the weight.  Its operators are slice
 arithmetic on these views, in a fixed summation order: an L side is the grid
 shifted by one cell, and cells collect their neighbours' faces by in-place
-adds of shifted slices, two slices split at the wrap-around.  The x shifts
-of _face_values and _cell_sums, which every residual runs, are instead one
-contiguous pass over the flat array, pairing each cell with the next one in
-memory, and then a fix of the wrap-around column; each element has the same
-operands as in the column-sliced form, bit for bit.
+ops on shifted slices.  A y shift is two slices split at the wrap-around row.
+An x shift is one contiguous pass over the flat array, pairing each cell
+with the next one in memory, and then a fix of the wrap-around column; each
+element has the same operands as in the column-sliced form, bit for bit.
 """
 
 import numbers
@@ -219,11 +218,12 @@ def cell_gradient(mesh: StructuredMesh, q: np.ndarray) -> np.ndarray:
     neighbours in each direction.
     """
     tx, ty = _weighted_blocks(mesh, face_average(mesh, q))
-    grad = np.stack([tx, ty], axis=-1)
-    grad[:, 1:, 0] -= tx[:, :-1]
-    grad[:, :1, 0] -= tx[:, -1:]
-    grad[1:, :, 1] -= ty[:-1]
-    grad[:1, :, 1] -= ty[-1:]
+    grad = np.empty(tx.shape + (2,), dtype=tx.dtype)
+    x_flat = tx.reshape(-1)
+    np.subtract(x_flat[1:], x_flat[:-1], out=grad.reshape(-1, 2)[1:, 0])
+    np.subtract(tx[:, :1], tx[:, -1:], out=grad[:, :1, 0])
+    np.subtract(ty[1:], ty[:-1], out=grad[1:, :, 1])
+    np.subtract(ty[:1], ty[-1:], out=grad[:1, :, 1])
     return grad.reshape(-1, 2)
 
 

@@ -159,7 +159,6 @@ class StepDiagnostics:
     final_residual: float
     conditions: ConditionReport
     energy: diagnostics.EnergyReport
-    fluxes: FaceFluxes | None = None
 
 
 def auto_eta(mesh: StructuredMesh, rho: np.ndarray) -> float:
@@ -427,7 +426,7 @@ def _attempt_step(mesh, state, params, dt, eta, u_normal):
 
 
 def step(mesh: StructuredMesh, state: State, params: SchemeParams,
-         dt_limit: float | None = None, keep_fluxes: bool = False,
+         dt_limit: float | None = None,
          before: diagnostics.EnergyReport | None = None):
     """Advance one accepted time step; returns (new_state, StepDiagnostics).
 
@@ -494,7 +493,6 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
         final_residual=float(resnorm),
         conditions=report,
         energy=after,
-        fluxes=fluxes if keep_fluxes else None,
     )
     return new_state, diag
 

@@ -5,9 +5,9 @@ import pytest
 
 from machfv import (GasLaw, SchemeParams, State, audit_energy_balances,
                     build_mesh, energy_report, eoc, error_norms,
-                    relative_energy, relative_energy_to_limit, step,
-                    vortex_compressible_init)
-from machfv import flux
+                    face_average_normal, relative_energy,
+                    relative_energy_to_limit, step, vortex_compressible_init)
+from machfv import flux, stepper
 from machfv.diagnostics import total_momentum
 
 
@@ -176,9 +176,8 @@ def test_eoc_values():
 
 def audit_one_step(mesh, params):
     state = vortex_compressible_init(mesh, params.gamma, params.eps)
-    new_state, diag = step(mesh, state, params, keep_fluxes=True)
-    audit = audit_energy_balances(mesh, params.gas(), state, new_state,
-                                  diag.fluxes, diag.dt_used, params.eps)
+    new_state, diag = step(mesh, state, params)
+    audit = audit_energy_balances(mesh, params, state, new_state, diag)
     return diag, audit
 
 
@@ -186,9 +185,8 @@ def test_audit_uniform_step_all_zero():
     mesh = build_mesh(4, 4, 1.0, 1.0)
     params = SchemeParams()
     state = State(time=0.0, rho=np.full(16, 1.2), u=np.zeros((16, 2)))
-    new_state, diag = step(mesh, state, params, keep_fluxes=True)
-    audit = audit_energy_balances(mesh, params.gas(), state, new_state,
-                                  diag.fluxes, diag.dt_used, params.eps)
+    new_state, diag = step(mesh, state, params)
+    audit = audit_energy_balances(mesh, params, state, new_state, diag)
     assert audit.min_internal_remainder == pytest.approx(0.0, abs=1e-18)
     assert audit.max_kinetic_residual == pytest.approx(0.0, abs=1e-18)
     assert abs(audit.energy_decrement) <= 1e-18
@@ -229,14 +227,50 @@ def test_audit_replays_the_shipped_momentum_kernel(monkeypatch, eps, mutated):
     assert (audit.identity_rel_defect > 1e-10) == mutated
 
 
+@pytest.mark.parametrize("eps, n, limit_fraction, newton_max_iter, dt_fraction", [
+    (1.0, 16, None, None, 1.0),
+    (1e-2, 16, 0.3, None, 0.3),
+    # a one-iteration Newton budget fails the controller dt and its first
+    # four halvings (test_step_recovers_from_failed_solve_by_halving_dt)
+    (1.0, 32, None, 1, 1.0 / 32.0),
+], ids=["eps1", "eps1e-2_dt_limit", "after_dt_halvings"])
+def test_audit_resolves_the_fluxes_of_the_step_that_ran(
+        monkeypatch, eps, n, limit_fraction, newton_max_iter, dt_fraction):
+    if newton_max_iter is not None:
+        monkeypatch.setattr(stepper, "NEWTON_MAX_ITER", newton_max_iter)
+    mesh = build_mesh(n, n, 1.0, 1.0)
+    params = SchemeParams(gamma=2.0, eps=eps)
+    state = vortex_compressible_init(mesh, params.gamma, params.eps)
+    dt_controller = stepper.compute_dt(mesh, state, params,
+                                       stepper.auto_eta(mesh, state.rho),
+                                       face_average_normal(mesh, state.u))
+    dt_limit = None if limit_fraction is None else limit_fraction * dt_controller
+    solve = stepper.solve_density
+    returns = []
+
+    def recording(*args):
+        returns.append(solve(*args))
+        return returns[-1]
+
+    monkeypatch.setattr(stepper, "solve_density", recording)
+    new_state, diag = step(mesh, state, params, dt_limit=dt_limit)
+    assert diag.dt_used == dt_fraction * dt_controller
+    # the step's last solve is the accepted one; the audit's re-solve follows
+    stepped = returns[-1][3]
+    audit_energy_balances(mesh, params, state, new_state, diag)
+    audited = returns[-1][3]
+    assert audited is not stepped
+    for name, value in vars(stepped).items():
+        assert np.array_equal(getattr(audited, name), value), name
+
+
 def test_audit_decrement_matches_report():
     mesh = build_mesh(16, 16, 1.0, 1.0)
     params = SchemeParams(gamma=1.4, eps=0.5)
     state = vortex_compressible_init(mesh, params.gamma, params.eps)
-    new_state, diag = step(mesh, state, params, keep_fluxes=True)
+    new_state, diag = step(mesh, state, params)
     gas = params.gas()
-    audit = audit_energy_balances(mesh, gas, state, new_state, diag.fluxes,
-                                  diag.dt_used, params.eps)
+    audit = audit_energy_balances(mesh, params, state, new_state, diag)
     before = energy_report(mesh, gas, state.rho, state.u, params.eps)
     after = energy_report(mesh, gas, new_state.rho, new_state.u, params.eps)
     assert float(audit.energy_decrement) == pytest.approx(
