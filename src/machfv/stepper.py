@@ -5,8 +5,8 @@ Each step solves the nonlinear mass balance for the end-of-step density with
 a semi-smooth Newton method in full steps, then updates the velocity
 explicitly, one component at a time, from the momentum balance with the
 retained fluxes.  A Newton system is I/dt plus the divergence of a face flux
-linear in the two adjacent densities.  A restarted GMRES written in numpy
-applies it matrix-free, by the same gather and flux divergence as the residual,
+linear in the two adjacent densities.  Richardson iteration solves it
+matrix-free, by the same gather and flux divergence as the residual,
 preconditioned with the FFT inverse of its face-mean constant-coefficient
 part (exact on uniform regions, where the stabilisation term makes the
 operator a stiff pressure Laplacian at low Mach).  A time-step controller and
@@ -52,9 +52,8 @@ MAX_DT_HALVINGS = 8
 # and adds the round-off floor, and its iteration cap.
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
-# GMRES inner iterations per restart, and restarts per linear solve.
-GMRES_RESTART = 20
-GMRES_MAX_RESTARTS = 5
+# Iteration cap of a linear solve.
+LINEAR_MAX_ITER = 100
 SPACE_DIM = 2
 
 # A step frees a few MB of temporaries, which glibc's defaults hand back to
@@ -199,95 +198,36 @@ def _mass_flux_coefficients(mesh, gas, rho, fluxes, dt, eta, eps):
     return d_dk, d_dl
 
 
-def _gmres(apply, precond, b, atol):
-    """Left-preconditioned restarted GMRES for apply(x) = b, from x = 0.
-
-    Saad & Schultz (1986): Arnoldi with modified Gram-Schmidt on the
-    preconditioned operator x -> precond(apply(x)), Givens rotations on the
-    Hessenberg matrix, GMRES_RESTART inner iterations per cycle and at most
-    GMRES_MAX_RESTARTS cycles.  A cycle ends early once the rotated estimate
-    of the preconditioned residual falls below its inner tolerance, which is
-    rescaled after every cycle from the true residual (the rule of scipy's
-    gmres).  The solve stops when the unpreconditioned residual has 2-norm
-    <= atol, checked at the end of each cycle.  Returns (x, inner
-    iterations); when the cycles run out, x is the last iterate.
-    """
-    x = np.zeros_like(b)
-    b_norm = np.linalg.norm(b)
-    if b_norm <= atol:
-        return x, 0
-    fp_eps = np.finfo(float).eps
-    m = min(GMRES_RESTART, b.size)
-    basis = np.empty((m + 1, b.size))
-    hess = np.zeros((m + 1, m))
-    cos = np.zeros(m)
-    sin = np.zeros(m)
-    factor = 1.0
-    z = precond(b)
-    inner_tol = np.linalg.norm(z) * min(1.0, atol / b_norm)
-    iters = 0
-    for cycle in range(GMRES_MAX_RESTARTS):
-        if cycle:
-            z = precond(r)
-        g = np.zeros(m + 1)
-        g[0] = np.linalg.norm(z)
-        basis[0] = z / g[0]
-        for j in range(m):
-            w = precond(apply(basis[j]))
-            w_norm = np.linalg.norm(w)
-            for k in range(j + 1):
-                hess[k, j] = basis[k] @ w
-                w -= hess[k, j] * basis[k]
-            hess[j + 1, j] = np.linalg.norm(w)
-            # The Krylov space holds the solution: the Arnoldi step breaks down.
-            breakdown = hess[j + 1, j] <= fp_eps * w_norm
-            if breakdown:
-                hess[j + 1, j] = 0.0
-            else:
-                basis[j + 1] = w / hess[j + 1, j]
-            for k in range(j):
-                hess[k, j], hess[k + 1, j] = (
-                    cos[k] * hess[k, j] + sin[k] * hess[k + 1, j],
-                    -sin[k] * hess[k, j] + cos[k] * hess[k + 1, j])
-            radius = np.hypot(hess[j, j], hess[j + 1, j])
-            cos[j], sin[j] = hess[j, j] / radius, hess[j + 1, j] / radius
-            hess[j, j], hess[j + 1, j] = radius, 0.0
-            g[j + 1] = -sin[j] * g[j]
-            g[j] *= cos[j]
-            iters += 1
-            presid = abs(g[j + 1])
-            if presid <= inner_tol or breakdown:
-                break
-        y = g[:j + 1]
-        for k in range(j, -1, -1):
-            y[k] = (y[k] - hess[k, k + 1:j + 1] @ y[k + 1:]) / hess[k, k]
-        x += y @ basis[:j + 1]
-        r = b - apply(x)
-        r_norm = np.linalg.norm(r)
-        if r_norm <= atol or breakdown:
-            break
-        if presid <= inner_tol:
-            factor = max(fp_eps, 0.25 * factor)
-        else:
-            factor = min(1.0, 1.5 * factor)
-        inner_tol = presid * min(factor, atol / r_norm)
-    return x, iters
-
-
 def _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs, atol):
-    """GMRES on q -> q/dt + flux_divergence(d_dk q_K + d_dl q_L) to a 2-norm atol.
+    """Preconditioned Richardson on q -> q/dt + flux_divergence(d_dk q_K + d_dl q_L).
 
-    The operator is applied matrix-free.  Preconditioned by the FFT inverse
-    of the operator with face-mean coefficients.  Returns (solution, inner
-    iterations); a solve that stops at GMRES_MAX_RESTARTS short of atol
-    returns its last iterate.
+    From q = 0, q <- q + P^-1 (rhs - A q): per iteration one matrix-free
+    matvec and one FFT solve with A's face-mean coefficients.  Stops at a
+    residual 2-norm <= atol, or, from the second iteration on, at a
+    candidate whose residual norm is not below the previous one; it then
+    returns the previous iterate (near round-off the iteration stalls).
+    Returns (solution, iterations); at LINEAR_MAX_ITER, the last iterate.
     """
     def apply(q):
         q_k, q_l = gather_to_faces(mesh, q)
         return q / dt + flux_divergence(mesh, d_dk * q_k + d_dl * q_l)
 
+    q = np.zeros_like(rhs)
+    r_norm = np.linalg.norm(rhs)
+    if r_norm <= atol:
+        return q, 0
     precond = mean_flux_divergence_inverse(mesh, d_dk, d_dl, 1.0 / dt)
-    return _gmres(apply, precond, rhs, atol)
+    r = rhs
+    for iters in range(1, LINEAR_MAX_ITER + 1):
+        candidate = q + precond(r)
+        r = rhs - apply(candidate)
+        cand_norm = np.linalg.norm(r)
+        if iters > 1 and not cand_norm < r_norm:
+            break
+        q, r_norm = candidate, cand_norm
+        if r_norm <= atol:
+            break
+    return q, iters
 
 
 def _admitted(rho: np.ndarray) -> bool:
@@ -299,10 +239,10 @@ def solve_density(mesh: StructuredMesh, state: State, dt: float,
     """Solve the implicit mass balance for the end-of-step density.
 
     Newton in full steps; each direction comes from matrix-free
-    preconditioned GMRES.  ``u_normal`` is face_average_normal(mesh,
-    state.u).  Raises SolverError when a full step is not admitted
-    (positive, finite) or does not reduce the residual, or when
-    NEWTON_MAX_ITER iterations do not reach the tolerance; the step then
+    preconditioned Richardson iteration.  ``u_normal`` is
+    face_average_normal(mesh, state.u).  Raises SolverError when a full step
+    is not admitted (positive, finite) or does not reduce the residual, or
+    when NEWTON_MAX_ITER iterations do not reach the tolerance; the step then
     retries at half the dt.  Returns (rho_next, iterations,
     residual_inf_norm, fluxes_at_solution).
     """

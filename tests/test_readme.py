@@ -33,6 +33,7 @@ def test_readme_states_the_scheme_constants():
                          (stepper, "BETA"), (stepper, "DT_MAX"),
                          (stepper, "MAX_DT_HALVINGS"),
                          (stepper, "NEWTON_TOL"), (stepper, "NEWTON_MAX_ITER"),
+                         (stepper, "LINEAR_MAX_ITER"),
                          (flux, "VISCOUS_SCALE"), (cases, "CENTER"), (cases, "R1"),
                          (cases, "R2"), (cases, "AMPLITUDE"),
                          (driver, "PEAK_DENSITY_MAX")):

@@ -19,7 +19,7 @@ from machfv import (GasLaw, SchemeParams, SolverError, State, advance,
                     vortex_compressible_init)
 from machfv import diagnostics, stepper
 from machfv.flux import VISCOUS_SCALE
-from machfv.stepper import (BETA, CFL_SAFETY, DT_MAX, _gmres, _mass_flux_coefficients,
+from machfv.stepper import (BETA, CFL_SAFETY, DT_MAX, _mass_flux_coefficients,
                             _solve_mass_balance)
 from machfv import assemble_fluxes, face_average_normal
 
@@ -134,105 +134,113 @@ def test_jacobian_matches_central_differences_on_vortex(eps):
         assert np.abs(jac @ direction - fd).max() <= 1e-4 * np.abs(fd).max()
 
 
-@pytest.mark.parametrize("nx, ny, lx, eps", [
-    pytest.param(32, 32, 1.0, 1.0, id="1.0"),
-    pytest.param(32, 32, 1.0, 1e-2, id="0.01"),
-    pytest.param(32, 32, 1.0, 1e-4, id="0.0001"),
-    pytest.param(24, 16, 1.02, 1e-2, id="24x16-lx1.02-0.01")])
-def test_preconditioned_gmres_matches_direct_solve_on_vortex(nx, ny, lx, eps):
-    # the matrix-free GMRES operator against the assembled CSR Jacobian
+def vortex_newton_system(nx, eps, ny=None, lx=1.0):
+    """Mesh, dt, Newton coefficients and rhs of the vortex's first Newton system."""
     mesh, params, state, eta, dt = vortex_first_step(nx, eps, ny=ny, lx=lx)
-    jac = density_jacobian(mesh, state.rho, state, dt, params, eta)
     res = density_residual(mesh, state.rho, state, dt, params, eta)
     gas = params.gas()
     fluxes = assemble_fluxes(mesh, state.rho, face_average_normal(mesh, state.u),
                              gas.pressure(state.rho), eta, dt, eps)
     d_dk, d_dl = _mass_flux_coefficients(mesh, gas, state.rho, fluxes, dt, eta,
                                          eps)
-    delta, iters = _solve_mass_balance(mesh, dt, d_dk, d_dl, -res,
-                                       1e-12 * np.linalg.norm(res))
-    ref = spla.spsolve(jac, -res)
+    return mesh, params, state, eta, dt, d_dk, d_dl, -res
+
+
+@pytest.mark.parametrize("nx, ny, lx, eps", [
+    pytest.param(32, 32, 1.0, 1.0, id="1.0"),
+    pytest.param(32, 32, 1.0, 1e-2, id="0.01"),
+    pytest.param(32, 32, 1.0, 1e-4, id="0.0001"),
+    pytest.param(24, 16, 1.02, 1e-2, id="24x16-lx1.02-0.01")])
+def test_preconditioned_solve_matches_direct_solve_on_vortex(nx, ny, lx, eps):
+    # the matrix-free preconditioned Richardson solve against the assembled
+    # CSR Jacobian
+    mesh, params, state, eta, dt, d_dk, d_dl, rhs = vortex_newton_system(
+        nx, eps, ny=ny, lx=lx)
+    jac = density_jacobian(mesh, state.rho, state, dt, params, eta)
+    delta, iters = _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs,
+                                       1e-12 * np.linalg.norm(rhs))
+    ref = spla.spsolve(jac, rhs)
     assert iters <= 6
     assert np.abs(delta - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-def nonsymmetric_system(n, seed, spread):
-    """x -> A x with A = I + spread * (random nonsymmetric), and a rhs."""
-    rng = np.random.default_rng(seed)
-    a = np.eye(n) + spread * rng.normal(size=(n, n)) / np.sqrt(n)
-    return a, rng.normal(size=n)
+def counted_linear_layer(monkeypatch, scale=1.0):
+    """Count the preconditioner solves and flux divergences of linear solves;
+    the preconditioner is the FFT inverse times ``scale``."""
+    calls = {"precond": 0, "flux_divergence": 0}
+    inverse, divergence = stepper.mean_flux_divergence_inverse, stepper.flux_divergence
+
+    def counted_inverse(*args):
+        solve = inverse(*args)
+
+        def counted_solve(r):
+            calls["precond"] += 1
+            return scale * solve(r)
+
+        return counted_solve
+
+    def counted_divergence(*args):
+        calls["flux_divergence"] += 1
+        return divergence(*args)
+
+    monkeypatch.setattr(stepper, "mean_flux_divergence_inverse", counted_inverse)
+    monkeypatch.setattr(stepper, "flux_divergence", counted_divergence)
+    return calls
 
 
-def identity(v):
-    return v
+def linear_residual(mesh, dt, d_dk, d_dl, rhs, q):
+    q_k, q_l = gather_to_faces(mesh, q)
+    return rhs - (q / dt + flux_divergence(mesh, d_dk * q_k + d_dl * q_l))
 
 
-def test_gmres_matches_dense_solve_with_identity_preconditioner():
-    a, b = nonsymmetric_system(12, 71, 1.0)
-    x, iters = _gmres(lambda v: a @ v, identity, b, 1e-13 * np.linalg.norm(b))
-    ref = np.linalg.solve(a, b)
-    assert 1 <= iters <= 12
-    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
-
-
-def test_gmres_converges_through_restarts(monkeypatch):
-    monkeypatch.setattr(stepper, "GMRES_RESTART", 2)
-    a, b = nonsymmetric_system(40, 72, 0.05)
-    atol = 1e-10 * np.linalg.norm(b)
-    x, iters = _gmres(lambda v: a @ v, identity, b, atol)
-    assert iters > 2
-    assert np.linalg.norm(b - a @ x) <= atol
-
-
-def test_gmres_returns_last_iterate_when_cycles_run_out(monkeypatch):
-    # one cycle of two iterations: x minimises |b - A x| over span{b, A b}
-    monkeypatch.setattr(stepper, "GMRES_RESTART", 2)
-    monkeypatch.setattr(stepper, "GMRES_MAX_RESTARTS", 1)
-    a, b = nonsymmetric_system(40, 73, 1.0)
-    atol = 1e-10 * np.linalg.norm(b)
-    x, iters = _gmres(lambda v: a @ v, identity, b, atol)
-    krylov = np.column_stack([b, a @ b])
-    coef = np.linalg.lstsq(a @ krylov, b, rcond=None)[0]
-    assert iters == 2
-    np.testing.assert_allclose(x, krylov @ coef, rtol=1e-10, atol=1e-12)
-    assert np.linalg.norm(b - a @ x) > atol
-
-
-def test_gmres_preconditions_b_once_per_solve(monkeypatch):
-    # precond(b) sets the inner tolerance and starts the first cycle: a
-    # one-cycle solve of k inner iterations preconditions k + 1 vectors
-    monkeypatch.setattr(stepper, "GMRES_MAX_RESTARTS", 1)
-    a, b = nonsymmetric_system(40, 72, 0.05)
-    atol = 1e-10 * np.linalg.norm(b)
-    calls = []
-
-    def counted(v):
-        calls.append(v)
-        return v
-
-    x, iters = _gmres(lambda v: a @ v, counted, b, atol)
-    assert np.linalg.norm(b - a @ x) <= atol
-    assert 2 <= iters < 20
-    assert len(calls) == iters + 1
-
-
-def test_gmres_stops_at_an_arnoldi_breakdown():
-    # b is an eigenvector, so the first Krylov vector spans the solution and
-    # the Arnoldi step leaves a zero remainder, which must not be normalised
-    b = 2.0 * np.eye(5)[3]
-    with np.errstate(divide="raise", invalid="raise"):
-        x, iters = _gmres(lambda v: 4.0 * v, identity, b, 0.0)
-    assert iters == 1
-    np.testing.assert_array_equal(x, b / 4.0)
-
-
-def test_gmres_zero_rhs_returns_zeros_without_iterating():
-    def never(v):
-        raise AssertionError("no operator application expected")
-
-    x, iters = _gmres(never, never, np.zeros(7), 0.0)
+def test_solve_mass_balance_zero_rhs_returns_zeros_without_iterating(monkeypatch):
+    mesh, _, _, _, dt, d_dk, d_dl, rhs = vortex_newton_system(8, 1e-2)
+    calls = counted_linear_layer(monkeypatch)
+    q, iters = _solve_mass_balance(mesh, dt, d_dk, d_dl, np.zeros_like(rhs), 0.0)
     assert iters == 0
-    np.testing.assert_array_equal(x, np.zeros(7))
+    np.testing.assert_array_equal(q, np.zeros_like(rhs))
+    assert calls == {"precond": 0, "flux_divergence": 0}
+
+
+def test_solve_mass_balance_applies_each_operator_once_per_iteration(monkeypatch):
+    # k iterations cost k preconditioner solves and k matvecs, no more
+    mesh, _, _, _, dt, d_dk, d_dl, rhs = vortex_newton_system(32, 1.0)
+    atol = 1e-12 * np.linalg.norm(rhs)
+    calls = counted_linear_layer(monkeypatch)
+    q, iters = _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs, atol)
+    assert iters >= 2
+    assert calls == {"precond": iters, "flux_divergence": iters}
+    monkeypatch.undo()
+    assert np.linalg.norm(linear_residual(mesh, dt, d_dk, d_dl, rhs, q)) <= atol
+
+
+def test_solve_mass_balance_returns_its_last_iterate_at_the_cap(monkeypatch):
+    # one iteration from q = 0 is the preconditioned rhs, short of atol
+    mesh, _, _, _, dt, d_dk, d_dl, rhs = vortex_newton_system(32, 1.0)
+    atol = 1e-12 * np.linalg.norm(rhs)
+    monkeypatch.setattr(stepper, "LINEAR_MAX_ITER", 1)
+    q, iters = _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs, atol)
+    assert iters == 1
+    precond = stepper.mean_flux_divergence_inverse(mesh, d_dk, d_dl, 1.0 / dt)
+    np.testing.assert_array_equal(q, precond(rhs))
+    assert np.linalg.norm(linear_residual(mesh, dt, d_dk, d_dl, rhs, q)) > atol
+
+
+def test_solve_mass_balance_stops_when_the_residual_stops_falling(monkeypatch):
+    # 2.5 times a near-exact inverse overshoots, so the residual grows by
+    # about 1.5 per iteration: the first iterate is kept, the second ends the
+    # solve, and the first is returned
+    mesh, _, _, _, dt, d_dk, d_dl, rhs = vortex_newton_system(32, 1e-2)
+    calls = counted_linear_layer(monkeypatch, scale=2.5)
+    q, iters = _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs,
+                                   1e-12 * np.linalg.norm(rhs))
+    assert iters == 2
+    assert calls == {"precond": 2, "flux_divergence": 2}
+    monkeypatch.undo()
+    precond = stepper.mean_flux_divergence_inverse(mesh, d_dk, d_dl, 1.0 / dt)
+    np.testing.assert_array_equal(q, 2.5 * precond(rhs))
+    assert (np.linalg.norm(linear_residual(mesh, dt, d_dk, d_dl, rhs, q))
+            > np.linalg.norm(rhs))
 
 
 def test_solve_density_uniform_converges_immediately(mesh44):
