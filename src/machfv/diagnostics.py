@@ -2,7 +2,7 @@
 
 The audit re-solves one accepted step's density, which gives the face fluxes
 the step retained bit for bit, replays the step from them with the stepper's
-own update kernels and mass flux, and checks, cell by cell, the discrete
+own update kernels and fluxes, and checks, cell by cell, the discrete
 internal-energy balance (whose remainder must be nonnegative, being a
 positively weighted sum of squares) and the assembled total-energy identity
 
@@ -23,8 +23,8 @@ import numpy as np
 
 from . import stepper  # which imports this module: its names are read at call time
 from .eos import GasLaw
-from .flux import (VISCOUS_SCALE, FaceFluxes, mass_flux, update_density,
-                   update_velocity)
+from .flux import (VISCOUS_SCALE, FaceFluxes, mass_flux, momentum_flux,
+                   update_density, update_velocity)
 from .mesh import (StructuredMesh, cell_gradient, face_average_normal,
                    face_gradient_normal, face_jump, flux_divergence,
                    gather_to_faces, scatter_to_cells)
@@ -214,7 +214,7 @@ def audit_energy_balances(mesh: StructuredMesh, params, before, after,
     pot_n = gas.internal_energy(rho_n)
     pot_hat = gas.internal_energy(rho_hat)
     pot_k, pot_l = gather_to_faces(mesh, pot_hat)
-    h_face = pot_k * w_plus + pot_l * w_minus - s * (pot_l - pot_k)
+    h_face = momentum_flux(w_plus, w_minus, pot_k, pot_l)
     div_h = flux_divergence(mesh, h_face)
     sum_w = flux_divergence(mesh, w_plus + w_minus)
     remainder = p_prime_hat * defect - ((pot_hat - pot_n) / dtl + div_h + p_hat * sum_w)
@@ -230,8 +230,7 @@ def audit_energy_balances(mesh: StructuredMesh, params, before, after,
     # Kinetic-energy balance with its exact transport remainder S.
     speed2_n = _dot(u_n)
     speed2_k, speed2_l = gather_to_faces(mesh, speed2_n)
-    q_face = (fl.mass_plus * 0.5 * speed2_k + fl.mass_minus * 0.5 * speed2_l
-              - s * 0.5 * (speed2_l - speed2_k))
+    q_face = momentum_flux(fl.mass_plus, fl.mass_minus, 0.5 * speed2_k, 0.5 * speed2_l)
     div_q = flux_divergence(mesh, q_face)
     jump_u_sq = sum(face_jump(mesh, u_c) ** 2 for u_c in np.ascontiguousarray(u_n.T))
     s_faces = scatter_to_cells(mesh, (fl.mass_minus - s) * 0.5 * jump_u_sq,

@@ -1,4 +1,4 @@
-"""Stabilised upwind mass and momentum fluxes.
+"""Stabilised upwind fluxes, the mass flux's Newton derivative, the update kernels.
 
 The advecting normal velocity on a face is the face average of the current
 velocity minus a pressure-stabilisation correction delta_u proportional to
@@ -13,6 +13,7 @@ discrete balances telescope to exact conservation.  The momentum flux is
 built per velocity component; vector fields stay (n_cells, 2) at the API.
 The update kernels keep their inputs' dtype, so the energy audit replays the
 stepper's own update_density and update_velocity in extended precision.
+mass_flux_derivative linearises the mass flux for the stepper's Newton solve.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from .eos import GasLaw
 from .mesh import (StructuredMesh, cell_gradient, face_gradient_normal,
-                   flux_divergence, gather_to_faces)
+                   face_weight, flux_divergence, gather_to_faces)
 
 # The jump-penalty scale s of the mass and momentum fluxes.
 VISCOUS_SCALE = 1.0
@@ -76,7 +77,8 @@ def mass_flux(rho_k, rho_l, w_plus, w_minus):
 
 
 def momentum_flux(mass_plus, mass_minus, u_k, u_l):
-    """Momentum flux F+ u_K + F- u_L - s [[u]] of one velocity component, elementwise."""
+    """Upwind transport F+ u_K + F- u_L - s [[u]] of a cell quantity u, elementwise:
+    a velocity component or |u|^2/2 with the mass-flux parts F+-, P(rho_hat) with w+-."""
     return mass_plus * u_k + mass_minus * u_l - VISCOUS_SCALE * (u_l - u_k)
 
 
@@ -95,6 +97,24 @@ def assemble_fluxes(mesh: StructuredMesh, rho_next: np.ndarray, u_normal: np.nda
     return FaceFluxes(
         mass=mass, mass_plus=mass_plus, mass_minus=mass_minus,
         w_plus=w_plus, w_minus=w_minus, delta_u=delta_u)
+
+
+def mass_flux_derivative(mesh, gas, rho, fluxes, dt, eta, eps):
+    """Face coefficients (d_dk, d_dl) of the mass flux's dependence on rho_K, rho_L.
+
+    ``fluxes`` are the fluxes assembled at ``rho``.  The upwind indicator
+    signs are frozen at that iterate (semi-smooth linearisation); where
+    delta_u = 0 the flux is smooth only because rho_K = rho_L there, and
+    either side is the derivative.
+    """
+    # The stabilisation coefficient per block, broadcast over each block.
+    c_face = (eta * dt / eps ** 2) * np.array(face_weight(mesh))[:, None]
+    rho_k, rho_l = gather_to_faces(mesh, rho)
+    upwind_rho = np.where(fluxes.delta_u > 0.0, rho_l, rho_k)
+    pprime_k, pprime_l = gather_to_faces(mesh, gas.pressure_derivative(rho))
+    d_dk = fluxes.w_plus + VISCOUS_SCALE + c_face * pprime_k * upwind_rho
+    d_dl = fluxes.w_minus - VISCOUS_SCALE - c_face * pprime_l * upwind_rho
+    return d_dk, d_dl
 
 
 def update_density(mesh: StructuredMesh, rho, mass, dt):

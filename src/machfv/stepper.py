@@ -5,14 +5,14 @@ Each step solves the nonlinear mass balance for the end-of-step density with
 a semi-smooth Newton method in full steps, then updates the velocity
 explicitly, one component at a time, from the momentum balance with the
 retained fluxes.  A Newton system is I/dt plus the divergence of a face flux
-linear in the two adjacent densities.  Richardson iteration solves it
-matrix-free, by the same gather and flux divergence as the residual,
-preconditioned with the FFT inverse of its face-mean constant-coefficient
-part (exact on uniform regions, where the stabilisation term makes the
-operator a stiff pressure Laplacian at low Mach).  A time-step controller and
-three per-step stability conditions (stabilisation strength, a quarter-CFL on
-the mass fluxes, a third-CFL on the cell boundary measure) keep the discrete
-energy and entropy functionals non-increasing.  An attempt that fails the
+linear in the two adjacent densities (flux.mass_flux_derivative).  Richardson
+iteration solves it matrix-free, by the same gather and flux divergence as the
+residual, preconditioned with the FFT inverse of its face-mean
+constant-coefficient part (exact on uniform regions, where the stabilisation
+term makes the operator a stiff pressure Laplacian at low Mach).  A time-step
+controller and three per-step stability conditions (stabilisation strength, a
+quarter-CFL on the mass fluxes, a third-CFL on the cell boundary measure) keep
+the discrete energy and entropy non-increasing.  An attempt that fails the
 solve or a condition is rejected, and the step retries it at half the dt (at
 most 8 times).  advance yields each accepted step of a march to final_time.
 
@@ -34,10 +34,10 @@ import numpy as np
 
 from . import diagnostics
 from .eos import GasLaw, PositivityError
-from .flux import (VISCOUS_SCALE, FaceFluxes, assemble_fluxes, update_density,
-                   update_velocity)
+from .flux import (VISCOUS_SCALE, FaceFluxes, assemble_fluxes,
+                   mass_flux_derivative, update_density, update_velocity)
 from .mesh import (StructuredMesh, face_average, face_average_normal,
-                   face_weight, flux_divergence, gather_to_faces,
+                   face_jump, face_weight, flux_divergence, gather_to_faces,
                    mean_flux_divergence_inverse, scatter_to_cells)
 
 # Margin of the controller's eta over the stability bound 3 max {{1/rho}}.
@@ -54,7 +54,6 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 # Iteration cap of a linear solve.
 LINEAR_MAX_ITER = 100
-SPACE_DIM = 2
 
 # A step frees a few MB of temporaries, which glibc's defaults hand back to
 # the kernel for the next step to fault in again.  M_MMAP_THRESHOLD (-3) at
@@ -92,7 +91,7 @@ class State:
         object.__setattr__(self, "time", float(self.time))
         object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        if self.rho.ndim != 1 or self.u.shape != (self.rho.size, SPACE_DIM):
+        if self.rho.ndim != 1 or self.u.shape != (self.rho.size, 2):
             raise ValueError(f"inconsistent state shapes {self.rho.shape} / {self.u.shape}")
         for name, field in (("density", self.rho), ("velocity", self.u)):
             if not np.all(np.isfinite(field)):
@@ -162,7 +161,7 @@ class StepDiagnostics:
 
 def auto_eta(mesh: StructuredMesh, rho: np.ndarray) -> float:
     """Smallest stabilisation strength with margin: ETA_SAFETY * 3 * max {{1/rho}}."""
-    return float(ETA_SAFETY * (3.0 * SPACE_DIM / 2.0) * face_average(mesh, 1.0 / rho).max())
+    return float(ETA_SAFETY * 3.0 * face_average(mesh, 1.0 / rho).max())
 
 
 def _residual_and_fluxes(mesh, gas, rho_next, rho_old, u_normal, dt, eta, eps):
@@ -178,24 +177,6 @@ def density_residual(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
     return _residual_and_fluxes(mesh, params.gas(), rho_next, state.rho,
                                 face_average_normal(mesh, state.u), dt, eta,
                                 params.eps)[0]
-
-
-def _mass_flux_coefficients(mesh, gas, rho, fluxes, dt, eta, eps):
-    """Face coefficients (d_dk, d_dl) of the mass flux's dependence on rho_K, rho_L.
-
-    ``fluxes`` are the fluxes assembled at ``rho``.  The upwind indicator
-    signs are frozen at that iterate (semi-smooth linearisation); where
-    delta_u = 0 the flux is smooth only because rho_K = rho_L there, and
-    either side is the derivative.
-    """
-    # The stabilisation coefficient per block, broadcast over each block.
-    c_face = (eta * dt / eps ** 2) * np.array(face_weight(mesh))[:, None]
-    rho_k, rho_l = gather_to_faces(mesh, rho)
-    upwind_rho = np.where(fluxes.delta_u > 0.0, rho_l, rho_k)
-    pprime_k, pprime_l = gather_to_faces(mesh, gas.pressure_derivative(rho))
-    d_dk = fluxes.w_plus + VISCOUS_SCALE + c_face * pprime_k * upwind_rho
-    d_dl = fluxes.w_minus - VISCOUS_SCALE - c_face * pprime_l * upwind_rho
-    return d_dk, d_dl
 
 
 def _solve_mass_balance(mesh, dt, d_dk, d_dl, rhs, atol):
@@ -271,7 +252,7 @@ def solve_density(mesh: StructuredMesh, state: State, dt: float,
     iters = 0
     while norm > tol and iters < NEWTON_MAX_ITER:
         iters += 1
-        d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho, fluxes, dt, eta, eps)
+        d_dk, d_dl = mass_flux_derivative(mesh, gas, rho, fluxes, dt, eta, eps)
         delta, _ = _solve_mass_balance(mesh, dt, d_dk, d_dl, -res, lin_tol)
         rho = rho + delta
         if not _admitted(rho):
@@ -305,12 +286,12 @@ def compute_dt(mesh: StructuredMesh, state: State, params: SchemeParams,
     implicit density.  The result is capped at DT_MAX.
     """
     rho_k, rho_l = gather_to_faces(mesh, state.rho)
-    p_k, p_l = gather_to_faces(mesh, params.gas().pressure(state.rho))
+    jump_p = face_jump(mesh, params.gas().pressure(state.rho))
     face_min = np.minimum(rho_k, rho_l)
     face_max = np.maximum(rho_k, rho_l)
     d_face = (np.abs(u_normal)
               + np.abs(rho_l - rho_k) / face_max
-              + np.sqrt((eta / params.eps ** 2) * np.abs(p_l - p_k)))
+              + np.sqrt((eta / params.eps ** 2) * np.abs(jump_p)))
     # |dK|/|K| is uniform, so beta_face is a single number.
     beta_face = mesh.cell_volume / mesh.boundary_measure
     with np.errstate(divide="ignore"):  # d_face = 0 gives inf: no restriction
@@ -330,7 +311,7 @@ def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
     (3) 1/3 - (dt/rho_next_K) |dK|/|K| > BETA in every cell (strict).
     """
     inv_avg = face_average(mesh, 1.0 / rho_next)
-    eta_margin = eta - (3.0 * SPACE_DIM / 2.0) * inv_avg.max()
+    eta_margin = eta - 3.0 * inv_avg.max()
 
     abs_mass = np.abs(fluxes.mass)
     abs_flux = scatter_to_cells(mesh, abs_mass, abs_mass)

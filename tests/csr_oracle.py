@@ -9,10 +9,10 @@ its preconditioner against.
 import numpy as np
 import scipy.sparse as sp
 
+from machfv.flux import mass_flux_derivative
 from machfv.mesh import (StructuredMesh, face_average_normal, face_weight,
                          gather_to_faces)
-from machfv.stepper import (SchemeParams, State, _mass_flux_coefficients,
-                            _residual_and_fluxes)
+from machfv.stepper import SchemeParams, State, _residual_and_fluxes
 
 
 def flux_divergence_matrix(mesh: StructuredMesh, coef_k, coef_l):
@@ -36,6 +36,6 @@ def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
     _, fluxes = _residual_and_fluxes(mesh, gas, rho_next, state.rho,
                                      face_average_normal(mesh, state.u), dt,
                                      eta, params.eps)
-    d_dk, d_dl = _mass_flux_coefficients(mesh, gas, rho_next, fluxes, dt, eta, params.eps)
+    d_dk, d_dl = mass_flux_derivative(mesh, gas, rho_next, fluxes, dt, eta, params.eps)
     return (flux_divergence_matrix(mesh, d_dk, d_dl)
             + sp.identity(mesh.n_cells, format="csr") / dt)

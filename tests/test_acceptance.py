@@ -24,6 +24,7 @@ from machfv import (ConvergenceConfig, RunConfig, SchemeParams, State,
                     step)
 from machfv import stepper
 from machfv.driver import initial_state
+from machfv.flux import VISCOUS_SCALE
 
 from oracles import dense_newton
 
@@ -311,7 +312,8 @@ def test_criterion_10_dense_oracle_agreement(monkeypatch):
         params = SchemeParams(gamma=gamma, eps=eps)
         mine, _, _, _ = solve_density(mesh, state, dt, params, eta,
                                       face_average_normal(mesh, state.u))
-        reference, _, _ = dense_newton(rho, u, 4, 4, 1.0, 1.0, gamma, eps, eta, dt)
+        reference, _, _ = dense_newton(rho, u, 4, 4, 1.0, 1.0, gamma, eps, eta, dt,
+                                       viscous=VISCOUS_SCALE)
         worst = max(worst, float(np.abs(mine - reference).max()))
     ok = worst <= 1e-8
     assert report(

@@ -6,6 +6,7 @@ import pytest
 from machfv import (GasLaw, assemble_fluxes, build_mesh, face_average_normal,
                     flux_divergence, gather_to_faces, mass_flux, momentum_flux,
                     split_normal_velocity, stabilisation_velocity)
+from machfv.flux import VISCOUS_SCALE as s  # the jump penalty of both fluxes
 
 
 def test_stabilisation_velocity_single_jump():
@@ -41,12 +42,13 @@ def test_split_normal_velocity_properties():
 
 
 def test_mass_flux_values():
+    # F = rho_K (w_plus + s) + rho_L (w_minus - s)
     flux, plus, minus = mass_flux(1.0, 1.0, 0.0, 0.0)
-    assert (flux, plus, minus) == (0.0, 1.0, -1.0)
+    assert (flux, plus, minus) == (0.0, s, -s)
     flux, _, _ = mass_flux(2.0, 1.0, 1.0, 0.0)
-    assert flux == pytest.approx(3.0)  # 2*2 + 1*(-1)
+    assert flux == pytest.approx(2 * (1 + s) + 1 * (0 - s))
     flux, _, _ = mass_flux(1.0, 2.0, 0.0, -1.0)
-    assert flux == pytest.approx(-3.0)  # 1*1 + 2*(-2)
+    assert flux == pytest.approx(1 * (0 + s) + 2 * (-1 - s))
 
 
 def test_mass_flux_sign_split():
@@ -65,7 +67,7 @@ def test_momentum_flux_values():
     np.testing.assert_allclose(momentum_flux(1.0, -1.0, u, u), np.zeros(2),
                                atol=1e-15)
     g = momentum_flux(2.0, 0.0, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
-    np.testing.assert_allclose(g, [3.0, 0.0])
+    np.testing.assert_allclose(g, [2 * 1 + 0 * 0 - s * (0 - 1), 0.0])
     # with equal velocities the viscous jump vanishes: G = (F+ + F-) u
     rng = np.random.default_rng(29)
     fp = rng.uniform(0.0, 2.0, 50)
@@ -139,7 +141,7 @@ def test_assemble_upwind_consistency(mesh44):
     # x-face i + nx j (block 0) joins cell i + nx j to cell (i + 1) % nx + nx j
     k = np.arange(mesh44.n_cells)
     l = (k % 4 + 1) % 4 + 4 * (k // 4)
-    advective = fl.mass[0] + (rho[l] - rho[k])  # strip viscous -[[rho]]
+    advective = fl.mass[0] + s * (rho[l] - rho[k])  # strip the jump penalty -s [[rho]]
     np.testing.assert_allclose(advective, rho[k] * 0.8, rtol=1e-13)
 
 
