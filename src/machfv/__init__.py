@@ -16,7 +16,7 @@ from .mesh import (StructuredMesh, build_mesh, gather_to_faces,
                    face_jump, face_average_normal, cell_gradient,
                    cell_divergence, face_gradient_normal)
 from .eos import GasLaw, PositivityError
-from .flux import (FaceFluxes, assemble_fluxes, stabilisation_velocity,
+from .flux import (FaceFluxes, assemble_fluxes, density_faces, stabilisation_velocity,
                    split_normal_velocity, mass_flux, momentum_flux,
                    update_density, update_velocity)
 from .stepper import (State, SchemeParams, StepDiagnostics, ConditionReport,

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import stepper  # which imports this module: its names are read at call time
 from .eos import GasLaw
-from .flux import (VISCOUS_SCALE, FaceFluxes, mass_flux, momentum_flux,
-                   update_density, update_velocity)
+from .flux import (VISCOUS_SCALE, FaceFluxes, density_faces, mass_flux,
+                   momentum_flux, update_density, update_velocity)
 from .mesh import (StructuredMesh, cell_gradient, face_average_normal,
                    face_gradient_normal, face_jump, flux_divergence,
                    gather_to_faces, scatter_to_cells)
@@ -178,9 +178,10 @@ class EnergyAudit:
 def audit_energy_balances(mesh: StructuredMesh, params, before, after,
                           diag) -> EnergyAudit:
     """Audit one step given its before/after states and its StepDiagnostics."""
-    fluxes = stepper.solve_density(mesh, before, diag.dt_used, params, diag.eta_used,
-                                   face_average_normal(mesh, before.u))[3]
     gas, eps = params.gas(), params.eps
+    fluxes = stepper.solve_density(mesh, before, diag.dt_used, params, diag.eta_used,
+                                   face_average_normal(mesh, before.u),
+                                   density_faces(mesh, gas, before.rho))[3]
     ld = np.longdouble
     dtl = ld(diag.dt_used)
     eps2 = ld(eps) ** 2

@@ -20,16 +20,19 @@ case: at eps = h against the incompressible limit (mode "coupled"), at a
 fixed eps against the exact compressible solution (only the moving vortex).
 
 Field snapshots are binary: write_field_snapshot writes one
-fields/stepNNNNNN.npy per snapshot, in process, one np.save of a 0-d
+fields/stepNNNNNN.npy per snapshot, in process, np.save's bytes for a 0-d
 structured record holding rho, ux and uy as (ny, nx) fields and the time and
 mesh as scalars, so np.load(path)["rho"] reads a field back.  The dtype is
 spelled out, so the bytes do not depend on the platform, and np.save stamps
-no time, so repeated runs write byte-identical files.
+no time, so runs write byte-identical files; dtype and header are per grid.
 """
 
 import configparser
+import functools
 import hashlib
+import io
 import numbers
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
@@ -315,18 +318,29 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+@functools.cache
+def _snapshot_layout(ny: int, nx: int):
+    """The record dtype of an (ny, nx) snapshot and np.save's header for it."""
+    grid = (ny, nx)
+    dtype = np.dtype([("rho", "<f8", grid), ("ux", "<f8", grid), ("uy", "<f8", grid),
+                      ("time", "<f8"), ("nx", "<i8"), ("ny", "<i8"),
+                      ("lx", "<f8"), ("ly", "<f8")])
+    npy = io.BytesIO()
+    np.save(npy, np.zeros((), dtype))
+    return dtype, npy.getvalue()[:-dtype.itemsize]
+
+
 def write_field_snapshot(path, mesh: StructuredMesh, state):
-    """Binary snapshot of `state`: one np.save of a 0-d structured record holding
-    rho, ux and uy as (ny, nx) fields and the time and mesh as scalars.  np.save
-    appends .npy to a path that lacks it."""
-    grid = (mesh.ny, mesh.nx)
+    """Binary snapshot of `state`: np.save's bytes for a 0-d structured record
+    holding rho, ux and uy as (ny, nx) fields and the time and mesh as
+    scalars.  As np.save does, it appends .npy to a path that lacks it."""
+    dtype, header = _snapshot_layout(mesh.ny, mesh.nx)
     record = np.array((cell_grid(mesh, state.rho), cell_grid(mesh, state.u[:, 0]),
                        cell_grid(mesh, state.u[:, 1]), state.time,
-                       mesh.nx, mesh.ny, mesh.lx, mesh.ly),
-                      [("rho", "<f8", grid), ("ux", "<f8", grid), ("uy", "<f8", grid),
-                       ("time", "<f8"), ("nx", "<i8"), ("ny", "<i8"),
-                       ("lx", "<f8"), ("ly", "<f8")])
-    np.save(path, record)
+                       mesh.nx, mesh.ny, mesh.lx, mesh.ly), dtype)
+    path = os.fspath(path)
+    with open(path if path.endswith(".npy") else path + ".npy", "wb") as npy:
+        npy.write(header + record.tobytes())
 
 
 def write_line_chart(path, title, xlabel, ylabel, series):

@@ -13,7 +13,8 @@ discrete balances telescope to exact conservation.  The momentum flux is
 built per velocity component; vector fields stay (n_cells, 2) at the API.
 The update kernels keep their inputs' dtype, so the energy audit replays the
 stepper's own update_density and update_velocity in extended precision.
-mass_flux_derivative linearises the mass flux for the stepper's Newton solve.
+density_faces forms a density's L side and [[p]] once; the fluxes keep the
+L side for mass_flux_derivative, the mass flux's Newton linearisation.
 """
 
 from dataclasses import dataclass
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import GasLaw
-from .mesh import (StructuredMesh, cell_gradient, face_gradient_normal,
-                   face_weight, flux_divergence, gather_to_faces)
+from .mesh import (StructuredMesh, cell_gradient, face_jump, face_weight,
+                   flux_divergence, gather_to_faces)
 
 # The jump-penalty scale s of the mass and momentum fluxes.
 VISCOUS_SCALE = 1.0
@@ -34,9 +35,10 @@ class FaceFluxes:
 
     mass = mass_plus + mass_minus is the stabilised upwind mass flux.
     w_plus >= 0 and w_minus <= 0 are the split parts of the advecting normal
-    velocity u_normal - delta_u; all are (2, n_cells) face arrays.  The
-    momentum flux is built from mass_plus and mass_minus by momentum_flux
-    once the step is accepted.
+    velocity u_normal - delta_u, and rho_l is the L side of the density the
+    fluxes upwind; all are (2, n_cells) face arrays.  The momentum flux is
+    built from mass_plus and mass_minus by momentum_flux once the step is
+    accepted.
     """
 
     mass: np.ndarray
@@ -45,12 +47,18 @@ class FaceFluxes:
     w_plus: np.ndarray
     w_minus: np.ndarray
     delta_u: np.ndarray
+    rho_l: np.ndarray
 
 
-def stabilisation_velocity(mesh: StructuredMesh, p: np.ndarray, eta: float,
+def density_faces(mesh: StructuredMesh, gas: GasLaw, rho: np.ndarray):
+    """(rho_L, [[p(rho)]]): the face fields of a density that its fluxes read."""
+    return gather_to_faces(mesh, rho)[1], face_jump(mesh, gas.pressure(rho))
+
+
+def stabilisation_velocity(mesh: StructuredMesh, jump_p: np.ndarray, eta: float,
                            dt: float, eps: float) -> np.ndarray:
-    """Normal stabilisation velocity (eta dt / eps^2) (|face|/|D|) [[p]]."""
-    return (eta * dt / eps ** 2) * face_gradient_normal(mesh, p)
+    """Normal stabilisation velocity (eta dt / eps^2) (|face|/|D|) [[p]], from [[p]]."""
+    return (eta * dt / eps ** 2) * (np.array(face_weight(mesh))[:, None] * jump_p)
 
 
 def split_normal_velocity(u_avg_n, delta_u_n):
@@ -83,34 +91,34 @@ def momentum_flux(mass_plus, mass_minus, u_k, u_l):
 
 
 def assemble_fluxes(mesh: StructuredMesh, rho_next: np.ndarray, u_normal: np.ndarray,
-                    p_next: np.ndarray, eta: float, dt: float, eps: float) -> FaceFluxes:
+                    faces, eta: float, dt: float, eps: float) -> FaceFluxes:
     """Assemble the mass fluxes for one step.
 
-    rho_next and p_next = pressure(rho_next) are the end-of-step fields the
-    mass balance is implicit in; u_normal = face_average_normal(mesh, u) is
-    the start-of-step normal velocity, the same for every iterate of a step.
+    rho_next is the end-of-step density the mass balance is implicit in and
+    faces = density_faces(mesh, gas, rho_next) its face fields;
+    u_normal = face_average_normal(mesh, u) is the start-of-step normal
+    velocity, the same for every iterate of a step.
     """
-    delta_u = stabilisation_velocity(mesh, p_next, eta, dt, eps)
+    rho_l, jump_p = faces
+    delta_u = stabilisation_velocity(mesh, jump_p, eta, dt, eps)
     w_plus, w_minus = split_normal_velocity(u_normal, delta_u)
-    rho_k, rho_l = gather_to_faces(mesh, rho_next)
-    mass, mass_plus, mass_minus = mass_flux(rho_k, rho_l, w_plus, w_minus)
+    mass, mass_plus, mass_minus = mass_flux(rho_next, rho_l, w_plus, w_minus)
     return FaceFluxes(
         mass=mass, mass_plus=mass_plus, mass_minus=mass_minus,
-        w_plus=w_plus, w_minus=w_minus, delta_u=delta_u)
+        w_plus=w_plus, w_minus=w_minus, delta_u=delta_u, rho_l=rho_l)
 
 
 def mass_flux_derivative(mesh, gas, rho, fluxes, dt, eta, eps):
     """Face coefficients (d_dk, d_dl) of the mass flux's dependence on rho_K, rho_L.
 
-    ``fluxes`` are the fluxes assembled at ``rho``.  The upwind indicator
-    signs are frozen at that iterate (semi-smooth linearisation); where
-    delta_u = 0 the flux is smooth only because rho_K = rho_L there, and
-    either side is the derivative.
+    ``fluxes`` are the fluxes assembled at ``rho``, whose L side they keep.
+    The upwind indicator signs are frozen at that iterate (semi-smooth
+    linearisation); where delta_u = 0 the flux is smooth only because
+    rho_K = rho_L there, and either side is the derivative.
     """
     # The stabilisation coefficient per block, broadcast over each block.
     c_face = (eta * dt / eps ** 2) * np.array(face_weight(mesh))[:, None]
-    rho_k, rho_l = gather_to_faces(mesh, rho)
-    upwind_rho = np.where(fluxes.delta_u > 0.0, rho_l, rho_k)
+    upwind_rho = np.where(fluxes.delta_u > 0.0, fluxes.rho_l, rho)
     pprime_k, pprime_l = gather_to_faces(mesh, gas.pressure_derivative(rho))
     d_dk = fluxes.w_plus + VISCOUS_SCALE + c_face * pprime_k * upwind_rho
     d_dl = fluxes.w_minus - VISCOUS_SCALE - c_face * pprime_l * upwind_rho

@@ -22,8 +22,10 @@ ops on shifted slices.  A y shift is two slices split at the wrap-around row.
 An x shift is one contiguous pass over the flat array, pairing each cell
 with the next one in memory, and then a fix of the wrap-around column; each
 element has the same operands as in the column-sliced form, bit for bit.
+The FFT preconditioner keeps each grid's Fourier phases per (nx, ny).
 """
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -165,6 +167,13 @@ def flux_divergence(mesh: StructuredMesh, flux) -> np.ndarray:
     return _cell_sums(tx, ty, tx, ty, np.subtract)
 
 
+@functools.cache
+def _next_cell_phases(nx: int, ny: int):
+    """rfft2 phases of the next cell along x and along y; shared, never written."""
+    return (np.exp(2j * np.pi * np.fft.rfftfreq(nx)),
+            np.exp(2j * np.pi * np.fft.fftfreq(ny))[:, None])
+
+
 def mean_flux_divergence_inverse(mesh: StructuredMesh, coef_k, coef_l, shift: float):
     """Inverse of q -> shift q + flux_divergence(a_k q_K + a_l q_L) by FFT.
 
@@ -177,12 +186,9 @@ def mean_flux_divergence_inverse(mesh: StructuredMesh, coef_k, coef_l, shift: fl
     constant on each block, and a preconditioner otherwise.  The symbol must
     not vanish, e.g. shift > 0 with coef_k >= 0 >= coef_l.
     """
-    next_x = np.exp(2j * np.pi * np.fft.rfftfreq(mesh.nx))
-    next_y = np.exp(2j * np.pi * np.fft.fftfreq(mesh.ny))[:, None]
     symbol = shift
-    for weight, nxt, block_k, block_l in zip(face_weight(mesh), (next_x, next_y),
-                                             coef_k, coef_l):
-        a_k, a_l = block_k.mean(), block_l.mean()
+    for weight, nxt, a_k, a_l in zip(face_weight(mesh), _next_cell_phases(mesh.nx, mesh.ny),
+                                     np.mean(coef_k, axis=1), np.mean(coef_l, axis=1)):
         symbol = symbol + weight * (a_k + a_l * nxt - a_k * nxt.conj() - a_l)
 
     def solve(r):

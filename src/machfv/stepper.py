@@ -5,16 +5,17 @@ Each step solves the nonlinear mass balance for the end-of-step density with
 a semi-smooth Newton method in full steps, then updates the velocity
 explicitly, one component at a time, from the momentum balance with the
 retained fluxes.  A Newton system is I/dt plus the divergence of a face flux
-linear in the two adjacent densities (flux.mass_flux_derivative).  Richardson
-iteration solves it matrix-free, by the same gather and flux divergence as the
-residual, preconditioned with the FFT inverse of its face-mean
-constant-coefficient part (exact on uniform regions, where the stabilisation
-term makes the operator a stiff pressure Laplacian at low Mach).  A time-step
-controller and three per-step stability conditions (stabilisation strength, a
-quarter-CFL on the mass fluxes, a third-CFL on the cell boundary measure) keep
-the discrete energy and entropy non-increasing.  An attempt that fails the
-solve or a condition is rejected, and the step retries it at half the dt (at
-most 8 times).  advance yields each accepted step of a march to final_time.
+linear in the two adjacent densities (flux.mass_flux_derivative, from the
+fluxes of its residual).  Richardson iteration solves it matrix-free,
+preconditioned with the FFT inverse of its face-mean constant-coefficient
+part (exact on uniform regions, where the stabilisation term makes the
+operator a stiff pressure Laplacian at low Mach).  A time-step controller and
+three per-step stability conditions (stabilisation strength, a quarter-CFL on
+the mass fluxes, a third-CFL on the cell boundary measure) keep the discrete
+energy and entropy non-increasing.  The controller and each attempt's first
+residual share the old density's face fields (flux.density_faces), and eta
+comes from the previous step's condition (1).  A failed attempt is retried at
+half the dt (at most 8 times).  advance yields each accepted step to final_time.
 
 A step needs numpy only.  The assembled scipy CSR form of the Newton
 operator, which the tests check the solver against, is tests/csr_oracle.py.
@@ -34,10 +35,10 @@ import numpy as np
 
 from . import diagnostics
 from .eos import GasLaw, PositivityError
-from .flux import (VISCOUS_SCALE, FaceFluxes, assemble_fluxes,
+from .flux import (VISCOUS_SCALE, FaceFluxes, assemble_fluxes, density_faces,
                    mass_flux_derivative, update_density, update_velocity)
 from .mesh import (StructuredMesh, face_average, face_average_normal,
-                   face_jump, face_weight, flux_divergence, gather_to_faces,
+                   face_weight, flux_divergence, gather_to_faces,
                    mean_flux_divergence_inverse, scatter_to_cells)
 
 # Margin of the controller's eta over the stability bound 3 max {{1/rho}}.
@@ -133,6 +134,7 @@ class ConditionReport:
     eta_margin: float
     flux_cfl_margin: float
     dt_cfl_margin: float
+    inv_density_max: float  # condition (1)'s max {{1/rho_next}}: the next step's eta
 
     @property
     def all_ok(self) -> bool:
@@ -159,14 +161,17 @@ class StepDiagnostics:
     energy: diagnostics.EnergyReport
 
 
+def _eta_with_margin(inv_density_max) -> float:
+    return float(ETA_SAFETY * 3.0 * inv_density_max)
+
+
 def auto_eta(mesh: StructuredMesh, rho: np.ndarray) -> float:
     """Smallest stabilisation strength with margin: ETA_SAFETY * 3 * max {{1/rho}}."""
-    return float(ETA_SAFETY * 3.0 * face_average(mesh, 1.0 / rho).max())
+    return _eta_with_margin(face_average(mesh, 1.0 / rho).max())
 
 
-def _residual_and_fluxes(mesh, gas, rho_next, rho_old, u_normal, dt, eta, eps):
-    p_next = gas.pressure(rho_next)
-    fluxes = assemble_fluxes(mesh, rho_next, u_normal, p_next, eta, dt, eps)
+def _residual_and_fluxes(mesh, rho_next, faces, rho_old, u_normal, dt, eta, eps):
+    fluxes = assemble_fluxes(mesh, rho_next, u_normal, faces, eta, dt, eps)
     res = (rho_next - rho_old) / dt + flux_divergence(mesh, fluxes.mass)
     return res, fluxes
 
@@ -174,8 +179,8 @@ def _residual_and_fluxes(mesh, gas, rho_next, rho_old, u_normal, dt, eta, eps):
 def density_residual(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
                      dt: float, params: SchemeParams, eta: float) -> np.ndarray:
     """Residual of the implicit mass balance at the candidate density."""
-    return _residual_and_fluxes(mesh, params.gas(), rho_next, state.rho,
-                                face_average_normal(mesh, state.u), dt, eta,
+    return _residual_and_fluxes(mesh, rho_next, density_faces(mesh, params.gas(), rho_next),
+                                state.rho, face_average_normal(mesh, state.u), dt, eta,
                                 params.eps)[0]
 
 
@@ -216,12 +221,13 @@ def _admitted(rho: np.ndarray) -> bool:
 
 
 def solve_density(mesh: StructuredMesh, state: State, dt: float,
-                  params: SchemeParams, eta: float, u_normal: np.ndarray):
+                  params: SchemeParams, eta: float, u_normal: np.ndarray, faces):
     """Solve the implicit mass balance for the end-of-step density.
 
     Newton in full steps; each direction comes from matrix-free
     preconditioned Richardson iteration.  ``u_normal`` is
-    face_average_normal(mesh, state.u).  Raises SolverError when a full step
+    face_average_normal(mesh, state.u) and ``faces`` density_faces(mesh,
+    gas, state.rho), as in compute_dt.  Raises SolverError when a full step
     is not admitted (positive, finite) or does not reduce the residual, or
     when NEWTON_MAX_ITER iterations do not reach the tolerance; the step then
     retries at half the dt.  Returns (rho_next, iterations,
@@ -246,7 +252,7 @@ def solve_density(mesh: StructuredMesh, state: State, dt: float,
     lin_tol = 0.1 * tol
 
     rho = rho_old.copy()
-    res, fluxes = _residual_and_fluxes(mesh, gas, rho, rho_old, u_normal, dt, eta, eps)
+    res, fluxes = _residual_and_fluxes(mesh, rho, faces, rho_old, u_normal, dt, eta, eps)
     norm = np.abs(res).max()
 
     iters = 0
@@ -258,7 +264,8 @@ def solve_density(mesh: StructuredMesh, state: State, dt: float,
         if not _admitted(rho):
             raise SolverError(f"Newton iteration {iters}: the full step is not "
                               f"positive and finite (residual {norm:.3e})")
-        res, fluxes = _residual_and_fluxes(mesh, gas, rho, rho_old, u_normal, dt, eta, eps)
+        res, fluxes = _residual_and_fluxes(mesh, rho, density_faces(mesh, gas, rho),
+                                           rho_old, u_normal, dt, eta, eps)
         cnorm = np.abs(res).max()
         if not (cnorm <= (1.0 - 1e-4) * norm or cnorm <= tol):
             raise SolverError(f"Newton iteration {iters} did not reduce the residual "
@@ -273,22 +280,21 @@ def solve_density(mesh: StructuredMesh, state: State, dt: float,
 
 
 def compute_dt(mesh: StructuredMesh, state: State, params: SchemeParams,
-               eta: float, u_normal: np.ndarray) -> float:
+               eta: float, u_normal: np.ndarray, faces) -> float:
     """The controller's time step: explicit surrogates of the two CFL bounds.
 
     The flux-CFL surrogate is CFL_SAFETY * (beta_face / 4) * (rho_min /
     rho_max on the face) / D_face minimised over faces, where D_face collects
     the advective speed, the relative density jump and the stabilisation
     speed sqrt((eta/eps^2) |[[p]]|), all at step n; ``u_normal`` is
-    face_average_normal(mesh, state.u).  Faces with D_face = 0 impose no
+    face_average_normal(mesh, state.u), ``faces`` density_faces(mesh, gas,
+    state.rho).  Faces with D_face = 0 impose no
     restriction.  The third-CFL surrogate is CFL_SAFETY * (1/3 - BETA) *
     rho_min |K|/|dK| at step n; the post-solve check still guards the
     implicit density.  The result is capped at DT_MAX.
     """
-    rho_k, rho_l = gather_to_faces(mesh, state.rho)
-    jump_p = face_jump(mesh, params.gas().pressure(state.rho))
-    face_min = np.minimum(rho_k, rho_l)
-    face_max = np.maximum(rho_k, rho_l)
+    rho_k, (rho_l, jump_p) = state.rho, faces
+    face_min, face_max = np.minimum(rho_k, rho_l), np.maximum(rho_k, rho_l)
     d_face = (np.abs(u_normal)
               + np.abs(rho_l - rho_k) / face_max
               + np.sqrt((eta / params.eps ** 2) * np.abs(jump_p)))
@@ -310,8 +316,8 @@ def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
     (2) 1/4 - (dt/rho_old_K) sum |mass flux| * |face|/|K| >= 0 in every cell;
     (3) 1/3 - (dt/rho_next_K) |dK|/|K| > BETA in every cell (strict).
     """
-    inv_avg = face_average(mesh, 1.0 / rho_next)
-    eta_margin = eta - 3.0 * inv_avg.max()
+    inv_max = face_average(mesh, 1.0 / rho_next).max()
+    eta_margin = eta - 3.0 * inv_max
 
     abs_mass = np.abs(fluxes.mass)
     abs_flux = scatter_to_cells(mesh, abs_mass, abs_mass)
@@ -327,14 +333,15 @@ def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
         eta_margin=float(eta_margin),
         flux_cfl_margin=float(flux_margin),
         dt_cfl_margin=float(dt_margin),
+        inv_density_max=float(inv_max),
     )
 
 
-def _attempt_step(mesh, state, params, dt, eta, u_normal):
+def _attempt_step(mesh, state, params, dt, eta, u_normal, faces):
     """One attempt at a step of size dt: the density solve, the conservative
     update and the three conditions.  Raises SolverError when any of them
     fails."""
-    rho_star, iters, resnorm, fluxes = solve_density(mesh, state, dt, params, eta, u_normal)
+    _, iters, resnorm, fluxes = solve_density(mesh, state, dt, params, eta, u_normal, faces)
     rho_next = update_density(mesh, state.rho, fluxes.mass, dt)
     if not _admitted(rho_next):
         raise SolverError("conservative density update lost positivity or finiteness")
@@ -347,12 +354,13 @@ def _attempt_step(mesh, state, params, dt, eta, u_normal):
 
 
 def step(mesh: StructuredMesh, state: State, params: SchemeParams,
-         dt_limit: float | None = None,
-         before: diagnostics.EnergyReport | None = None):
+         dt_limit: float | None = None, before: StepDiagnostics | None = None):
     """Advance one accepted time step; returns (new_state, StepDiagnostics).
 
-    ``before`` is the energy report of ``state`` when the caller already has
-    it (the previous step's ``diag.energy``); otherwise it is computed here.
+    ``before`` is the StepDiagnostics of the step that made ``state``, when
+    the caller has it: its energy report is the start-of-step one, and eta
+    follows from its max {{1/rho}} as auto_eta would compute it, bit for bit.
+    Without it both are computed here.
 
     The controller dt is additionally capped by dt_limit (used to land on a
     final time).  When dt_limit lies strictly between one and two controller
@@ -365,12 +373,15 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     update is not finite.
     """
     gas = params.gas()
-    eta = auto_eta(mesh, state.rho)
+    eta = (auto_eta(mesh, state.rho) if before is None
+           else _eta_with_margin(before.conditions.inv_density_max))
 
     # The start-of-step normal velocity serves the controller and every
-    # residual of every attempt.
+    # residual of every attempt, the density's face fields the controller and
+    # every attempt's first residual.
     u_normal = face_average_normal(mesh, state.u)
-    dt = compute_dt(mesh, state, params, eta, u_normal)
+    faces = density_faces(mesh, gas, state.rho)
+    dt = compute_dt(mesh, state, params, eta, u_normal, faces)
     if dt_limit is not None:
         if dt < dt_limit < 2.0 * dt:
             dt = 0.5 * dt_limit
@@ -381,7 +392,7 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     for _ in range(MAX_DT_HALVINGS + 1):
         try:
             rho_next, iters, resnorm, fluxes, report = _attempt_step(
-                mesh, state, params, dt, eta, u_normal)
+                mesh, state, params, dt, eta, u_normal, faces)
             break
         except SolverError as err:
             failure = err
@@ -397,8 +408,8 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
     except ValueError as err:  # State names the non-finite field
         raise SolverError(f"step {state.step_index + 1} at dt={dt:.3e}: {err}") from None
 
-    if before is None:
-        before = diagnostics.energy_report(mesh, gas, state.rho, state.u, params.eps)
+    energy = (diagnostics.energy_report(mesh, gas, state.rho, state.u, params.eps)
+              if before is None else before.energy)
     after = diagnostics.energy_report(mesh, gas, rho_next, u_next, params.eps)
     diag = StepDiagnostics(
         step_index=new_state.step_index,
@@ -408,8 +419,8 @@ def step(mesh: StructuredMesh, state: State, params: SchemeParams,
         total_mass=mesh.cell_volume * rho_next.sum(),
         total_momentum=diagnostics.total_momentum(mesh, rho_next, u_next),
         min_density=float(rho_next.min()),
-        energy_decrement=before.total - after.total,
-        entropy_decrement=before.entropy_total - after.entropy_total,
+        energy_decrement=energy.total - after.total,
+        entropy_decrement=energy.entropy_total - after.entropy_total,
         newton_iters=iters,
         final_residual=float(resnorm),
         conditions=report,
@@ -428,9 +439,8 @@ def advance(mesh: StructuredMesh, state: State, params: SchemeParams, final_time
         raise ValueError(f"final_time {final_time} must be finite and exceed "
                          f"state.time {state.time}")
     margin = 1e-12 * abs(final_time)
-    report = None
+    diag = None
     while state.time < final_time - margin:
         state, diag = step(mesh, state, params,
-                           dt_limit=final_time - state.time, before=report)
-        report = diag.energy
+                           dt_limit=final_time - state.time, before=diag)
         yield state, diag

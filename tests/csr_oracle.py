@@ -9,7 +9,7 @@ its preconditioner against.
 import numpy as np
 import scipy.sparse as sp
 
-from machfv.flux import mass_flux_derivative
+from machfv.flux import density_faces, mass_flux_derivative
 from machfv.mesh import (StructuredMesh, face_average_normal, face_weight,
                          gather_to_faces)
 from machfv.stepper import SchemeParams, State, _residual_and_fluxes
@@ -33,8 +33,8 @@ def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
                      dt: float, params: SchemeParams, eta: float):
     """Analytic semi-smooth Jacobian of stepper.density_residual (sparse CSR)."""
     gas = params.gas()
-    _, fluxes = _residual_and_fluxes(mesh, gas, rho_next, state.rho,
-                                     face_average_normal(mesh, state.u), dt,
+    _, fluxes = _residual_and_fluxes(mesh, rho_next, density_faces(mesh, gas, rho_next),
+                                     state.rho, face_average_normal(mesh, state.u), dt,
                                      eta, params.eps)
     d_dk, d_dl = mass_flux_derivative(mesh, gas, rho_next, fluxes, dt, eta, params.eps)
     return (flux_divergence_matrix(mesh, d_dk, d_dl)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from machfv import (ConvergenceConfig, RunConfig, SchemeParams, State,
-                    build_mesh, cell_divergence, cell_gradient,
+                    build_mesh, cell_divergence, cell_gradient, density_faces,
                     audit_energy_balances, convergence_study, energy_report,
                     face_average_normal, moving_vortex, run_case, solve_density,
                     step)
@@ -311,7 +311,8 @@ def test_criterion_10_dense_oracle_agreement(monkeypatch):
         state = State(time=0.0, rho=rho, u=u)
         params = SchemeParams(gamma=gamma, eps=eps)
         mine, _, _, _ = solve_density(mesh, state, dt, params, eta,
-                                      face_average_normal(mesh, state.u))
+                                      face_average_normal(mesh, state.u),
+                                      density_faces(mesh, params.gas(), state.rho))
         reference, _, _ = dense_newton(rho, u, 4, 4, 1.0, 1.0, gamma, eps, eta, dt,
                                        viscous=VISCOUS_SCALE)
         worst = max(worst, float(np.abs(mine - reference).max()))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from machfv import (GasLaw, SchemeParams, State, audit_energy_balances,
-                    build_mesh, energy_report, eoc, error_norms,
+                    build_mesh, density_faces, energy_report, eoc, error_norms,
                     face_average_normal, relative_energy,
                     relative_energy_to_limit, step, vortex_compressible_init)
 from machfv import flux, stepper
@@ -243,7 +243,8 @@ def test_audit_resolves_the_fluxes_of_the_step_that_ran(
     state = vortex_compressible_init(mesh, params.gamma, params.eps)
     dt_controller = stepper.compute_dt(mesh, state, params,
                                        stepper.auto_eta(mesh, state.rho),
-                                       face_average_normal(mesh, state.u))
+                                       face_average_normal(mesh, state.u),
+                                       density_faces(mesh, params.gas(), state.rho))
     dt_limit = None if limit_fraction is None else limit_fraction * dt_controller
     solve = stepper.solve_density
     returns = []

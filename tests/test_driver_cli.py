@@ -538,7 +538,7 @@ def test_inequality_guard_allows_round_off_and_lists_every_problem():
     (("update_density", lambda mesh, rho, *rest: np.full_like(rho, np.nan)),
      "conservative density update lost positivity or finiteness"),
     (("enforce_conditions",
-      lambda *args: stepper.ConditionReport(True, False, True, 1.0, -1.0, 1.0)),
+      lambda *args: stepper.ConditionReport(True, False, True, 1.0, -1.0, 1.0, 0.5)),
      r"stability conditions violated \(eta_ok=True, flux_cfl_ok=False, dt_cfl_ok=True\)"),
 ], ids=["positivity", "positivity_nan", "conditions"])
 def test_stepper_refuses_each_violation_without_the_flag(monkeypatch, patch, message):
@@ -590,6 +590,27 @@ def test_field_snapshot_path_gets_the_npy_suffix(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.npy", "snap.dat.npy", "snap.npy"]
     for name in ("snap.npy", "snap.dat.npy"):
         assert (tmp_path / name).read_bytes() == (tmp_path / "ref.npy").read_bytes()
+
+
+@pytest.mark.parametrize("nx, ny, lx", [(4, 3, 1.0), (7, 5, 1.3), (4, 3, 1)],
+                         ids=["4x3", "7x5", "int_lx"])
+def test_field_snapshot_bytes_are_np_save_bytes(tmp_path, nx, ny, lx):
+    # the per-grid header and the record's bytes are what np.save writes
+    mesh = build_mesh(nx, ny, lx, 0.75)
+    state = random_state(np.random.default_rng(nx * ny), mesh)
+    grid = (ny, nx)
+    record = np.array((state.rho.reshape(grid), state.u[:, 0].reshape(grid),
+                       state.u[:, 1].reshape(grid), state.time, nx, ny, lx, 0.75),
+                      [("rho", "<f8", grid), ("ux", "<f8", grid), ("uy", "<f8", grid),
+                       ("time", "<f8"), ("nx", "<i8"), ("ny", "<i8"),
+                       ("lx", "<f8"), ("ly", "<f8")])
+    np.save(tmp_path / "reference.npy", record)
+    expected = (tmp_path / "reference.npy").read_bytes()
+    for path in (str(tmp_path / "a"), str(tmp_path / "b.npy"), tmp_path / "c",
+                 tmp_path / "d.npy"):
+        write_field_snapshot(path, mesh, state)
+    for name in ("a.npy", "b.npy", "c.npy", "d.npy"):
+        assert (tmp_path / name).read_bytes() == expected, name
 
 
 def test_well_prepared_case_runs(tmp_path):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from machfv import (GasLaw, assemble_fluxes, build_mesh, face_average_normal,
-                    flux_divergence, gather_to_faces, mass_flux, momentum_flux,
-                    split_normal_velocity, stabilisation_velocity)
+from machfv import (GasLaw, assemble_fluxes, build_mesh, density_faces,
+                    face_average_normal, face_jump, flux_divergence, gather_to_faces,
+                    mass_flux, momentum_flux, split_normal_velocity,
+                    stabilisation_velocity)
 from machfv.flux import VISCOUS_SCALE as s  # the jump penalty of both fluxes
 
 
@@ -14,13 +15,14 @@ def test_stabilisation_velocity_single_jump():
     p = np.ones(mesh.n_cells)
     f = 0, 0  # first x-face: K = cell 0, L = cell 1
     p[1] = 2.0
-    delta = stabilisation_velocity(mesh, p, eta=1.0, dt=0.1, eps=1.0)
+    delta = stabilisation_velocity(mesh, face_jump(mesh, p), eta=1.0, dt=0.1, eps=1.0)
     assert delta[f] == pytest.approx(0.2)  # 0.1 * (2 - 1) / 0.5
     # doubling eta doubles delta_u exactly
     np.testing.assert_array_equal(
-        stabilisation_velocity(mesh, p, eta=2.0, dt=0.1, eps=1.0), 2.0 * delta)
+        stabilisation_velocity(mesh, face_jump(mesh, p), eta=2.0, dt=0.1, eps=1.0),
+        2.0 * delta)
     # uniform pressure gives exactly zero
-    assert (stabilisation_velocity(mesh, np.ones(mesh.n_cells), 1.0, 0.1, 1.0)
+    assert (stabilisation_velocity(mesh, face_jump(mesh, np.ones(mesh.n_cells)), 1.0, 0.1, 1.0)
             == 0.0).all()
 
 
@@ -96,7 +98,7 @@ def test_assemble_uniform_state_zero_fluxes(mesh44):
     rho = np.full(mesh44.n_cells, 1.3)
     u = np.tile(np.array([0.0, 0.0]), (mesh44.n_cells, 1))
     fl = assemble_fluxes(mesh44, rho, face_average_normal(mesh44, u),
-                         gas.pressure(rho), eta=3.3, dt=0.01, eps=1.0)
+                         density_faces(mesh44, gas, rho), eta=3.3, dt=0.01, eps=1.0)
     assert (fl.mass == 0.0).all()
     u_k, u_l = gather_to_faces(mesh44, u)
     assert (momentum_flux(fl.mass_plus[..., None], fl.mass_minus[..., None], u_k, u_l)
@@ -115,7 +117,7 @@ def test_assemble_single_face_composition():
     u[k, 0] = 0.4
     u[l, 0] = 0.2  # face average 0.3
     fl = assemble_fluxes(mesh, rho, face_average_normal(mesh, u),
-                         gas.pressure(rho), eta=1.0, dt=0.1, eps=1.0)
+                         density_faces(mesh, gas, rho), eta=1.0, dt=0.1, eps=1.0)
     assert fl.delta_u[f] == pytest.approx(0.2)
     w_plus, w_minus = split_normal_velocity(0.3, 0.2)
     assert fl.w_plus[f] == pytest.approx(w_plus)
@@ -136,7 +138,8 @@ def test_assemble_upwind_consistency(mesh44):
     rho = rng.uniform(0.5, 2.0, mesh44.n_cells)
     u = np.tile(np.array([0.8, 0.0]), (mesh44.n_cells, 1))
     p = np.ones(mesh44.n_cells)  # uniform pressure: no stabilisation
-    fl = assemble_fluxes(mesh44, rho, face_average_normal(mesh44, u), p,
+    faces = gather_to_faces(mesh44, rho)[1], face_jump(mesh44, p)
+    fl = assemble_fluxes(mesh44, rho, face_average_normal(mesh44, u), faces,
                          eta=3.3, dt=0.01, eps=1.0)
     # x-face i + nx j (block 0) joins cell i + nx j to cell (i + 1) % nx + nx j
     k = np.arange(mesh44.n_cells)
@@ -151,7 +154,7 @@ def test_assemble_mass_flux_telescopes(mesh88):
     rho = rng.uniform(0.5, 2.0, mesh88.n_cells)
     u = rng.normal(size=(mesh88.n_cells, 2))
     fl = assemble_fluxes(mesh88, rho, face_average_normal(mesh88, u),
-                         gas.pressure(rho), eta=3.3, dt=0.005, eps=0.5)
+                         density_faces(mesh88, gas, rho), eta=3.3, dt=0.005, eps=0.5)
     total = mesh88.cell_volume * flux_divergence(mesh88, fl.mass).sum()
     scale = mesh88.hx * np.abs(fl.mass).sum()  # sum of |face| |flux|
     assert abs(total) <= 1e-12 * scale

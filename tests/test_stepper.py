@@ -1,10 +1,12 @@
 """Semi-implicit step tests: residual, solver, velocity update, conditions."""
 
+import collections
+import itertools
 import json
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +20,11 @@ from machfv import (GasLaw, SchemeParams, SolverError, State, advance,
                     solve_density, step, update_velocity,
                     vortex_compressible_init)
 from machfv import diagnostics, stepper
+from machfv import mesh as mesh_ops
 from machfv.driver import INEQUALITY_SLACK
 from machfv.flux import VISCOUS_SCALE, mass_flux_derivative
 from machfv.stepper import BETA, CFL_SAFETY, DT_MAX, _solve_mass_balance
-from machfv import assemble_fluxes, face_average_normal
+from machfv import assemble_fluxes, density_faces, face_average_normal
 
 from csr_oracle import density_jacobian
 from oracles import dense_newton, loop_residual
@@ -107,13 +110,18 @@ def test_analytic_jacobian_matches_directional_differences():
         np.testing.assert_allclose(jac @ direction, fd, rtol=1e-5, atol=1e-7)
 
 
+def start_of_step(mesh, state, params):
+    """The start-of-step face fields that step hands compute_dt and solve_density."""
+    return face_average_normal(mesh, state.u), density_faces(mesh, params.gas(), state.rho)
+
+
 def vortex_first_step(n, eps, ny=None, lx=1.0):
     """Mesh, params, initial vortex state, eta and controller dt at eps."""
     mesh = build_mesh(n, n if ny is None else ny, lx, 1.0)
     params = SchemeParams(gamma=2.0, eps=eps)
     state = vortex_compressible_init(mesh, params.gamma, eps)
     eta = auto_eta(mesh, state.rho)
-    dt = compute_dt(mesh, state, params, eta, face_average_normal(mesh, state.u))
+    dt = compute_dt(mesh, state, params, eta, *start_of_step(mesh, state, params))
     return mesh, params, state, eta, dt
 
 
@@ -141,7 +149,7 @@ def vortex_newton_system(nx, eps, ny=None, lx=1.0):
     res = density_residual(mesh, state.rho, state, dt, params, eta)
     gas = params.gas()
     fluxes = assemble_fluxes(mesh, state.rho, face_average_normal(mesh, state.u),
-                             gas.pressure(state.rho), eta, dt, eps)
+                             density_faces(mesh, gas, state.rho), eta, dt, eps)
     d_dk, d_dl = mass_flux_derivative(mesh, gas, state.rho, fluxes, dt, eta, eps)
     return mesh, params, state, eta, dt, d_dk, d_dl, -res
 
@@ -247,7 +255,7 @@ def test_solve_density_uniform_converges_immediately(mesh44):
     state = uniform_state(mesh44)
     params = SchemeParams()
     rho, iters, norm, _ = solve_density(mesh44, state, 0.01, params, 3.3,
-                                        face_average_normal(mesh44, state.u))
+                                        *start_of_step(mesh44, state, params))
     assert iters <= 1
     np.testing.assert_array_equal(rho, state.rho)
 
@@ -258,9 +266,9 @@ def test_solve_density_matches_dense_oracle_on_vortex(monkeypatch):
     params = SchemeParams(gamma=2.0, eps=1.0)
     state = vortex_compressible_init(mesh, params.gamma, params.eps)
     eta = auto_eta(mesh, state.rho)
-    u_normal = face_average_normal(mesh, state.u)
-    dt = compute_dt(mesh, state, params, eta, u_normal)
-    rho, _, norm, _ = solve_density(mesh, state, dt, params, eta, u_normal)
+    faces = start_of_step(mesh, state, params)
+    dt = compute_dt(mesh, state, params, eta, *faces)
+    rho, _, norm, _ = solve_density(mesh, state, dt, params, eta, *faces)
     assert norm <= 1e-10
     ref, _, _ = dense_newton(state.rho, state.u, 16, 16, 1.0, 1.0,
                              gamma=2.0, eps=1.0, eta=eta, dt=dt,
@@ -275,7 +283,7 @@ def test_solve_density_conserves_mass(mesh88):
     state = State(time=0.0, rho=rho_old, u=u_old)
     params = SchemeParams(gamma=1.4, eps=0.8)
     rho, _, _, fluxes = solve_density(mesh88, state, 0.002, params, 4.0,
-                                      face_average_normal(mesh88, state.u))
+                                      *start_of_step(mesh88, state, params))
     mass_old = mesh88.cell_volume * rho_old.sum()
     mass_new = mesh88.cell_volume * rho.sum()
     assert abs(mass_new - mass_old) <= 1e-12 * abs(mass_old)
@@ -289,7 +297,7 @@ def test_solve_density_reports_nonconvergence(monkeypatch):
     state = vortex_compressible_init(mesh, params.gamma, params.eps)
     with pytest.raises(SolverError):
         # one iteration cannot absorb an O(1) residual at this dt
-        solve_density(mesh, state, 0.05, params, 3.3, face_average_normal(mesh, state.u))
+        solve_density(mesh, state, 0.05, params, 3.3, *start_of_step(mesh, state, params))
 
 
 def test_solve_density_raises_when_the_full_newton_step_does_not_reduce_the_residual(
@@ -312,7 +320,7 @@ def test_solve_density_raises_when_the_full_newton_step_does_not_reduce_the_resi
     monkeypatch.setattr(stepper, "assemble_fluxes", counted_assemble)
     with pytest.raises(SolverError, match=(
             r"^Newton iteration 1 did not reduce the residual (\S+) \(full step: \1\)$")):
-        solve_density(mesh, state, dt, params, eta, face_average_normal(mesh, state.u))
+        solve_density(mesh, state, dt, params, eta, *start_of_step(mesh, state, params))
     assert len(solves) == 1
     # the initial residual and the one candidate
     assert len(assemblies) == 2
@@ -337,7 +345,7 @@ def test_solve_density_assembles_fluxes_once_per_residual(monkeypatch):
     monkeypatch.setattr(stepper, "assemble_fluxes", counted_assemble)
     monkeypatch.setattr(stepper, "_solve_mass_balance", recorded_solve)
     rho, iters, _, _ = solve_density(mesh, state, dt, params, eta,
-                                     face_average_normal(mesh, state.u))
+                                     *start_of_step(mesh, state, params))
     # every direction was taken in full, so each iteration made one trial
     full_steps = state.rho
     for delta in directions:
@@ -369,7 +377,7 @@ def test_solve_density_rejects_a_non_finite_candidate(monkeypatch):
     with pytest.raises(SolverError, match=(
             r"^Newton iteration 1: the full step is not positive and finite "
             r"\(residual \S+\)$")):
-        solve_density(mesh, state, dt, params, eta, face_average_normal(mesh, state.u))
+        solve_density(mesh, state, dt, params, eta, *start_of_step(mesh, state, params))
     # only the initial residual: the candidate never reached the gas law
     assert len(assemblies) == 1
 
@@ -397,6 +405,77 @@ def test_step_computes_the_normal_velocity_once(monkeypatch):
     assert calls == ["step"]
 
 
+def test_step_evaluates_each_face_field_once(monkeypatch):
+    # A carried step of the 32^2 vortex at eps = 1e-4 takes one Newton
+    # iteration of one Richardson iteration.  Face passes: u_normal, rho^n's
+    # L side and [[p(rho^n)]] (shared by the controller and the first
+    # residual), p'(rho^n)'s L side, the matvec, the new iterate's L side and
+    # [[p]], condition (1), and the velocity update's {{p}}, u_x and u_y.
+    # Cell sums: two residuals, the matvec, the conservative update,
+    # condition (2) and the two momentum divergences.  Pressures: rho^n,
+    # the noise floor's scale, the new iterate and the velocity update.
+    # eta comes from the previous step's condition (1).
+    mesh = build_mesh(32, 32, 1.0, 1.0)
+    params = SchemeParams(gamma=2.0, eps=1e-4)
+    steps = advance(mesh, vortex_compressible_init(mesh, params.gamma, params.eps),
+                    params, 1.0)
+    next(steps)
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((mesh_ops, "_face_values"), (mesh_ops, "_cell_sums"),
+                        (GasLaw, "pressure")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    _, diag = next(steps)
+    assert diag.newton_iters == 1
+    assert counts == {"_face_values": 11, "_cell_sums": 7, "pressure": 4}
+
+
+def assert_same_bits(mine, ref, where):
+    """Equal bytes field by field, through nested dataclasses."""
+    if is_dataclass(mine):
+        for f in fields(mine):
+            assert_same_bits(getattr(mine, f.name), getattr(ref, f.name), f"{where}.{f.name}")
+    else:
+        assert np.asarray(mine).tobytes() == np.asarray(ref).tobytes(), where
+
+
+@pytest.mark.parametrize("gamma, eps, rejected", [
+    (2.0, 1.0, False), (2.0, 1e-4, False), (1.4, 1.0, False), (1.4, 1e-4, False),
+    (2.0, 1e-4, True),
+], ids=["gamma2-eps1", "gamma2-eps1e-4", "gamma1.4-eps1", "gamma1.4-eps1e-4",
+        "gamma2-eps1e-4-rejected"])
+def test_advance_equals_a_loop_of_bare_steps(monkeypatch, gamma, eps, rejected):
+    # advance hands each step the previous step's record, whose energy report
+    # and condition (1) max stand in for the ones step would compute: every
+    # state and every record must be the bare loop's, bit for bit.  With
+    # `rejected`, step 2's first attempt fails condition (1), so the eta of
+    # step 3 must come from the accepted attempt.
+    mesh = build_mesh(16, 16, 1.0, 1.0)
+    params = SchemeParams(gamma=gamma, eps=eps)
+    state0 = vortex_compressible_init(mesh, gamma, eps)
+    n_steps, final_time = 4, 1.0
+    calls = failing_conditions(
+        monkeypatch, lambda report, call: replace(report, eta_ok=not (rejected and call == 2)))
+    carried = list(itertools.islice(advance(mesh, state0, params, final_time), n_steps))
+    assert len(calls) == n_steps + rejected
+    calls.clear()
+    previous = state0
+    for index, (state, diag) in enumerate(carried):
+        bare_state, bare_diag = step(mesh, previous, params,
+                                     dt_limit=final_time - previous.time)
+        assert_same_bits(state, bare_state, f"step {index + 1} state")
+        assert_same_bits(diag, bare_diag, f"step {index + 1} diag")
+        assert diag.eta_used == auto_eta(mesh, previous.rho)
+        previous = state
+    assert len(calls) == n_steps + rejected
+
+
 def test_attempt_step_rejects_non_finite_conservative_update(monkeypatch):
     # a NaN mass flux makes min(rho_next) NaN, which "min <= 0" let through
     mesh, params, state, eta, dt = vortex_first_step(16, 1e-2)
@@ -411,16 +490,15 @@ def test_attempt_step_rejects_non_finite_conservative_update(monkeypatch):
     monkeypatch.setattr(stepper, "solve_density", nan_flux)
     with pytest.raises(SolverError, match="positivity or finiteness"):
         stepper._attempt_step(mesh, state, params, dt, eta,
-                              face_average_normal(mesh, state.u))
+                              *start_of_step(mesh, state, params))
 
 
 def test_update_velocity_uniform_is_identity(mesh44):
     state = uniform_state(mesh44, u0=(0.4, -0.3))
     params = SchemeParams()
     gas = params.gas()
-    p = gas.pressure(state.rho)
     fluxes = assemble_fluxes(mesh44, state.rho, face_average_normal(mesh44, state.u),
-                             p, 3.3, 0.01, 1.0)
+                             density_faces(mesh44, gas, state.rho), 3.3, 0.01, 1.0)
     u_next = update_velocity(mesh44, gas, state.rho, state.u, state.rho, fluxes, 0.01, 1.0)
     np.testing.assert_allclose(u_next, state.u, atol=1e-15)
 
@@ -436,7 +514,7 @@ def test_update_velocity_pressure_gradient_row():
     gas = params.gas()
     dt = 0.01
     fluxes = assemble_fluxes(mesh, rho_next, face_average_normal(mesh, state.u),
-                             gas.pressure(rho_next),
+                             density_faces(mesh, gas, rho_next),
                              3.3, dt, params.eps)
     u_next = update_velocity(mesh, gas, state.rho, state.u, rho_next, fluxes, dt,
                              params.eps)
@@ -457,7 +535,7 @@ def test_update_velocity_conserves_momentum(mesh88):
     params = SchemeParams(gamma=1.4, eps=1.0)
     gas = params.gas()
     rho_next, _, _, fluxes = solve_density(mesh88, state, 0.002, params, 4.0,
-                                           face_average_normal(mesh88, state.u))
+                                           *start_of_step(mesh88, state, params))
     u_next = update_velocity(mesh88, gas, state.rho, state.u, rho_next, fluxes, 0.002,
                              1.0)
     mom_old = mesh88.cell_volume * (state.rho[:, None] * state.u).sum(axis=0)
@@ -475,7 +553,7 @@ def test_update_velocity_equals_broadcast_form_bit_for_bit():
     rho_next = state.rho * rng.uniform(0.95, 1.05, mesh.n_cells)
     gas, dt, eps = GasLaw(1.4), 0.003, 0.1
     fluxes = assemble_fluxes(mesh, rho_next, face_average_normal(mesh, state.u),
-                             gas.pressure(rho_next), 4.0, dt, eps)
+                             density_faces(mesh, gas, rho_next), 4.0, dt, eps)
     u_k, u_l = gather_to_faces(mesh, state.u)
     mom = (fluxes.mass_plus[..., None] * u_k + fluxes.mass_minus[..., None] * u_l
            - VISCOUS_SCALE * (u_l - u_k))
@@ -492,7 +570,7 @@ def test_compute_dt_uniform_rest_hits_third_cfl_surrogate(mesh44):
     # no face restricts dt at rest; 0.9 (1/3 - 0.05) 1.2 / 16 ~ 0.0191 binds
     state = uniform_state(mesh44, u0=(0.0, 0.0))
     params = SchemeParams()
-    dt = compute_dt(mesh44, state, params, 3.3, face_average_normal(mesh44, state.u))
+    dt = compute_dt(mesh44, state, params, 3.3, *start_of_step(mesh44, state, params))
     assert dt == pytest.approx(CFL_SAFETY * (1.0 / 3.0 - BETA) * 1.2 / 16.0, rel=1e-14)
     assert dt < DT_MAX
 
@@ -502,7 +580,7 @@ def test_compute_dt_uniform_rest_hits_cap():
     mesh = build_mesh(4, 4, 8.0, 8.0)
     state = uniform_state(mesh, u0=(0.0, 0.0))
     params = SchemeParams()
-    dt = compute_dt(mesh, state, params, 3.3, face_average_normal(mesh, state.u))
+    dt = compute_dt(mesh, state, params, 3.3, *start_of_step(mesh, state, params))
     assert dt == DT_MAX
 
 
@@ -511,7 +589,7 @@ def test_compute_dt_unit_advection_gives_h_over_16():
     mesh = build_mesh(16, 16, 1.0, 1.0)
     state = uniform_state(mesh, rho0=1.0, u0=(1.0, 0.0))
     params = SchemeParams()
-    dt = compute_dt(mesh, state, params, 3.3, face_average_normal(mesh, state.u))
+    dt = compute_dt(mesh, state, params, 3.3, *start_of_step(mesh, state, params))
     assert dt == pytest.approx(CFL_SAFETY * mesh.hx / 16.0, rel=1e-14)
     assert dt < DT_MAX
 
@@ -520,7 +598,7 @@ def test_compute_dt_monotone_in_eta():
     mesh = build_mesh(8, 8, 1.0, 1.0)
     params = SchemeParams()
     state = vortex_compressible_init(mesh, 2.0, 1.0)
-    dts = [compute_dt(mesh, state, params, eta, face_average_normal(mesh, state.u))
+    dts = [compute_dt(mesh, state, params, eta, *start_of_step(mesh, state, params))
            for eta in (3.3, 6.6, 13.2)]
     assert dts[0] >= dts[1] >= dts[2]
 
@@ -539,8 +617,8 @@ def test_enforce_conditions_dt_threshold():
     gas = SchemeParams().gas()
     rho = np.ones(mesh.n_cells)
     u = np.zeros((mesh.n_cells, 2))
-    fluxes = assemble_fluxes(mesh, rho, face_average_normal(mesh, u), gas.pressure(rho),
-                             3.3, 0.001, 1.0)
+    fluxes = assemble_fluxes(mesh, rho, face_average_normal(mesh, u),
+                             density_faces(mesh, gas, rho), 3.3, 0.001, 1.0)
     dt_crit = (1.0 / 3.0 - BETA) * mesh.hx / 4.0
     ok = enforce_conditions(mesh, rho, rho, fluxes, 0.99 * dt_crit, eta=3.3)
     bad = enforce_conditions(mesh, rho, rho, fluxes, 1.01 * dt_crit, eta=3.3)
@@ -599,7 +677,7 @@ def test_step_recovers_from_failed_solve_by_halving_dt(monkeypatch):
     mesh, params, state, eta, dt_controller = vortex_first_step(32, 1.0)
     with pytest.raises(SolverError):
         solve_density(mesh, state, dt_controller, params, eta,
-                      face_average_normal(mesh, state.u))
+                      *start_of_step(mesh, state, params))
     _, diag = step(mesh, state, params)
     assert diag.conditions.all_ok
     assert diag.dt_used == dt_controller / 32.0
@@ -683,7 +761,7 @@ def test_rough_single_steps_take_the_controller_dt():
         u = rng.uniform(0.0, 3.0) * rng.uniform(-1.0, 1.0, (mesh.n_cells, 2))
         state = State(time=0.0, rho=rho, u=u)
         dt = compute_dt(mesh, state, params, auto_eta(mesh, state.rho),
-                        face_average_normal(mesh, state.u))
+                        *start_of_step(mesh, state, params))
         _, diag = step(mesh, state, params)
         assert diag.dt_used == dt, (n, params, amplitude)
 
