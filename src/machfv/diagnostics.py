@@ -196,7 +196,7 @@ def audit_energy_balances(mesh: StructuredMesh, params, before, after,
 
     # The step's own kernels, replayed so that the discrete balances hold at
     # extended precision, not just at solver tolerance.
-    rho_hat = update_density(mesh, rho_n, mass, dtl)
+    rho_hat = update_density(rho_n, flux_divergence(mesh, mass), dtl)
     u_hat = update_velocity(mesh, gas, rho_n, u_n, rho_hat, fl, dtl, ld(eps))
     p_hat = gas.pressure(rho_hat)
     grad_p = cell_gradient(mesh, p_hat)

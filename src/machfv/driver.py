@@ -313,7 +313,7 @@ class RunResult:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):  # a bool writes as 1 or 0
+    if isinstance(x, (int, np.integer, np.bool_)):  # a bool writes as 1 or 0
         return str(int(x))
     return repr(float(x))
 

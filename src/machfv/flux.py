@@ -125,9 +125,9 @@ def mass_flux_derivative(mesh, gas, rho, fluxes, dt, eta, eps):
     return d_dk, d_dl
 
 
-def update_density(mesh: StructuredMesh, rho, mass, dt):
-    """Conservative density update rho - dt div(mass): total mass telescopes exactly."""
-    return rho - dt * flux_divergence(mesh, mass)
+def update_density(rho, div_mass, dt):
+    """Conservative density update rho - dt div_mass: total mass telescopes exactly."""
+    return rho - dt * div_mass
 
 
 def update_velocity(mesh: StructuredMesh, gas: GasLaw, rho, u, rho_next,

@@ -1,21 +1,22 @@
 """Semi-implicit time stepper: implicit stabilised mass balance, explicit
 momentum update.
 
-Each step solves the nonlinear mass balance for the end-of-step density with
-a semi-smooth Newton method in full steps, then updates the velocity
-explicitly, one component at a time, from the momentum balance with the
-retained fluxes.  A Newton system is I/dt plus the divergence of a face flux
-linear in the two adjacent densities (flux.mass_flux_derivative, from the
-fluxes of its residual).  Richardson iteration solves it matrix-free,
-preconditioned with the FFT inverse of its face-mean constant-coefficient
-part (exact on uniform regions, where the stabilisation term makes the
-operator a stiff pressure Laplacian at low Mach).  A time-step controller and
-three per-step stability conditions (stabilisation strength, a quarter-CFL on
-the mass fluxes, a third-CFL on the cell boundary measure) keep the discrete
-energy and entropy non-increasing.  The controller and each attempt's first
-residual share the old density's face fields (flux.density_faces), and eta
-comes from the previous step's condition (1).  A failed attempt is retried at
-half the dt (at most 8 times).  advance yields each accepted step to final_time.
+Each step solves the nonlinear mass balance by semi-smooth Newton in full
+steps and keeps the conservative update from its last residual's divergence,
+then updates the velocity explicitly, one component at a time, from the
+momentum balance with the retained fluxes.  A Newton system is I/dt plus the
+divergence of a face flux linear in the two adjacent densities
+(flux.mass_flux_derivative, from the fluxes of its residual).  Richardson
+iteration solves it matrix-free, preconditioned with the FFT inverse of its
+face-mean constant-coefficient part (exact on uniform regions, where the
+stabilisation term makes the operator a stiff pressure Laplacian at low
+Mach).  A time-step controller and three per-step stability conditions
+(stabilisation strength, a quarter-CFL on the mass fluxes, a third-CFL on the
+cell boundary measure) keep the discrete energy and entropy non-increasing.
+The controller and each attempt's first residual share the old density's face
+fields (flux.density_faces), and eta comes from the previous step's condition
+(1).  A failed attempt is retried at half the dt (at most 8 times).  advance
+yields each accepted step to final_time.
 
 A step needs numpy only.  The assembled scipy CSR form of the Newton
 operator, which the tests check the solver against, is tests/csr_oracle.py.
@@ -126,15 +127,17 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of the three per-step stability conditions with margins."""
+    """Margins of the three per-step stability conditions; each verdict is
+    computed from its margin, so the two cannot disagree."""
 
-    eta_ok: bool
-    flux_cfl_ok: bool
-    dt_cfl_ok: bool
     eta_margin: float
     flux_cfl_margin: float
     dt_cfl_margin: float
     inv_density_max: float  # condition (1)'s max {{1/rho_next}}: the next step's eta
+
+    eta_ok = property(lambda self: self.eta_margin > 0.0)
+    flux_cfl_ok = property(lambda self: self.flux_cfl_margin >= 0.0)
+    dt_cfl_ok = property(lambda self: self.dt_cfl_margin > 0.0)
 
     @property
     def all_ok(self) -> bool:
@@ -172,8 +175,8 @@ def auto_eta(mesh: StructuredMesh, rho: np.ndarray) -> float:
 
 def _residual_and_fluxes(mesh, rho_next, faces, rho_old, u_normal, dt, eta, eps):
     fluxes = assemble_fluxes(mesh, rho_next, u_normal, faces, eta, dt, eps)
-    res = (rho_next - rho_old) / dt + flux_divergence(mesh, fluxes.mass)
-    return res, fluxes
+    div_mass = flux_divergence(mesh, fluxes.mass)
+    return (rho_next - rho_old) / dt + div_mass, fluxes, div_mass
 
 
 def density_residual(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
@@ -222,16 +225,17 @@ def _admitted(rho: np.ndarray) -> bool:
 
 def solve_density(mesh: StructuredMesh, state: State, dt: float,
                   params: SchemeParams, eta: float, u_normal: np.ndarray, faces):
-    """Solve the implicit mass balance for the end-of-step density.
+    """Solve the implicit mass balance; return the density the step keeps.
 
     Newton in full steps; each direction comes from matrix-free
     preconditioned Richardson iteration.  ``u_normal`` is
     face_average_normal(mesh, state.u) and ``faces`` density_faces(mesh,
     gas, state.rho), as in compute_dt.  Raises SolverError when a full step
-    is not admitted (positive, finite) or does not reduce the residual, or
-    when NEWTON_MAX_ITER iterations do not reach the tolerance; the step then
-    retries at half the dt.  Returns (rho_next, iterations,
-    residual_inf_norm, fluxes_at_solution).
+    or the conservative update is not admitted (positive, finite), when a
+    full step does not reduce the residual, or when NEWTON_MAX_ITER
+    iterations do not reach the tolerance; the step then retries at half the
+    dt.  Returns (rho_next, iterations, residual_inf_norm, fluxes): rho_next
+    is rho^n - dt div F from the last residual, F the fluxes at its iterate.
     """
     rho_old, gas, eps = state.rho, params.gas(), params.eps
 
@@ -251,12 +255,17 @@ def solve_density(mesh: StructuredMesh, state: State, dt: float,
     # An inexact direction is caught by the residual checks below.
     lin_tol = 0.1 * tol
 
-    rho = rho_old.copy()
-    res, fluxes = _residual_and_fluxes(mesh, rho, faces, rho_old, u_normal, dt, eta, eps)
-    norm = np.abs(res).max()
-
-    iters = 0
-    while norm > tol and iters < NEWTON_MAX_ITER:
+    rho, iters = rho_old, 0
+    while True:
+        res, fluxes, div_mass = _residual_and_fluxes(mesh, rho, faces, rho_old, u_normal,
+                                                     dt, eta, eps)
+        cnorm = np.abs(res).max()
+        if iters and not (cnorm <= (1.0 - 1e-4) * norm or cnorm <= tol):
+            raise SolverError(f"Newton iteration {iters} did not reduce the residual "
+                              f"{norm:.3e} (full step: {cnorm:.3e})")
+        norm = cnorm
+        if not (norm > tol and iters < NEWTON_MAX_ITER):
+            break
         iters += 1
         d_dk, d_dl = mass_flux_derivative(mesh, gas, rho, fluxes, dt, eta, eps)
         delta, _ = _solve_mass_balance(mesh, dt, d_dk, d_dl, -res, lin_tol)
@@ -264,19 +273,16 @@ def solve_density(mesh: StructuredMesh, state: State, dt: float,
         if not _admitted(rho):
             raise SolverError(f"Newton iteration {iters}: the full step is not "
                               f"positive and finite (residual {norm:.3e})")
-        res, fluxes = _residual_and_fluxes(mesh, rho, density_faces(mesh, gas, rho),
-                                           rho_old, u_normal, dt, eta, eps)
-        cnorm = np.abs(res).max()
-        if not (cnorm <= (1.0 - 1e-4) * norm or cnorm <= tol):
-            raise SolverError(f"Newton iteration {iters} did not reduce the residual "
-                              f"{norm:.3e} (full step: {cnorm:.3e})")
-        norm = cnorm
+        faces = density_faces(mesh, gas, rho)
 
     if norm > tol:
         raise SolverError(
             f"density solve did not converge: residual {norm:.3e} > {tol:.3e} "
             f"after {iters} iterations")
-    return rho, iters, norm, fluxes
+    rho_next = update_density(rho_old, div_mass, dt)
+    if not _admitted(rho_next):
+        raise SolverError("conservative density update lost positivity or finiteness")
+    return rho_next, iters, norm, fluxes
 
 
 def compute_dt(mesh: StructuredMesh, state: State, params: SchemeParams,
@@ -327,9 +333,6 @@ def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
     dt_margin = (1.0 / 3.0 - (dt / rho_next) * geom).min() - BETA
 
     return ConditionReport(
-        eta_ok=bool(eta_margin > 0.0),
-        flux_cfl_ok=bool(flux_margin >= 0.0),
-        dt_cfl_ok=bool(dt_margin > 0.0),
         eta_margin=float(eta_margin),
         flux_cfl_margin=float(flux_margin),
         dt_cfl_margin=float(dt_margin),
@@ -338,13 +341,10 @@ def enforce_conditions(mesh: StructuredMesh, rho_old: np.ndarray,
 
 
 def _attempt_step(mesh, state, params, dt, eta, u_normal, faces):
-    """One attempt at a step of size dt: the density solve, the conservative
-    update and the three conditions.  Raises SolverError when any of them
-    fails."""
-    _, iters, resnorm, fluxes = solve_density(mesh, state, dt, params, eta, u_normal, faces)
-    rho_next = update_density(mesh, state.rho, fluxes.mass, dt)
-    if not _admitted(rho_next):
-        raise SolverError("conservative density update lost positivity or finiteness")
+    """One attempt at a step of size dt: the density solve and the three
+    conditions.  Raises SolverError when either fails."""
+    rho_next, iters, resnorm, fluxes = solve_density(mesh, state, dt, params, eta,
+                                                     u_normal, faces)
     report = enforce_conditions(mesh, state.rho, rho_next, fluxes, dt, eta)
     if not report.all_ok:
         raise SolverError(

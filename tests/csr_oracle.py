@@ -33,9 +33,9 @@ def density_jacobian(mesh: StructuredMesh, rho_next: np.ndarray, state: State,
                      dt: float, params: SchemeParams, eta: float):
     """Analytic semi-smooth Jacobian of stepper.density_residual (sparse CSR)."""
     gas = params.gas()
-    _, fluxes = _residual_and_fluxes(mesh, rho_next, density_faces(mesh, gas, rho_next),
-                                     state.rho, face_average_normal(mesh, state.u), dt,
-                                     eta, params.eps)
+    fluxes = _residual_and_fluxes(mesh, rho_next, density_faces(mesh, gas, rho_next),
+                                  state.rho, face_average_normal(mesh, state.u), dt,
+                                  eta, params.eps)[1]
     d_dk, d_dl = mass_flux_derivative(mesh, gas, rho_next, fluxes, dt, eta, params.eps)
     return (flux_divergence_matrix(mesh, d_dk, d_dl)
             + sp.identity(mesh.n_cells, format="csr") / dt)

@@ -261,6 +261,8 @@ def test_audit_resolves_the_fluxes_of_the_step_that_ran(
     audit_energy_balances(mesh, params, state, new_state, diag)
     audited = returns[-1][3]
     assert audited is not stepped
+    # the re-solve returns the density the step kept
+    assert returns[-1][0].tobytes() == new_state.rho.tobytes()
     for name, value in vars(stepped).items():
         assert np.array_equal(getattr(audited, name), value), name
 

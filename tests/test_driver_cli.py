@@ -381,6 +381,27 @@ def test_run_outputs_bit_identical(tmp_path):
     assert (out1 / "config.ini").read_bytes() == (out2 / "config.ini").read_bytes()
 
 
+def test_condition_columns_write_numpy_verdicts_as_1_and_0(tmp_path, monkeypatch):
+    # a numpy comparison is an np.bool_, which is no np.integer: it wrote as 1.0
+    assert [driver._fmt(v) for v in (np.float64(0.5) > 0.0, np.float64(-0.5) > 0.0,
+                                     True, np.int64(3), 0.25)] == ["1", "0", "1", "3", "0.25"]
+    enforce = stepper.enforce_conditions
+
+    def numpy_margins(*args):
+        report = enforce(*args)
+        return stepper.ConditionReport(*(np.float64(getattr(report, f.name))
+                                         for f in fields(report)))
+
+    monkeypatch.setattr(stepper, "enforce_conditions", numpy_margins)
+    out = tmp_path / "out"
+    run_case(load_run_config(write_config(tmp_path, good_run_ini())), output_dir=out)
+    lines = (out / "diagnostics.csv").read_text().strip().split("\n")
+    header = lines[2].split(",")
+    columns = [header.index(name) for name in ("cond_eta", "cond_flux_cfl", "cond_dt_cfl")]
+    rows = [line.split(",") for line in lines[3:]]
+    assert rows and all([row[c] for c in columns] == ["1", "1", "1"] for row in rows)
+
+
 def snapshot_run_config(**overrides):
     """16^2 vortex, 6 steps, a snapshot after every step."""
     keys = dict(nx=16, ny=16, final_time=0.02, output_every=1, emit_fields=True,
@@ -533,12 +554,12 @@ def test_inequality_guard_allows_round_off_and_lists_every_problem():
 
 
 @pytest.mark.parametrize("patch, message", [
-    (("update_density", lambda mesh, rho, *rest: np.zeros_like(rho)),
+    (("update_density", lambda rho, div_mass, dt: np.zeros_like(rho)),
      "conservative density update lost positivity or finiteness"),
-    (("update_density", lambda mesh, rho, *rest: np.full_like(rho, np.nan)),
+    (("update_density", lambda rho, div_mass, dt: np.full_like(rho, np.nan)),
      "conservative density update lost positivity or finiteness"),
     (("enforce_conditions",
-      lambda *args: stepper.ConditionReport(True, False, True, 1.0, -1.0, 1.0, 0.5)),
+      lambda *args: stepper.ConditionReport(1.0, -1.0, 1.0, 0.5)),
      r"stability conditions violated \(eta_ok=True, flux_cfl_ok=False, dt_cfl_ok=True\)"),
 ], ids=["positivity", "positivity_nan", "conditions"])
 def test_stepper_refuses_each_violation_without_the_flag(monkeypatch, patch, message):

@@ -17,7 +17,7 @@ from machfv import (GasLaw, SchemeParams, SolverError, State, advance,
                     auto_eta, build_mesh, cell_gradient, compute_dt,
                     density_residual, energy_report,
                     enforce_conditions, flux_divergence, gather_to_faces,
-                    solve_density, step, update_velocity,
+                    solve_density, step, update_density, update_velocity,
                     vortex_compressible_init)
 from machfv import diagnostics, stepper
 from machfv import mesh as mesh_ops
@@ -328,14 +328,16 @@ def test_solve_density_raises_when_the_full_newton_step_does_not_reduce_the_resi
 
 def test_solve_density_assembles_fluxes_once_per_residual(monkeypatch):
     # the Newton coefficients reuse the fluxes of the current iterate: one
-    # assembly for the initial residual and one per Newton iteration
+    # assembly for the initial residual and one per Newton iteration.  The
+    # solve returns the conservative update from the last residual's fluxes.
     mesh, params, state, eta, dt = vortex_first_step(32, 1.0)
-    callers, directions = [], []
+    callers, densities, directions = [], [], []
     assemble, solve = stepper.assemble_fluxes, stepper._solve_mass_balance
 
-    def counted_assemble(*args):
+    def counted_assemble(mesh, rho_next, *rest):
         callers.append(sys._getframe(1).f_code.co_name)
-        return assemble(*args)
+        densities.append(rho_next)
+        return assemble(mesh, rho_next, *rest)
 
     def recorded_solve(*args):
         delta, iters = solve(*args)
@@ -344,13 +346,17 @@ def test_solve_density_assembles_fluxes_once_per_residual(monkeypatch):
 
     monkeypatch.setattr(stepper, "assemble_fluxes", counted_assemble)
     monkeypatch.setattr(stepper, "_solve_mass_balance", recorded_solve)
-    rho, iters, _, _ = solve_density(mesh, state, dt, params, eta,
-                                     *start_of_step(mesh, state, params))
+    rho, iters, _, fluxes = solve_density(mesh, state, dt, params, eta,
+                                          *start_of_step(mesh, state, params))
     # every direction was taken in full, so each iteration made one trial
-    full_steps = state.rho
+    full_steps = [state.rho]
     for delta in directions:
-        full_steps = full_steps + 1.0 * delta
-    np.testing.assert_array_equal(rho, full_steps)
+        full_steps.append(full_steps[-1] + 1.0 * delta)
+    assert len(densities) == len(full_steps)
+    for density, full_step in zip(densities, full_steps):
+        np.testing.assert_array_equal(density, full_step)
+    conservative = update_density(state.rho, flux_divergence(mesh, fluxes.mass), dt)
+    assert rho.tobytes() == conservative.tobytes()
     assert iters == len(directions) >= 2
     assert len(callers) == 1 + iters
     assert set(callers) == {"_residual_and_fluxes"}
@@ -411,9 +417,9 @@ def test_step_evaluates_each_face_field_once(monkeypatch):
     # L side and [[p(rho^n)]] (shared by the controller and the first
     # residual), p'(rho^n)'s L side, the matvec, the new iterate's L side and
     # [[p]], condition (1), and the velocity update's {{p}}, u_x and u_y.
-    # Cell sums: two residuals, the matvec, the conservative update,
-    # condition (2) and the two momentum divergences.  Pressures: rho^n,
-    # the noise floor's scale, the new iterate and the velocity update.
+    # Cell sums: two residuals, the matvec, condition (2) and the two
+    # momentum divergences.  Pressures: rho^n, the noise floor's scale, the
+    # new iterate and the velocity update.
     # eta comes from the previous step's condition (1).
     mesh = build_mesh(32, 32, 1.0, 1.0)
     params = SchemeParams(gamma=2.0, eps=1e-4)
@@ -433,7 +439,7 @@ def test_step_evaluates_each_face_field_once(monkeypatch):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     _, diag = next(steps)
     assert diag.newton_iters == 1
-    assert counts == {"_face_values": 11, "_cell_sums": 7, "pressure": 4}
+    assert counts == {"_face_values": 11, "_cell_sums": 6, "pressure": 4}
 
 
 def assert_same_bits(mine, ref, where):
@@ -461,7 +467,8 @@ def test_advance_equals_a_loop_of_bare_steps(monkeypatch, gamma, eps, rejected):
     state0 = vortex_compressible_init(mesh, gamma, eps)
     n_steps, final_time = 4, 1.0
     calls = failing_conditions(
-        monkeypatch, lambda report, call: replace(report, eta_ok=not (rejected and call == 2)))
+        monkeypatch, lambda report, call: (replace(report, eta_margin=-1.0)
+                                           if rejected and call == 2 else report))
     carried = list(itertools.islice(advance(mesh, state0, params, final_time), n_steps))
     assert len(calls) == n_steps + rejected
     calls.clear()
@@ -477,18 +484,18 @@ def test_advance_equals_a_loop_of_bare_steps(monkeypatch, gamma, eps, rejected):
 
 
 def test_attempt_step_rejects_non_finite_conservative_update(monkeypatch):
-    # a NaN mass flux makes min(rho_next) NaN, which "min <= 0" let through
+    # a NaN flux divergence makes min(rho_next) NaN, which "min <= 0" let through
     mesh, params, state, eta, dt = vortex_first_step(16, 1e-2)
-    solve = stepper.solve_density
+    update = stepper.update_density
 
-    def nan_flux(*args):
-        rho, iters, norm, fluxes = solve(*args)
-        fluxes.mass = fluxes.mass.copy()
-        fluxes.mass[0, 0] = np.nan
-        return rho, iters, norm, fluxes
+    def nan_divergence(rho, div_mass, dt):
+        div_mass = div_mass.copy()
+        div_mass[0] = np.nan
+        return update(rho, div_mass, dt)
 
-    monkeypatch.setattr(stepper, "solve_density", nan_flux)
-    with pytest.raises(SolverError, match="positivity or finiteness"):
+    monkeypatch.setattr(stepper, "update_density", nan_divergence)
+    with pytest.raises(SolverError,
+                       match="^conservative density update lost positivity or finiteness$"):
         stepper._attempt_step(mesh, state, params, dt, eta,
                               *start_of_step(mesh, state, params))
 
@@ -702,7 +709,7 @@ def test_step_rejection_names_the_violated_conditions(monkeypatch):
     # one eta, and the message names the failed flags
     mesh, params, state, eta, dt = vortex_first_step(16, 1.0)
     calls = failing_conditions(
-        monkeypatch, lambda report, _: replace(report, flux_cfl_ok=False))
+        monkeypatch, lambda report, _: replace(report, flux_cfl_margin=-1.0))
     with pytest.raises(SolverError, match=(
             r"step rejected after 8 dt halvings: stability conditions violated "
             r"\(eta_ok=True, flux_cfl_ok=False, dt_cfl_ok=True\)$")):
@@ -718,7 +725,8 @@ def test_step_recovers_from_failed_eta_condition_by_halving_dt(monkeypatch):
     # keeps the controller's eta
     mesh, params, state, eta, dt = vortex_first_step(16, 1.0)
     calls = failing_conditions(
-        monkeypatch, lambda report, call: replace(report, eta_ok=call > 1))
+        monkeypatch,
+        lambda report, call: report if call > 1 else replace(report, eta_margin=-1.0))
     _, diag = step(mesh, state, params)
     assert calls == [(dt, eta), (0.5 * dt, eta)]
     assert diag.dt_used == 0.5 * dt
@@ -730,7 +738,7 @@ def test_step_rejection_names_the_error_that_ended_the_last_attempt(monkeypatch)
     # every attempt but the last fails a condition, and the last fails in the
     # solver: the final message carries that solver error
     mesh, params, state, _, _ = vortex_first_step(16, 1.0)
-    failing_conditions(monkeypatch, lambda report, _: replace(report, eta_ok=False))
+    failing_conditions(monkeypatch, lambda report, _: replace(report, eta_margin=-1.0))
     solve = stepper.solve_density
     attempts = []
 
@@ -745,6 +753,27 @@ def test_step_rejection_names_the_error_that_ended_the_last_attempt(monkeypatch)
             r"step rejected after 8 dt halvings: forced solve failure$")):
         step(mesh, state, params)
     assert len(attempts) == stepper.MAX_DT_HALVINGS + 1
+
+
+def test_low_mach_linear_solves_stop_before_the_iteration_cap(monkeypatch):
+    # At eps = 1e-6 the linear tolerance sits at the round-off floor of the
+    # matvec, where Richardson stalls; the stagnation exit must end those
+    # solves (the first takes 20 iterations at 512^2), not LINEAR_MAX_ITER.
+    # Three steps of the 512^2 vortex, every linear solve counted.
+    iters, solve = [], stepper._solve_mass_balance
+
+    def counted(*args):
+        delta, k = solve(*args)
+        iters.append(k)
+        return delta, k
+
+    monkeypatch.setattr(stepper, "_solve_mass_balance", counted)
+    mesh = build_mesh(512, 512, 1.0, 1.0)
+    params = SchemeParams(gamma=2.0, eps=1e-6)
+    state = vortex_compressible_init(mesh, params.gamma, params.eps)
+    for _ in range(3):
+        state, _ = step(mesh, state, params)
+    assert iters and max(iters) < stepper.LINEAR_MAX_ITER, iters
 
 
 def test_rough_single_steps_take_the_controller_dt():
