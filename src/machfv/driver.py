@@ -33,6 +33,7 @@ import hashlib
 import io
 import numbers
 import os
+import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
@@ -438,11 +439,12 @@ def run_case(cfg: RunConfig, output_dir="machfv_out", assert_inequalities: bool 
 
     if write_outputs:
         cfg_hash = _echo_config(cfg, out)
-        # An earlier run into this directory must not leave snapshots or
-        # charts beside this run's config.ini.  Only regular files go: a
-        # directory in the way stays, and the write that needs its name
-        # raises its OSError.
-        for stale in [*out.glob("fields/step[0-9][0-9][0-9][0-9][0-9][0-9].npy"),
+        # An earlier run into this directory must not leave snapshots (six
+        # digits or more, as snapshot names them) or charts beside this run's
+        # config.ini.  Only regular files go: a directory in the way stays,
+        # and the write that needs its name raises its OSError.
+        for stale in [*(p for p in out.glob("fields/step*.npy")
+                        if re.fullmatch(r"step[0-9]{6,}\.npy", p.name)),
                       out / "energy.svg", out / "ke_ratio.svg"]:
             if stale.is_file():
                 stale.unlink()

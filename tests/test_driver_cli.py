@@ -1,9 +1,12 @@
 """Config parsing, run orchestration, file outputs, CLI exit codes."""
 
 import io
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -472,15 +475,17 @@ def test_rerun_into_one_directory_removes_the_earlier_runs_outputs(tmp_path):
              output_dir=out)
     assert sorted(p.name for p in (out / "fields").iterdir()) == [
         f"step{k:06d}.npy" for k in range(3)]
+    # no run writes a five-digit name; a run past step 999,999 writes seven
     own = [out / "notes.txt", out / "fields" / "notes.txt",
-           out / "fields" / "step_reference.npy"]
+           out / "fields" / "step_reference.npy", out / "fields" / "step12345.npy"]
     for path in own:
         path.write_text("kept")
+    (out / "fields" / "step1000000.npy").write_text("stale")
     cfg = load_run_config(write_config(tmp_path, good_run_ini(emit_svg="false")))
     result = run_case(cfg, output_dir=out)
     assert len(result.diags) == 2
     assert sorted(p.name for p in (out / "fields").iterdir()) == [
-        "notes.txt", "step000000.npy", "step_reference.npy"]
+        "notes.txt", "step000000.npy", "step12345.npy", "step_reference.npy"]
     assert not (out / "energy.svg").exists()
     assert not (out / "ke_ratio.svg").exists()
     echo = load_run_config(out / "config.ini")
@@ -836,6 +841,19 @@ def test_output_path_that_cannot_be_a_directory_is_a_config_error(
     monkeypatch.setattr(driver, "advance", lambda *args: pytest.fail("a step was taken"))
     assert main(argv) == 2
     assert_output_error(capsys.readouterr().err, output)
+    assert afile.read_text() == "a regular file"
+
+
+def test_python_m_machfv_exits_2_on_an_output_path_that_is_a_file(tmp_path):
+    # the module entry point, in a fresh interpreter, maps the error as main does
+    afile = write_config(tmp_path, "a regular file", name="afile")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "machfv", "run", "--config",
+                           str(write_config(tmp_path, good_run_ini())), "--output", str(afile)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert_output_error(proc.stderr, afile)
     assert afile.read_text() == "a regular file"
 
 

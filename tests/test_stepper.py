@@ -201,13 +201,14 @@ def linear_residual(mesh, dt, d_dk, d_dl, rhs, q):
     return rhs - (q / dt + flux_divergence(mesh, d_dk * q_k + d_dl * q_l))
 
 
-def test_solve_mass_balance_zero_rhs_returns_zeros_without_iterating(monkeypatch):
+def test_solve_mass_balance_zero_rhs_returns_zeros_after_one_iteration(monkeypatch):
+    # the first iterate P^-1 0 = 0 is kept, and its zero residual meets atol = 0
     mesh, _, _, _, dt, d_dk, d_dl, rhs = vortex_newton_system(8, 1e-2)
     calls = counted_linear_layer(monkeypatch)
     q, iters = _solve_mass_balance(mesh, dt, d_dk, d_dl, np.zeros_like(rhs), 0.0)
-    assert iters == 0
+    assert iters == 1
     np.testing.assert_array_equal(q, np.zeros_like(rhs))
-    assert calls == {"precond": 0, "flux_divergence": 0}
+    assert calls == {"precond": 1, "flux_divergence": 1}
 
 
 def test_solve_mass_balance_applies_each_operator_once_per_iteration(monkeypatch):
@@ -223,7 +224,7 @@ def test_solve_mass_balance_applies_each_operator_once_per_iteration(monkeypatch
 
 
 def test_solve_mass_balance_returns_its_last_iterate_at_the_cap(monkeypatch):
-    # one iteration from q = 0 is the preconditioned rhs, short of atol
+    # the first iterate is the preconditioned rhs, short of atol
     mesh, _, _, _, dt, d_dk, d_dl, rhs = vortex_newton_system(32, 1.0)
     atol = 1e-12 * np.linalg.norm(rhs)
     monkeypatch.setattr(stepper, "LINEAR_MAX_ITER", 1)
@@ -249,6 +250,24 @@ def test_solve_mass_balance_stops_when_the_residual_stops_falling(monkeypatch):
     np.testing.assert_array_equal(q, 2.5 * precond(rhs))
     assert (np.linalg.norm(linear_residual(mesh, dt, d_dk, d_dl, rhs, q))
             > np.linalg.norm(rhs))
+
+
+def test_a_step_makes_no_blas_call(monkeypatch):
+    # BLAS threading once stalled the solve's norms and changed their last
+    # bit; 128^2 at eps = 1e-2 is where the stalls showed
+    mesh, params, state, _, _ = vortex_first_step(128, 1e-2)
+    mesh64, params64, state64, _, _ = vortex_first_step(64, 1e-4)
+
+    def no_blas(*args, **kwargs):
+        raise AssertionError("a step called BLAS")
+
+    for module, name in ((np.linalg, "norm"), (np, "dot"), (np, "vdot"), (np, "inner")):
+        monkeypatch.setattr(module, name, no_blas)
+    _, diag = step(mesh, state, params)
+    assert diag.newton_iters >= 1
+    diags = [d for _, d in itertools.islice(
+        advance(mesh64, state64, params64, final_time=1.0), 3)]
+    assert len(diags) == 3 and all(d.newton_iters >= 1 for d in diags)
 
 
 def test_solve_density_uniform_converges_immediately(mesh44):
@@ -911,3 +930,28 @@ def test_repeated_runs_do_not_fault_their_memory_back_in():
                          capture_output=True, text=True, timeout=120)
     faults = json.loads(out.stdout.strip().splitlines()[-1])
     assert max(faults[1:]) < 500, faults
+
+
+# One step of the 256^2 vortex at eps = 1e-2; prints a digest of its fields.
+ONE_STEP = """
+import hashlib
+from machfv import SchemeParams, build_mesh, step, vortex_compressible_init
+mesh = build_mesh(256, 256, 1.0, 1.0)
+params = SchemeParams(gamma=2.0, eps=1e-2)
+state, _ = step(mesh, vortex_compressible_init(mesh, 2.0, 1e-2), params)
+print(hashlib.sha256(state.rho.tobytes() + state.u.tobytes()).hexdigest())
+"""
+
+
+def test_a_step_has_the_same_bits_at_any_blas_thread_count():
+    # the README promises bit-identical runs; a step calls no BLAS, so its
+    # thread count cannot matter
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": threads,
+               "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", ONE_STEP], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        digests.append(out.stdout.strip().splitlines()[-1])
+    assert digests[0] == digests[1]
